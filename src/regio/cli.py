@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import (
+    ComparisonSpec,
     ProjectConfig,
-    build_store,
+    ingest_registry,
     load_project_config,
     load_registry,
     read_reference_csv,
@@ -24,16 +25,9 @@ from .config import (
 from .disaggregation import check_dependencies, load_pipeline_config, run_pipeline
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments
-from .hierarchy import SpatialLevel, load_hierarchy
+from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
 from .imputation import impute_series
-from .series import (
-    SeriesMeta,
-    VariableStore,
-    aggregate,
-    ingest_series,
-    read_series_csv,
-    write_series_csv,
-)
+from .series import SeriesMeta, aggregate, read_series_csv, write_series_csv
 from .validation import compare_at_level, markdown_table, write_deviation_csv
 
 OK = 0
@@ -53,94 +47,66 @@ class LoadedProject:
     hierarchy: object
     registry: list
     store: object
-    assignments: dict
     specs: list
 
 
-def _load_project(config: ProjectConfig) -> LoadedProject:
-    if not config.hierarchy_path.is_file():
-        raise ConfigError(f"hierarchy file not found: {config.hierarchy_path}")
-    hierarchy = load_hierarchy(config.hierarchy_path)
-    registry = load_registry(config.registry_path)
-    store = build_store(config, hierarchy, registry)
+def _load_project(config: ProjectConfig) -> tuple[LoadedProject, list[str]]:
+    """Load every project input, collecting each RegioError as a finding.
+
+    An input that fails to load is replaced by an empty stand-in (no store
+    without a hierarchy), so the later inputs are still loaded and checked.
+    """
+    findings: list[str] = []
+
+    def attempt(load, *args, default):
+        try:
+            return load(*args)
+        except RegioError as exc:
+            findings.append(str(exc))
+            return default
+
+    hierarchy = attempt(load_hierarchy, config.hierarchy_path, default=None)
+    registry = attempt(load_registry, config.registry_path, default=[])
+    store = None
+    if hierarchy is not None:
+        store, errors = ingest_registry(config, hierarchy, registry)
+        findings.extend(str(exc) for exc in errors)
     assignments = {}
     if config.proxy_assignments_path is not None:
-        if not config.proxy_assignments_path.is_file():
-            raise ConfigError(
-                f"proxy assignment file not found: {config.proxy_assignments_path}"
-            )
-        assignments = load_proxy_assignments(config.proxy_assignments_path)
-    if not config.pipeline_path.is_file():
-        raise ConfigError(f"pipeline config not found: {config.pipeline_path}")
-    specs = load_pipeline_config(config.pipeline_path, assignments)
-    return LoadedProject(config, hierarchy, registry, store, assignments, specs)
+        assignments = attempt(load_proxy_assignments, config.proxy_assignments_path, default={})
+    specs = attempt(load_pipeline_config, config.pipeline_path, assignments, default=[])
+    return LoadedProject(config, hierarchy, registry, store, specs), findings
+
+
+def _read_reference(config: ProjectConfig, spec: ComparisonSpec, hierarchy: RegionHierarchy):
+    if config.reference_dir is None:
+        raise ConfigError(f"comparison {spec.target_id!r}: no reference_dir configured")
+    path = config.reference_dir / spec.reference
+    if not path.is_file():
+        raise ConfigError(f"comparison {spec.target_id!r}: reference file not found: {path}")
+    return read_reference_csv(path, hierarchy, spec.level)
+
+
+def _print_errors(findings: list[str]) -> None:
+    for finding in findings:
+        print(f"error: {finding}")
 
 
 def cmd_check(config: ProjectConfig) -> int:
-    """Validate hierarchy, series, formulas and dependency ordering."""
-    findings: list[str] = []
-    hierarchy = None
-    registry = []
-    try:
-        if not config.hierarchy_path.is_file():
-            raise ConfigError(f"hierarchy file not found: {config.hierarchy_path}")
-        hierarchy = load_hierarchy(config.hierarchy_path)
-    except RegioError as exc:
-        findings.append(str(exc))
-    try:
-        registry = load_registry(config.registry_path)
-    except RegioError as exc:
-        findings.append(str(exc))
-
-    store = None
-    if hierarchy is not None:
-        store = VariableStore()
-        for entry in registry:
-            series_path = config.series_dir / entry.filename
-            if not series_path.is_file():
-                findings.append(f"series file not found: {series_path}")
-                continue
+    """Validate hierarchy, series, formulas, dependency ordering and references."""
+    project, findings = _load_project(config)
+    if project.store is not None and project.specs:
+        try:
+            check_dependencies(project.specs, project.store)
+        except RegioError as exc:
+            findings.append(str(exc))
+    if project.hierarchy is not None:
+        for spec in config.comparisons:
             try:
-                store.add(ingest_series(series_path, entry.meta, hierarchy))
+                _read_reference(config, spec, project.hierarchy)
             except RegioError as exc:
                 findings.append(str(exc))
-
-    assignments = {}
-    if config.proxy_assignments_path is not None:
-        try:
-            if not config.proxy_assignments_path.is_file():
-                raise ConfigError(
-                    f"proxy assignment file not found: {config.proxy_assignments_path}"
-                )
-            assignments = load_proxy_assignments(config.proxy_assignments_path)
-        except RegioError as exc:
-            findings.append(str(exc))
-
-    specs = []
-    try:
-        if not config.pipeline_path.is_file():
-            raise ConfigError(f"pipeline config not found: {config.pipeline_path}")
-        specs = load_pipeline_config(config.pipeline_path, assignments)
-    except RegioError as exc:
-        findings.append(str(exc))
-
-    if store is not None and specs:
-        try:
-            check_dependencies(specs, store)
-        except RegioError as exc:
-            findings.append(str(exc))
-
-    for spec in config.comparisons:
-        if config.reference_dir is None:
-            findings.append(f"comparison {spec.target_id!r}: no reference_dir configured")
-        elif not (config.reference_dir / spec.reference).is_file():
-            findings.append(
-                f"comparison {spec.target_id!r}: reference file not found: "
-                f"{config.reference_dir / spec.reference}"
-            )
-
-    for finding in findings:
-        print(f"error: {finding}")
+    _print_errors(findings)
     print(f"{len(findings)} error{'s' if len(findings) != 1 else ''}")
     return OK if not findings else VALIDATION_ERROR
 
@@ -169,10 +135,9 @@ def cmd_impute(config: ProjectConfig, seed: int) -> int:
     National (NUTS0) series are the disaggregation targets and are never
     imputed; a missing national value later skips its pipeline task.
     """
-    try:
-        project = _load_project(config)
-    except RegioError as exc:
-        print(f"error: {exc}")
+    project, findings = _load_project(config)
+    if findings:
+        _print_errors(findings)
         return VALIDATION_ERROR
     out_dir = config.output_dir / "imputed"
     try:
@@ -234,12 +199,15 @@ def _overlay_imputed(project: LoadedProject) -> list[str]:
 
 def cmd_disaggregate(config: ProjectConfig, seed: int, jobs: int) -> int:
     """Run the staged pipeline and write one CSV per target plus a run report."""
+    project, findings = _load_project(config)
+    if findings:
+        _print_errors(findings)
+        return VALIDATION_ERROR
     try:
-        project = _load_project(config)
+        unresolved = _overlay_imputed(project)
     except RegioError as exc:
         print(f"error: {exc}")
         return VALIDATION_ERROR
-    unresolved = _overlay_imputed(project)
     if unresolved:
         print(
             "error: series with missing values and no imputed output "
@@ -302,17 +270,10 @@ def cmd_validate(config: ProjectConfig) -> int:
                 f"({result_path}); run 'regio disaggregate' first"
             )
             return VALIDATION_ERROR
-        if config.reference_dir is None:
-            print(f"error: comparison {spec.target_id!r} needs a reference_dir")
-            return VALIDATION_ERROR
-        reference_path = config.reference_dir / spec.reference
-        if not reference_path.is_file():
-            print(f"error: reference file not found: {reference_path}")
-            return VALIDATION_ERROR
         meta = SeriesMeta(spec.target_id, "", "", SpatialLevel.LAU)
         try:
             result = read_series_csv(result_path, meta, hierarchy)
-            reference, labels = read_reference_csv(reference_path, hierarchy, spec.level)
+            reference, labels = _read_reference(config, spec, hierarchy)
             comparison = compare_at_level(result, reference, hierarchy, spec.level)
         except RegioError as exc:
             print(f"error: {exc}")

@@ -8,13 +8,12 @@ country scope) and to the CSV file carrying the observations.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, NonNumericValue, UnknownRegion
+from .errors import ConfigError, NonNumericValue, RegioError
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
@@ -24,8 +23,11 @@ from .series import (
     SeriesMeta,
     VariableSeries,
     VariableStore,
+    _region_rows,
     ingest_series,
 )
+
+REFERENCE_HEADERS = (["region", "value"], ["region", "value", "label"])
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,22 @@ class ProjectConfig:
         )
 
 
-def load_project_config(path: str | Path) -> ProjectConfig:
-    path = Path(path)
+def read_json(path: Path, what: str):
+    """Parse a JSON input file; a missing file or bad JSON is a ConfigError."""
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     try:
         with path.open(encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_project_config(path: str | Path) -> ProjectConfig:
+    path = Path(path)
+    doc = read_json(path, "config file")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
     root = path.parent
 
     def resolve(key: str, required: bool = True) -> Path | None:
@@ -130,23 +139,22 @@ def load_project_config(path: str | Path) -> ProjectConfig:
 
 def load_registry(path: str | Path) -> list[RegistryEntry]:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"variable registry not found: {path}")
-    with path.open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "variable registry")
     entries = doc.get("variables", doc) if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise ConfigError(f"{path}: expected a list of variable entries")
     out = []
     seen = set()
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: variable #{i} is not an object")
         try:
             vid = entry["id"]
             level = SpatialLevel.from_token(entry["level"])
         except KeyError as exc:
             raise ConfigError(f"{path}: variable #{i} missing {exc}") from None
         # formulas can only reference snake_case identifiers
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", vid):
+        if not isinstance(vid, str) or not re.fullmatch(r"[a-z][a-z0-9_]*", vid):
             raise ConfigError(f"{path}: variable id {vid!r} is not snake_case")
         if vid in seen:
             raise ConfigError(f"{path}: duplicate variable id {vid!r}")
@@ -162,19 +170,35 @@ def load_registry(path: str | Path) -> list[RegistryEntry]:
     return out
 
 
+def ingest_registry(
+    config: ProjectConfig, hierarchy: RegionHierarchy, registry: list[RegistryEntry]
+) -> tuple[VariableStore, list[RegioError]]:
+    """Ingest every registry series that loads; return the store and one
+    error per series that did not."""
+    store = VariableStore()
+    errors: list[RegioError] = []
+    for entry in registry:
+        series_path = config.series_dir / entry.filename
+        try:
+            if not series_path.is_file():
+                raise ConfigError(f"series file not found: {series_path}")
+            store.add(ingest_series(series_path, entry.meta, hierarchy))
+        except RegioError as exc:
+            errors.append(exc)
+    return store, errors
+
+
 def build_store(
     config: ProjectConfig,
     hierarchy: RegionHierarchy,
     registry: list[RegistryEntry] | None = None,
 ) -> VariableStore:
-    """Ingest every registry series from the series directory."""
+    """Ingest every registry series from the series directory; raises the
+    first series' error."""
     registry = registry if registry is not None else load_registry(config.registry_path)
-    store = VariableStore()
-    for entry in registry:
-        series_path = config.series_dir / entry.filename
-        if not series_path.is_file():
-            raise ConfigError(f"series file not found: {series_path}")
-        store.add(ingest_series(series_path, entry.meta, hierarchy))
+    store, errors = ingest_registry(config, hierarchy, registry)
+    if errors:
+        raise errors[0]
     return store
 
 
@@ -182,36 +206,20 @@ def read_reference_csv(
     path: str | Path, hierarchy: RegionHierarchy, level: SpatialLevel
 ) -> tuple[VariableSeries, dict[str, str]]:
     """Reference inventory CSV: ``region,value`` plus an optional free-text
-    ``label`` column; joining is by region code only, never by label."""
+    ``label`` column; joining is by region code only, never by label.
+
+    Every row needs a finite value for a distinct region at ``level``.
+    """
     path = Path(path)
+    meta = SeriesMeta("reference", "", "", level)
+    scope = set(hierarchy.regions_at(level))
     labels: dict[str, str] = {}
     observations: dict[str, Observation] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] not in (
-            ["region", "value"],
-            ["region", "value", "label"],
-        ):
-            raise NonNumericValue(
-                f"{path}: bad header {header!r}; expected region,value[,label]"
-            )
-        has_label = len(header) == 3
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            region = row[0].strip()
-            node = hierarchy.node(region) if region in hierarchy else None
-            if node is None or node.level != level:
-                raise UnknownRegion(
-                    f"{path}:{lineno}: region {region!r} is not a {level.name} region"
-                )
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise NonNumericValue(f"{path}:{lineno}: bad value {row[1]!r}") from None
-            observations[region] = Observation(region, value, ConfidenceLevel.VERY_HIGH)
-            if has_label and len(row) > 2 and row[2].strip():
-                labels[region] = row[2].strip()
+    for lineno, region, value, row in _region_rows(path, REFERENCE_HEADERS, meta, scope):
+        if value is None:
+            raise NonNumericValue(f"{path}:{lineno}: empty value for {region!r}")
+        observations[region] = Observation(region, value, ConfidenceLevel.VERY_HIGH)
+        if len(row) > 2 and row[2].strip():
+            labels[region] = row[2].strip()
     series = VariableSeries("reference", "", "", level, ALL_COUNTRIES, observations)
     return series, labels

@@ -19,11 +19,12 @@ later stages.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+from .config import read_json
 from .errors import (
     ConfigError,
     DuplicateVariable,
@@ -218,7 +219,7 @@ class TaskSpec:
     formula_text: str | None
     assignment_confidence: ConfidenceLevel
 
-    @property
+    @cached_property
     def formula(self) -> ProxyExpr | None:
         return None if self.formula_text is None else parse(self.formula_text)
 
@@ -230,19 +231,25 @@ def load_pipeline_config(
     """Parse the staged task list; tasks may inherit formula/confidence from
     the proxy-assignment document by target_id (inline values win)."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        doc = json.load(fh)
-    stages = doc.get("stages")
+    doc = read_json(path, "pipeline config")
+    stages = doc.get("stages") if isinstance(doc, dict) else None
     if not isinstance(stages, list):
         raise ConfigError(f"{path}: expected top-level 'stages' list")
     assignments = assignments or {}
     specs: list[TaskSpec] = []
     seen_targets: set[str] = set()
     for entry in stages:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: stage entry {entry!r} is not an object")
         stage = entry.get("stage")
         if stage not in (1, 2, 3):
             raise ConfigError(f"{path}: stage must be 1, 2 or 3, got {stage!r}")
-        for task in entry.get("tasks", []):
+        tasks = entry.get("tasks", [])
+        if not isinstance(tasks, list):
+            raise ConfigError(f"{path}: stage {stage}: 'tasks' must be a list")
+        for task in tasks:
+            if not isinstance(task, dict):
+                raise ConfigError(f"{path}: stage {stage}: task {task!r} is not an object")
             try:
                 target_id = task["target_id"]
                 source_level = SpatialLevel.from_token(task["source_level"])
@@ -267,10 +274,11 @@ def load_pipeline_config(
                     f"{path}: {target_id}: assignment confidence must be "
                     "HIGH|MEDIUM|LOW|VERY_LOW"
                 )
+            spec = TaskSpec(stage, target_id, source_level, mode, formula_text, confidence)
             if mode == ALLOCATE:
                 if formula_text is None:
                     raise ConfigError(f"{path}: {target_id}: allocate task needs a formula")
-                parse(formula_text)
+                spec.formula  # parse now so a syntax error fails the load
             if target_id in seen_targets:
                 raise ConfigError(f"{path}: duplicate task for target {target_id!r}")
             seen_targets.add(target_id)
@@ -278,9 +286,7 @@ def load_pipeline_config(
                 raise ConfigError(
                     f"{path}: {target_id}: source_level must be NUTS0|NUTS2|NUTS3"
                 )
-            specs.append(
-                TaskSpec(stage, target_id, source_level, mode, formula_text, confidence)
-            )
+            specs.append(spec)
     return sorted(specs, key=lambda s: (s.stage, s.target_id))
 
 

@@ -22,7 +22,6 @@ values and max-normalizes the composite result, for sensitivity runs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -31,6 +30,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .config import read_json
 from .errors import (
     ConfigError,
     FormulaSyntaxError,
@@ -421,8 +421,7 @@ class ProxyAssignment:
 def load_proxy_assignments(path: str | Path) -> dict[str, ProxyAssignment]:
     """Load the per-target formula/confidence document (JSON list)."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "proxy assignment file")
     entries = doc.get("assignments", doc) if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise ConfigError(f"{path}: expected a list of assignments")

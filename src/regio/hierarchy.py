@@ -16,6 +16,7 @@ from enum import IntEnum
 from pathlib import Path
 
 from .errors import (
+    ConfigError,
     DanglingParent,
     DuplicateCode,
     ParentLevelMismatch,
@@ -170,6 +171,8 @@ class RegionHierarchy:
 def load_hierarchy(path: str | Path) -> RegionHierarchy:
     """Load and validate a hierarchy CSV (header ``code,level,parent,country``)."""
     path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"hierarchy file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -161,17 +161,59 @@ def round_half_up(x: float, places: int = 2) -> float:
     return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-def _parse_value(raw: str, where: str) -> float | None:
+def _parse_value(raw: str, path: Path, lineno: int) -> float | None:
     text = raw.strip()
     if text == "":
         return None
     try:
         value = float(text)
     except ValueError:
-        raise NonNumericValue(f"{where}: non-numeric value {raw!r}") from None
+        raise NonNumericValue(f"{path}:{lineno}: non-numeric value {raw!r}") from None
     if not math.isfinite(value):
-        raise NonFiniteValue(f"{where}: non-finite value {raw!r}")
+        raise NonFiniteValue(f"{path}:{lineno}: non-finite value {raw!r}")
     return value
+
+
+def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> list[str]:
+    country = None if meta.country_scope == ALL_COUNTRIES else meta.country_scope
+    return hierarchy.regions_at(meta.level, country)
+
+
+def _region_rows(
+    path: Path, headers: tuple[list[str], ...], meta: SeriesMeta, scope: set[str]
+) -> Iterator[tuple[int, str, float | None, list[str]]]:
+    """Yield ``(line number, region, value, row)`` for each data row of a
+    region CSV.
+
+    The header must be one of ``headers`` and every non-blank row must have
+    as many cells; the region must lie in ``scope`` and appear once. The value
+    is parsed by ``_parse_value`` (None for an empty cell).
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] not in headers:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise NonNumericValue(f"{path}: bad header {header!r}; expected {expected}")
+        width = len(header)
+        seen: set[str] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not "".join(row).strip():  # blank line or only blank cells
+                continue
+            if len(row) != width:
+                raise NonNumericValue(
+                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+                )
+            region = row[0].strip()
+            if region not in scope:
+                raise UnknownRegion(
+                    f"{path}:{lineno}: region {region!r} is not a "
+                    f"{meta.level.name} region of scope {meta.country_scope}"
+                )
+            if region in seen:
+                raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
+            seen.add(region)
+            yield lineno, region, _parse_value(row[1], path, lineno), row
 
 
 def ingest_series(
@@ -183,30 +225,11 @@ def ingest_series(
     observation: values present in the file are graded VERY_HIGH, empty cells
     and absent regions are missing.
     """
-    path = Path(path)
-    country = None if meta.country_scope == ALL_COUNTRIES else meta.country_scope
-    scope = hierarchy.regions_at(meta.level, country)
-    scope_set = set(scope)
-    seen: dict[str, float | None] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != SERIES_HEADER:
-            raise NonNumericValue(f"{path}: bad header {header!r}; expected {SERIES_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise NonNumericValue(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            region = row[0].strip()
-            if region not in scope_set:
-                raise UnknownRegion(
-                    f"{path}:{lineno}: region {region!r} is not a "
-                    f"{meta.level.name} region of scope {meta.country_scope}"
-                )
-            if region in seen:
-                raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
-            seen[region] = _parse_value(row[1], f"{path}:{lineno}")
+    scope = _scope(meta, hierarchy)
+    seen = {
+        region: value
+        for _, region, value, _ in _region_rows(Path(path), (SERIES_HEADER,), meta, set(scope))
+    }
     observations = {}
     for region in scope:
         value = seen.get(region)
@@ -224,28 +247,17 @@ def read_series_csv(
 ) -> VariableSeries:
     """Read a ``region,value,confidence`` CSV written by the engine."""
     path = Path(path)
-    country = None if meta.country_scope == ALL_COUNTRIES else meta.country_scope
-    scope_set = set(hierarchy.regions_at(meta.level, country))
+    scope = set(_scope(meta, hierarchy))
     observations: dict[str, Observation] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != OUTPUT_HEADER:
-            raise NonNumericValue(f"{path}: bad header {header!r}; expected {OUTPUT_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            region = row[0].strip()
-            if region not in scope_set:
-                raise UnknownRegion(f"{path}:{lineno}: region {region!r} out of scope")
-            if region in observations:
-                raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
-            value = _parse_value(row[1], f"{path}:{lineno}")
-            if value is None:
-                observations[region] = Observation(region, None, None)
-            else:
-                conf = ConfidenceLevel.from_token(row[2].strip())
-                observations[region] = Observation(region, value, conf)
+    for lineno, region, value, row in _region_rows(path, (OUTPUT_HEADER,), meta, scope):
+        if value is None:
+            observations[region] = Observation(region, None, None)
+            continue
+        try:
+            conf = ConfidenceLevel.from_token(row[2].strip())
+        except NonNumericValue as exc:
+            raise NonNumericValue(f"{path}:{lineno}: {exc}") from None
+        observations[region] = Observation(region, value, conf)
     return VariableSeries(
         meta.variable_id, meta.description, meta.unit, meta.level, meta.country_scope, observations
     )

@@ -54,6 +54,73 @@ class TestCheck:
         assert "snake_case" in capsys.readouterr().out
 
 
+REFERENCE = "reference/transport_fec_nuts2.csv"
+# validate reads the disaggregated output before the reference file
+HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
+
+
+@pytest.mark.parametrize(
+    "command,files,culprit",
+    [
+        pytest.param("check", {"variables.json": "{"}, "variables.json", id="registry-json"),
+        pytest.param(
+            "check", {"variables.json": '{"variables": [1]}'}, "variables.json",
+            id="registry-entry",
+        ),
+        pytest.param("check", {"pipeline.json": "{"}, "pipeline.json", id="pipeline-json"),
+        pytest.param("check", {"pipeline.json": "[1, 2]"}, "pipeline.json", id="pipeline-list"),
+        pytest.param(
+            "check", {"pipeline.json": '{"stages": [3]}'}, "pipeline.json", id="stage-entry"
+        ),
+        pytest.param(
+            "check", {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [1]}]}'},
+            "pipeline.json", id="task-entry",
+        ),
+        pytest.param(
+            "check", {"proxy_assignments.json": "{"}, "proxy_assignments.json",
+            id="assignments-json-check",
+        ),
+        pytest.param(
+            "impute", {"proxy_assignments.json": "{"}, "proxy_assignments.json",
+            id="assignments-json-impute",
+        ),
+        pytest.param(
+            "check", {REFERENCE: "region,value,label\nAA11,nan,Alpha\n"},
+            "transport_fec_nuts2.csv", id="reference-nan-check",
+        ),
+        pytest.param(
+            "validate",
+            {REFERENCE: "region,value,label\nAA11,nan,Alpha\n", **HEADER_ONLY_OUTPUT},
+            "transport_fec_nuts2.csv", id="reference-nan-validate",
+        ),
+        pytest.param(
+            "validate",
+            {REFERENCE: "region,value,label\nAA11,1,A\nAA11,2,B\n", **HEADER_ONLY_OUTPUT},
+            "transport_fec_nuts2.csv:3", id="reference-duplicate",
+        ),
+        pytest.param(
+            "disaggregate",
+            {"output/imputed/industrial_area.csv": "region,value,confidence\nAA_0004,4.0\n"},
+            "industrial_area.csv:2", id="imputed-short-row",
+        ),
+        pytest.param(
+            "disaggregate",
+            {"output/imputed/industrial_area.csv": "region,value,confidence\nAA_0004,4.0,BEST\n"},
+            "industrial_area.csv:2", id="imputed-bad-confidence",
+        ),
+    ],
+)
+def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
+    for name, text in files.items():
+        path = toy_project.parent / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert run_cli(command, "--config", toy_project) == 2
+    out = capsys.readouterr().out
+    assert "error:" in out
+    assert culprit in out
+
+
 class TestImpute:
     def test_writes_series_and_report(self, toy_project):
         assert run_cli("impute", "--config", toy_project) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regio.config import read_reference_csv
 from regio.errors import (
     DuplicateRegion,
     IncompleteSeries,
@@ -87,6 +88,49 @@ class TestIngest:
         write_series_csv(s, out)
         back = read_series_csv(out, LAU_META, mini_hierarchy)
         assert back.observations == s.observations
+
+
+    def test_short_row_in_output_csv(self, tmp_path, mini_hierarchy):
+        path = write_series(tmp_path, ["AA_000_0000,1.0"], header="region,value,confidence")
+        with pytest.raises(NonNumericValue, match=r"series\.csv:2"):
+            read_series_csv(path, LAU_META, mini_hierarchy)
+
+
+class TestReadReference:
+    HEADER = "region,value,label"
+
+    def read(self, tmp_path, hierarchy, rows, header=HEADER):
+        path = write_series(tmp_path, rows, name="reference.csv", header=header)
+        return read_reference_csv(path, hierarchy, SpatialLevel.NUTS2)
+
+    def test_label_kept(self, tmp_path, mini_hierarchy):
+        reference, labels = self.read(
+            tmp_path, mini_hierarchy, ["AA00,5.5,North", "BB00,2,"]
+        )
+        assert reference.value("AA00") == 5.5
+        assert reference.value("BB00") == 2.0
+        assert labels == {"AA00": "North"}
+
+    def test_bad_header(self, tmp_path, mini_hierarchy):
+        with pytest.raises(NonNumericValue, match="bad header"):
+            self.read(tmp_path, mini_hierarchy, ["AA00,1"], header="code,value")
+
+    def test_wrong_level(self, tmp_path, mini_hierarchy):
+        with pytest.raises(UnknownRegion, match=r"reference\.csv:2"):
+            self.read(tmp_path, mini_hierarchy, ["AA000,1,"])
+
+    def test_empty_value(self, tmp_path, mini_hierarchy):
+        with pytest.raises(NonNumericValue, match=r"reference\.csv:2"):
+            self.read(tmp_path, mini_hierarchy, ["AA00,,North"])
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value(self, tmp_path, mini_hierarchy, raw):
+        with pytest.raises(NonFiniteValue, match=r"reference\.csv:2"):
+            self.read(tmp_path, mini_hierarchy, [f"AA00,{raw},North"])
+
+    def test_duplicate_region(self, tmp_path, mini_hierarchy):
+        with pytest.raises(DuplicateRegion, match=r"reference\.csv:3"):
+            self.read(tmp_path, mini_hierarchy, ["AA00,1,a", "AA00,2,b"])
 
 
 class TestMissingReport:
