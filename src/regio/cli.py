@@ -27,7 +27,13 @@ from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
 from .imputation import impute_series
-from .series import SeriesMeta, aggregate, read_series_csv, write_series_csv
+from .series import (
+    SeriesMeta,
+    aggregate,
+    atomic_writer,
+    read_series_csv,
+    write_series_csv,
+)
 from .validation import compare_at_level, markdown_table, write_deviation_csv
 
 OK = 0
@@ -36,7 +42,7 @@ IO_ERROR = 3
 
 
 def _dump_json(obj, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -281,9 +287,8 @@ def cmd_validate(config: ProjectConfig) -> int:
         rows = [replace(r, label=labels.get(r.label, r.label)) for r in comparison.rows]
         try:
             write_deviation_csv(rows, report_dir / f"deviation_{spec.target_id}.csv")
-            (report_dir / f"deviation_{spec.target_id}.md").write_text(
-                markdown_table(rows), encoding="utf-8"
-            )
+            with atomic_writer(report_dir / f"deviation_{spec.target_id}.md") as fh:
+                fh.write(markdown_table(rows))
         except OSError as exc:
             print(f"i/o error: {exc}")
             return IO_ERROR

@@ -9,11 +9,12 @@ country scope) and to the CSV file carrying the observations.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, NonNumericValue, RegioError
+from .errors import ConfigError, NonNumericValue, RegioError, UnknownLevel
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
@@ -84,6 +85,39 @@ def read_json(path: Path, what: str):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# key -> (test every entry must pass, what the entries must be)
+IMPUTATION_OVERRIDES = {
+    "thresholds": (_is_number, "finite numbers"),
+    "learning_rates": (lambda v: _is_number(v) and 0.0 < v <= 1.0, "numbers in (0, 1]"),
+    "n_estimators": (lambda v: _is_int(v) and v >= 0, "integers >= 0"),
+    "max_depths": (lambda v: _is_int(v) and v >= 1, "integers >= 1"),
+}
+
+
+def _imputation_overrides(path: Path, overrides) -> dict:
+    """Check the ``imputation`` object: each known key, when given, must be
+    a non-empty list of valid entries."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: 'imputation' must be an object")
+    for key, (valid, what) in IMPUTATION_OVERRIDES.items():
+        if key not in overrides:
+            continue
+        values = overrides[key]
+        if not isinstance(values, list) or not values or not all(map(valid, values)):
+            raise ConfigError(
+                f"{path}: imputation.{key} must be a non-empty list of {what}, got {values!r}"
+            )
+    return overrides
+
+
 def load_project_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
     doc = read_json(path, "config file")
@@ -99,8 +133,13 @@ def load_project_config(path: str | Path) -> ProjectConfig:
             return None
         return (root / value).resolve() if not Path(value).is_absolute() else Path(value)
 
+    entries = doc.get("comparisons", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: 'comparisons' must be a list")
     comparisons = []
-    for i, entry in enumerate(doc.get("comparisons", [])):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: comparison #{i} is not an object")
         try:
             comparisons.append(
                 ComparisonSpec(
@@ -111,8 +150,12 @@ def load_project_config(path: str | Path) -> ProjectConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"{path}: comparison #{i} missing {exc}") from None
+        except UnknownLevel as exc:
+            raise ConfigError(f"{path}: comparison #{i}: {exc}") from None
 
     flags = doc.get("flags", {})
+    if not isinstance(flags, dict):
+        raise ConfigError(f"{path}: 'flags' must be an object")
     normalize_scope = flags.get("normalize_scope", "country")
     if normalize_scope not in ("country", "parent"):
         raise ConfigError(f"{path}: normalize_scope must be 'country' or 'parent'")
@@ -133,7 +176,7 @@ def load_project_config(path: str | Path) -> ProjectConfig:
         seed=seed,
         weights_on_raw=bool(flags.get("weights_on_raw", False)),
         normalize_scope=normalize_scope,
-        imputation_overrides=doc.get("imputation", {}),
+        imputation_overrides=_imputation_overrides(path, doc.get("imputation", {})),
     )
 
 
@@ -153,6 +196,8 @@ def load_registry(path: str | Path) -> list[RegistryEntry]:
             level = SpatialLevel.from_token(entry["level"])
         except KeyError as exc:
             raise ConfigError(f"{path}: variable #{i} missing {exc}") from None
+        except UnknownLevel as exc:
+            raise ConfigError(f"{path}: variable #{i}: {exc}") from None
         # formulas can only reference snake_case identifiers
         if not isinstance(vid, str) or not re.fullmatch(r"[a-z][a-z0-9_]*", vid):
             raise ConfigError(f"{path}: variable id {vid!r} is not snake_case")

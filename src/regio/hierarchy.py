@@ -42,7 +42,7 @@ class SpatialLevel(IntEnum):
     def from_token(cls, token: str) -> "SpatialLevel":
         try:
             return cls[token]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token from JSON
             raise UnknownLevel(f"unknown spatial level {token!r}") from None
 
     def is_finer_than(self, other: "SpatialLevel") -> bool:

@@ -181,7 +181,10 @@ def grid_search_cv(
     """Pick the grid point with the lowest mean held-fold RMSE.
 
     Exact ties break to smaller n_estimators, then max_depth, then
-    learning_rate.
+    learning_rate. Boosting is sequential, so the first ``n`` trees of a
+    larger ensemble are the ensemble of ``n`` trees: each (max_depth,
+    learning_rate, fold) is fit once with its largest n_estimators, and the
+    held-fold prediction is scored after every requested number of trees.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -191,16 +194,30 @@ def grid_search_cv(
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, k)
     ranked = sorted(grid, key=lambda h: (h.n_estimators, h.max_depth, h.learning_rate))
+    # Positions in ``ranked`` that share a (max_depth, learning_rate) fit.
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, hp in enumerate(ranked):
+        groups.setdefault((hp.max_depth, hp.learning_rate), []).append(i)
+    scores: list[list[float]] = [[] for _ in ranked]  # per position, in fold order
+    for fold in folds:
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        X_fold, y_fold = X[fold], y[fold]
+        for (depth, lr), positions in groups.items():
+            n_max = max(ranked[i].n_estimators for i in positions)
+            model = fit_gbrt(X[mask], y[mask], HyperParams(n_max, lr, depth))
+            # Same arithmetic, in the same order, as TrainedEnsemble.predict.
+            out = np.full(X_fold.shape[0], model.base_prediction, dtype=float)
+            staged = [rmse(out, y_fold)]
+            for tree in model.trees:
+                out += model.learning_rate * tree.predict(X_fold)
+                staged.append(rmse(out, y_fold))
+            for i in positions:
+                scores[i].append(staged[ranked[i].n_estimators])
     best_hp: HyperParams | None = None
     best_rmse = math.inf
-    for hp in ranked:
-        scores = []
-        for fold in folds:
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            model = fit_gbrt(X[mask], y[mask], hp)
-            scores.append(rmse(model.predict(X[fold]), y[fold]))
-        mean_rmse = float(np.mean(scores))
+    for hp, hp_scores in zip(ranked, scores):
+        mean_rmse = float(np.mean(hp_scores))
         if mean_rmse < best_rmse:  # strict: first in rank order wins ties
             best_rmse = mean_rmse
             best_hp = hp

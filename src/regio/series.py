@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -263,10 +266,28 @@ def read_series_csv(
     )
 
 
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file (no newline translation) that takes the place
+    of ``path`` only when the block completes.
+
+    The text goes to a temporary file in the same directory, which is then
+    renamed over ``path``. If the block raises, the temporary file is
+    removed and ``path`` keeps its old content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("x", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_series_csv(series: VariableSeries, path: str | Path) -> None:
     """Write ``region,value,confidence`` with 17-significant-digit floats."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OUTPUT_HEADER)
         for region in series.regions():

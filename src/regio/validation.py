@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import NoOverlap, UndefinedDeviation
 from .hierarchy import RegionHierarchy, SpatialLevel
-from .series import VariableSeries, aggregate, round_half_up
+from .series import VariableSeries, aggregate, atomic_writer, round_half_up
 
 DEVIATION_HEADER = ["label", "reported", "disaggregated", "difference", "pct_deviation"]
 
@@ -98,8 +98,7 @@ def sector_comparison_report(
 
 def write_deviation_csv(rows: Sequence[DeviationRow], path: str | Path) -> None:
     """Exact values, 17 significant digits (display rounding is separate)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DEVIATION_HEADER)
         for row in rows:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from regio.cli import main
+from regio.cli import _dump_json, main
 
 
 def run_cli(*args):
@@ -108,17 +108,69 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             {"output/imputed/industrial_area.csv": "region,value,confidence\nAA_0004,4.0,BEST\n"},
             "industrial_area.csv:2", id="imputed-bad-confidence",
         ),
+        # a dict is merged into the JSON object already in the file
+        pytest.param(
+            "check", {"config.json": {"imputation": {"learning_rates": [2]}}},
+            "config.json: imputation.learning_rates", id="learning-rate-range",
+        ),
+        pytest.param(
+            "impute", {"config.json": {"imputation": {"thresholds": 0.3}}},
+            "config.json: imputation.thresholds", id="thresholds-not-list",
+        ),
+        pytest.param(
+            "check", {"config.json": {"imputation": {"max_depths": []}}},
+            "config.json: imputation.max_depths", id="max-depths-empty",
+        ),
+        pytest.param(
+            "impute", {"config.json": {"imputation": {"n_estimators": [10.5]}}},
+            "config.json: imputation.n_estimators", id="n-estimators-not-int",
+        ),
+        pytest.param(
+            "check", {"config.json": {"imputation": [0.1]}},
+            "config.json: 'imputation'", id="imputation-not-object",
+        ),
+        pytest.param(
+            "check", {"config.json": {"comparisons": [1]}},
+            "config.json: comparison #0", id="comparison-entry",
+        ),
+        pytest.param(
+            "check", {"config.json": {"comparisons": {"target_id": "transport_fec"}}},
+            "config.json: 'comparisons'", id="comparisons-not-list",
+        ),
+        pytest.param(
+            "check", {"config.json": {"flags": [1]}}, "config.json: 'flags'", id="flags-not-object",
+        ),
+        pytest.param(
+            "check",
+            {"config.json": {"comparisons": [{"target_id": "t", "reference": "r", "level": ["X"]}]}},
+            "config.json: comparison #0: unknown spatial level", id="comparison-level",
+        ),
+        pytest.param(
+            "check", {"variables.json": '[{"id": "population", "level": "NUTS9"}]'},
+            "variables.json: variable #0: unknown spatial level", id="registry-level",
+        ),
     ],
 )
 def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
-    for name, text in files.items():
+    for name, content in files.items():
         path = toy_project.parent / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        if isinstance(content, dict):
+            content = json.dumps({**json.loads(path.read_text()), **content})
+        path.write_text(content)
     assert run_cli(command, "--config", toy_project) == 2
     out = capsys.readouterr().out
     assert "error:" in out
     assert culprit in out
+
+
+def test_failed_json_write_keeps_old_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):  # "b" is written before "c" fails to serialize
+        _dump_json({"b": list(range(100)), "c": object()}, path)
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestImpute:

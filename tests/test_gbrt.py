@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from regio.gbrt import HyperParams, TrainedEnsemble, best_split, fit_gbrt
+from regio.gbrt import (
+    HyperParams,
+    RegressionTree,
+    TrainedEnsemble,
+    TreeNode,
+    best_split,
+    fit_gbrt,
+)
 
 
 def brute_force_stump_sse(X, y):
@@ -145,6 +152,70 @@ class TestStumpOracle:
         X = np.ones((4, 2))
         y = np.array([1.0, 2.0, 3.0, 4.0])
         assert best_split(X, y - y.mean()) is None
+
+
+def reference_grow(X, r, depth_left):
+    """The recursive grower that sorts at every node: ``best_split`` on the
+    node's own rows, children built from boolean row subsets."""
+    mean = float(r.mean())
+    if depth_left == 0 or r.shape[0] < 2:
+        return TreeNode(value=mean)
+    split = best_split(X, r)
+    if split is None:
+        return TreeNode(value=mean)
+    feature, threshold, sse = split
+    if not sse < float(((r - r.mean()) ** 2).sum()):
+        return TreeNode(value=mean)
+    go_left = X[:, feature] <= threshold
+    left = reference_grow(X[go_left], r[go_left], depth_left - 1)
+    right = reference_grow(X[~go_left], r[~go_left], depth_left - 1)
+    return TreeNode(value=mean, feature=feature, threshold=threshold, left=left, right=right)
+
+
+def reference_fit(X, y, hp):
+    base = float(y.mean())
+    predictions = np.full(y.shape, base, dtype=float)
+    trees = []
+    for _ in range(hp.n_estimators):
+        tree = RegressionTree(reference_grow(X, y - predictions, hp.max_depth))
+        predictions += hp.learning_rate * tree.predict(X)
+        trees.append(tree)
+    return TrainedEnsemble(base, trees, hp.learning_rate)
+
+
+class TestPresortedGrowerMatchesReference:
+    """Presorting once per fit must build exactly the trees that sorting at
+    every node builds: same features, thresholds and leaf values (==)."""
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(11)
+        for case in range(120):
+            n = int(rng.integers(1, 50))
+            f = int(rng.integers(1, 5))
+            if case % 3 == 0:  # heavy ties, including -0.0 == 0.0
+                X = rng.choice([0.0, -0.0, 1.0, 2.0, 3.5], size=(n, f))
+            else:
+                X = np.round(rng.normal(size=(n, f)), 1)
+            if case % 4 == 0:
+                X[:, int(rng.integers(f))] = 2.5  # a constant column
+            y = np.round(rng.normal(size=n), 2)
+            hp = HyperParams(
+                int(rng.integers(0, 6)), float(rng.choice([0.1, 0.5, 1.0])),
+                int(rng.integers(1, 7)),
+            )
+            got = fit_gbrt(X, y, hp)
+            want = reference_fit(X, y, hp)
+            assert got.base_prediction == want.base_prediction
+            assert got.trees == want.trees, (case, n, f, hp)
+
+    def test_tiny_nodes(self):
+        # single rows and pairs force n < 2 nodes at every depth
+        X = np.array([[0.0, 5.0], [1.0, 5.0], [1.0, 4.0], [7.0, 4.0], [7.0, 4.0]])
+        y = np.array([1.0, -2.0, 3.0, 0.5, 0.25])
+        for n in range(1, 6):
+            for depth in range(1, 7):
+                hp = HyperParams(3, 1.0, depth)
+                assert fit_gbrt(X[:n], y[:n], hp).trees == reference_fit(X[:n], y[:n], hp).trees
 
 
 class TestEnsembleContainer:

@@ -189,6 +189,51 @@ class TestGridSearch:
         assert best == HyperParams(10, 0.1, 2)
 
 
+def reference_grid_search(X, y, grid, k, seed):
+    """Fit and score every grid point on every fold on its own."""
+    n = y.shape[0]
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    best_hp, best_rmse = None, math.inf
+    for hp in sorted(grid, key=lambda h: (h.n_estimators, h.max_depth, h.learning_rate)):
+        scores = []
+        for fold in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            model = fit_gbrt(X[mask], y[mask], hp)
+            scores.append(rmse(model.predict(X[fold]), y[fold]))
+        mean_rmse = float(np.mean(scores))
+        if mean_rmse < best_rmse:
+            best_hp, best_rmse = hp, mean_rmse
+    return best_hp, best_rmse
+
+
+class TestStagedGridSearchMatchesReference:
+    """Scoring n_estimators prefixes of one fit must pick the same grid point
+    with the same RMSE (==) as fitting every grid point."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec((0, 3, 8), (0.1, 0.5), (1, 3)).expand(),
+            GridSpec((4, 4, 9), (0.3,), (2,)).expand(),  # duplicated grid value
+            [HyperParams(6, 0.2, 2), HyperParams(0, 0.2, 2), HyperParams(6, 0.2, 2)],
+        ],
+        ids=["with-zero", "duplicate-n", "duplicate-point"],
+    )
+    def test_same_winner_and_rmse(self, grid):
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            X = np.round(rng.uniform(size=(37, 3)), 1)  # rounding makes ties
+            y = X[:, 0] - 2.0 * X[:, 2] + rng.normal(scale=0.3, size=37)
+            assert grid_search_cv(X, y, grid, 5, seed) == reference_grid_search(X, y, grid, 5, seed)
+
+    def test_constant_target_ties(self):
+        X = np.arange(20, dtype=float).reshape(-1, 1)
+        y = np.full(20, 3.0)
+        grid = GridSpec((0, 10, 10), (0.1, 0.3), (2, 4)).expand()
+        assert grid_search_cv(X, y, grid, 5, 1) == reference_grid_search(X, y, grid, 5, 1)
+
+
 FAST = ImputationConfig(grid=GridSpec((25,), (0.3,), (2,)), seed=123)
 
 

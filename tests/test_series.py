@@ -16,6 +16,7 @@ from regio.hierarchy import SpatialLevel
 from regio.series import (
     ConfidenceLevel,
     MissingReport,
+    Observation,
     SeriesMeta,
     VariableSeries,
     aggregate,
@@ -88,6 +89,20 @@ class TestIngest:
         write_series_csv(s, out)
         back = read_series_csv(out, LAU_META, mini_hierarchy)
         assert back.observations == s.observations
+
+    def test_failed_write_keeps_old_output(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        observations = {
+            f"R{i}": Observation(f"R{i}", float(i), ConfidenceLevel.HIGH) for i in range(3)
+        }
+        # an observed value without a grade fails after the first rows
+        observations["R9"] = Observation("R9", 9.0, None)
+        s = VariableSeries("v", "", "", SpatialLevel.LAU, "ALL", observations)
+        with pytest.raises(AttributeError):
+            write_series_csv(s, out)
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
 
 
     def test_short_row_in_output_csv(self, tmp_path, mini_hierarchy):
