@@ -54,9 +54,10 @@ class LoadedProject:
     registry: list
     store: object
     specs: list
+    findings: list[str]
 
 
-def _load_project(config: ProjectConfig) -> tuple[LoadedProject, list[str]]:
+def _load_project(config: ProjectConfig) -> LoadedProject:
     """Load every project input, collecting each RegioError as a finding.
 
     An input that fails to load is replaced by an empty stand-in (no store
@@ -81,7 +82,7 @@ def _load_project(config: ProjectConfig) -> tuple[LoadedProject, list[str]]:
     if config.proxy_assignments_path is not None:
         assignments = attempt(load_proxy_assignments, config.proxy_assignments_path, default={})
     specs = attempt(load_pipeline_config, config.pipeline_path, assignments, default=[])
-    return LoadedProject(config, hierarchy, registry, store, specs), findings
+    return LoadedProject(config, hierarchy, registry, store, specs, findings)
 
 
 def _read_reference(config: ProjectConfig, spec: ComparisonSpec, hierarchy: RegionHierarchy):
@@ -98,9 +99,10 @@ def _print_errors(findings: list[str]) -> None:
         print(f"error: {finding}")
 
 
-def cmd_check(config: ProjectConfig) -> int:
+def cmd_check(project: LoadedProject) -> int:
     """Validate hierarchy, series, formulas, dependency ordering and references."""
-    project, findings = _load_project(config)
+    config = project.config
+    findings = list(project.findings)
     if project.store is not None and project.specs:
         try:
             check_dependencies(project.specs, project.store)
@@ -135,15 +137,16 @@ def _impute_candidates(store, hierarchy, target):
     return candidates
 
 
-def cmd_impute(config: ProjectConfig, seed: int) -> int:
+def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> int:
     """Fill every sub-national series that has missing values.
 
     National (NUTS0) series are the disaggregation targets and are never
-    imputed; a missing national value later skips its pipeline task.
+    imputed; a missing national value later skips its pipeline task. The
+    cross-validation fits of each variable run in up to ``jobs`` processes.
     """
-    project, findings = _load_project(config)
-    if findings:
-        _print_errors(findings)
+    config = project.config
+    if project.findings:
+        _print_errors(project.findings)
         return VALIDATION_ERROR
     out_dir = config.output_dir / "imputed"
     try:
@@ -152,7 +155,7 @@ def cmd_impute(config: ProjectConfig, seed: int) -> int:
         print(f"i/o error: {exc}")
         return IO_ERROR
 
-    icfg = project.config.imputation_config(seed)
+    icfg = config.imputation_config(seed)
     summary = {"imputed": {}, "complete": []}
     try:
         for series in project.store.all_series():
@@ -162,7 +165,7 @@ def cmd_impute(config: ProjectConfig, seed: int) -> int:
                 summary["complete"].append(series.variable_id)
                 continue
             candidates = _impute_candidates(project.store, project.hierarchy, series)
-            completed, report = impute_series(series, candidates, icfg)
+            completed, report = impute_series(series, candidates, icfg, jobs)
             write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
             _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
             n_imputed = len(series.missing_regions())
@@ -203,11 +206,15 @@ def _overlay_imputed(project: LoadedProject) -> list[str]:
     return unresolved
 
 
-def cmd_disaggregate(config: ProjectConfig, seed: int, jobs: int) -> int:
-    """Run the staged pipeline and write one CSV per target plus a run report."""
-    project, findings = _load_project(config)
-    if findings:
-        _print_errors(findings)
+def cmd_disaggregate(project: LoadedProject, jobs: int) -> int:
+    """Run the staged pipeline and write one CSV per target plus a run report.
+
+    It overlays the imputed series onto ``project.store`` in place, so
+    ``run`` calls it after every other user of the store.
+    """
+    config = project.config
+    if project.findings:
+        _print_errors(project.findings)
         return VALIDATION_ERROR
     try:
         unresolved = _overlay_imputed(project)
@@ -326,7 +333,11 @@ def main(argv: list[str] | None = None) -> int:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="project config JSON")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel tasks per stage")
+        cmd.add_argument(
+            "--jobs", type=int, default=1,
+            help="impute: processes for the cross-validation fits; "
+            "disaggregate: threads for the tasks of a stage",
+        )
     args = parser.parse_args(argv)
 
     try:
@@ -347,19 +358,20 @@ def main(argv: list[str] | None = None) -> int:
         seed = config.seed
     jobs = max(1, args.jobs)
 
-    if args.command == "check":
-        return cmd_check(config)
-    if args.command == "impute":
-        return cmd_impute(config, seed)
-    if args.command == "disaggregate":
-        return cmd_disaggregate(config, seed, jobs)
     if args.command == "validate":
         return cmd_validate(config)
-    # run: chain all four, stopping at the first failure
+    project = _load_project(config)
+    if args.command == "check":
+        return cmd_check(project)
+    if args.command == "impute":
+        return cmd_impute(project, seed, jobs)
+    if args.command == "disaggregate":
+        return cmd_disaggregate(project, jobs)
+    # run: chain all four on one loaded project, stopping at the first failure
     for step in (
-        lambda: cmd_check(config),
-        lambda: cmd_impute(config, seed),
-        lambda: cmd_disaggregate(config, seed, jobs),
+        lambda: cmd_check(project),
+        lambda: cmd_impute(project, seed, jobs),
+        lambda: cmd_disaggregate(project, jobs),
         lambda: cmd_validate(config),
     ):
         code = step()

@@ -103,10 +103,16 @@ IMPUTATION_OVERRIDES = {
 
 
 def _imputation_overrides(path: Path, overrides) -> dict:
-    """Check the ``imputation`` object: each known key, when given, must be
-    a non-empty list of valid entries."""
+    """Check the ``imputation`` object: every key must be a known one and,
+    when given, a non-empty list of valid entries."""
     if not isinstance(overrides, dict):
         raise ConfigError(f"{path}: 'imputation' must be an object")
+    for key in overrides:
+        if key not in IMPUTATION_OVERRIDES:
+            raise ConfigError(
+                f"{path}: imputation.{key} is not a known key "
+                f"(known: {', '.join(IMPUTATION_OVERRIDES)})"
+            )
     for key, (valid, what) in IMPUTATION_OVERRIDES.items():
         if key not in overrides:
             continue

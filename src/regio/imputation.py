@@ -13,9 +13,12 @@ imputation graded LOW.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -171,12 +174,76 @@ class GridSpec:
         ]
 
 
+def _staged_fold_rmse(X, y, folds, unit) -> list[float]:
+    """Fit one CV unit and score its held fold after every tree.
+
+    ``unit`` is ``(fold index, max_depth, learning_rate, n_estimators)``;
+    element ``i`` of the result is the held-fold RMSE of the first ``i``
+    trees.
+    """
+    fold_index, depth, lr, n_max = unit
+    fold = folds[fold_index]
+    mask = np.ones(y.shape[0], dtype=bool)
+    mask[fold] = False
+    X_fold, y_fold = X[fold], y[fold]
+    model = fit_gbrt(X[mask], y[mask], HyperParams(n_max, lr, depth))
+    # Same arithmetic, in the same order, as TrainedEnsemble.predict.
+    out = np.full(X_fold.shape[0], model.base_prediction, dtype=float)
+    staged = [rmse(out, y_fold)]
+    for tree in model.trees:
+        out += model.learning_rate * tree.predict(X_fold)
+        staged.append(rmse(out, y_fold))
+    return staged
+
+
+# Set only in pool workers, by the initializer: (X, y, folds) of the
+# grid_search_cv call that forked them.
+_worker_data: tuple = ()
+
+
+def _init_worker(X, y, folds) -> None:
+    global _worker_data
+    _worker_data = (X, y, folds)
+
+
+def _staged_fold_rmse_in_worker(unit) -> list[float]:
+    return _staged_fold_rmse(*_worker_data, unit)
+
+
+def _cv_workers(jobs: int, n_units: int) -> int:
+    """Worker processes for ``n_units`` CV fits: no more than ``jobs``,
+    the CPUs or the units; 1 means fit in this process."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_units))
+
+
+def _map_units(X, y, folds, units, jobs: int) -> list[list[float]]:
+    """``_staged_fold_rmse`` of every unit, in the order of ``units``.
+
+    With more than one worker the units go to a pool of forked processes,
+    which inherit the arrays instead of receiving pickled copies. Forking
+    is unsafe while other threads run, so the fits stay in this process
+    then, and where ``fork`` does not exist.
+    """
+    workers = _cv_workers(jobs, len(units))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                workers, multiprocessing.get_context("fork"), _init_worker, (X, y, folds)
+            ) as pool:
+                return list(pool.map(_staged_fold_rmse_in_worker, units))
+    return list(map(functools.partial(_staged_fold_rmse, X, y, folds), units))
+
+
 def grid_search_cv(
     X: np.ndarray,
     y: np.ndarray,
     grid: Sequence[HyperParams],
     k: int = 5,
     seed: int = 0,
+    jobs: int = 1,
 ) -> tuple[HyperParams, float]:
     """Pick the grid point with the lowest mean held-fold RMSE.
 
@@ -185,6 +252,8 @@ def grid_search_cv(
     larger ensemble are the ensemble of ``n`` trees: each (max_depth,
     learning_rate, fold) is fit once with its largest n_estimators, and the
     held-fold prediction is scored after every requested number of trees.
+    Those fits are independent; ``jobs > 1`` runs them in up to ``jobs``
+    processes, with the same result.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -198,22 +267,16 @@ def grid_search_cv(
     groups: dict[tuple[int, float], list[int]] = {}
     for i, hp in enumerate(ranked):
         groups.setdefault((hp.max_depth, hp.learning_rate), []).append(i)
+    fits = [
+        (positions, (fold_index, depth, lr, max(ranked[i].n_estimators for i in positions)))
+        for fold_index in range(k)
+        for (depth, lr), positions in groups.items()
+    ]
+    staged_scores = _map_units(X, y, folds, [unit for _, unit in fits], jobs)
     scores: list[list[float]] = [[] for _ in ranked]  # per position, in fold order
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        X_fold, y_fold = X[fold], y[fold]
-        for (depth, lr), positions in groups.items():
-            n_max = max(ranked[i].n_estimators for i in positions)
-            model = fit_gbrt(X[mask], y[mask], HyperParams(n_max, lr, depth))
-            # Same arithmetic, in the same order, as TrainedEnsemble.predict.
-            out = np.full(X_fold.shape[0], model.base_prediction, dtype=float)
-            staged = [rmse(out, y_fold)]
-            for tree in model.trees:
-                out += model.learning_rate * tree.predict(X_fold)
-                staged.append(rmse(out, y_fold))
-            for i in positions:
-                scores[i].append(staged[ranked[i].n_estimators])
+    for (positions, _), staged in zip(fits, staged_scores):
+        for i in positions:
+            scores[i].append(staged[ranked[i].n_estimators])
     best_hp: HyperParams | None = None
     best_rmse = math.inf
     for hp, hp_scores in zip(ranked, scores):
@@ -315,12 +378,14 @@ def impute_series(
     target: VariableSeries,
     candidates: Sequence[VariableSeries],
     config: ImputationConfig = ImputationConfig(),
+    jobs: int = 1,
 ) -> tuple[VariableSeries, ImputationReport]:
     """Fill the target's missing values; returns (completed series, report).
 
     Candidates must be complete over the target's regions. Observed values
     are untouched at VERY_HIGH; imputed values carry the confidence grade of
     the winning setup's validation R² (or LOW on the mean-fallback path).
+    ``jobs`` is the number of processes each grid search may fit in.
     """
     missing = target.missing_regions()
     if not missing:
@@ -363,6 +428,7 @@ def impute_series(
                 config.grid.expand(),
                 config.cv_folds,
                 derive_seed(seed, "cv", repr(threshold)),
+                jobs,
             )
         except InsufficientData:
             continue

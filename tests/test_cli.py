@@ -1,9 +1,12 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from regio import cli
 from regio.cli import _dump_json, main
+from regio.config import ingest_registry
 
 
 def run_cli(*args):
@@ -18,6 +21,16 @@ def edit_config(config_path: Path, **changes):
 
 def output_dir(config_path: Path) -> Path:
     return config_path.parent / json.loads(config_path.read_text())["output_dir"]
+
+
+def output_files(config_path: Path) -> dict[str, bytes]:
+    """Every file under the output directory, by relative path."""
+    root = output_dir(config_path)
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 class TestCheck:
@@ -124,6 +137,10 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
         pytest.param(
             "impute", {"config.json": {"imputation": {"n_estimators": [10.5]}}},
             "config.json: imputation.n_estimators", id="n-estimators-not-int",
+        ),
+        pytest.param(
+            "check", {"config.json": {"imputation": {"max_depth": [9]}}},
+            "config.json: imputation.max_depth is not a known key", id="imputation-unknown-key",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": [0.1]}},
@@ -366,4 +383,27 @@ class TestRun:
         assert not (output_dir(toy_project) / "run_report.json").exists()
 
     def test_jobs_flag_accepted(self, toy_project):
-        assert run_cli("run", "--config", toy_project, "--jobs", 3) == 0
+        assert run_cli("run", "--config", toy_project, "--jobs", 1) == 0
+        serial = output_files(toy_project)
+        shutil.rmtree(output_dir(toy_project))
+        assert run_cli("run", "--config", toy_project, "--jobs", 2) == 0
+        assert output_files(toy_project) == serial
+
+    def test_loads_project_once(self, toy_project, monkeypatch):
+        calls = []
+
+        def counting_ingest(*args):
+            calls.append(args)
+            return ingest_registry(*args)
+
+        monkeypatch.setattr(cli, "ingest_registry", counting_ingest)
+        assert run_cli("run", "--config", toy_project) == 0
+        assert len(calls) == 1
+
+    def test_same_outputs_as_separate_commands(self, toy_project):
+        assert run_cli("run", "--config", toy_project) == 0
+        chained = output_files(toy_project)
+        shutil.rmtree(output_dir(toy_project))
+        for command in ("check", "impute", "disaggregate", "validate"):
+            assert run_cli(command, "--config", toy_project) == 0
+        assert output_files(toy_project) == chained

@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from regio.imputation import (
     MEAN_FALLBACK,
     GridSpec,
     ImputationConfig,
+    _cv_workers,
     cross_country_predict,
     derive_seed,
     grid_search_cv,
@@ -211,6 +217,8 @@ class TestStagedGridSearchMatchesReference:
     """Scoring n_estimators prefixes of one fit must pick the same grid point
     with the same RMSE (==) as fitting every grid point."""
 
+    jobs = 1
+
     @pytest.mark.parametrize(
         "grid",
         [
@@ -225,13 +233,86 @@ class TestStagedGridSearchMatchesReference:
         for seed in range(4):
             X = np.round(rng.uniform(size=(37, 3)), 1)  # rounding makes ties
             y = X[:, 0] - 2.0 * X[:, 2] + rng.normal(scale=0.3, size=37)
-            assert grid_search_cv(X, y, grid, 5, seed) == reference_grid_search(X, y, grid, 5, seed)
+            expected = reference_grid_search(X, y, grid, 5, seed)
+            assert grid_search_cv(X, y, grid, 5, seed, self.jobs) == expected
 
     def test_constant_target_ties(self):
         X = np.arange(20, dtype=float).reshape(-1, 1)
         y = np.full(20, 3.0)
         grid = GridSpec((0, 10, 10), (0.1, 0.3), (2, 4)).expand()
-        assert grid_search_cv(X, y, grid, 5, 1) == reference_grid_search(X, y, grid, 5, 1)
+        expected = reference_grid_search(X, y, grid, 5, 1)
+        assert grid_search_cv(X, y, grid, 5, 1, self.jobs) == expected
+
+
+class TestPooledGridSearchMatchesReference(TestStagedGridSearchMatchesReference):
+    """The same cases with the fits in a pool of two processes."""
+
+    jobs = 2
+
+
+def os_thread_count() -> int:
+    """Threads of this process as the OS counts them (Python's fork warning
+    counts them the same way on Linux)."""
+    try:
+        with open("/proc/self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[17])
+    except OSError:
+        return threading.active_count()
+
+
+class TestCrossValidationPool:
+    GRID = GridSpec((3, 6), (0.1, 0.3), (1, 2)).expand()
+
+    def data(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(40, 2))
+        return X, X[:, 0] + rng.normal(scale=0.1, size=40)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Thread count seen in this process right after each fork."""
+        counts = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                counts.append(os_thread_count())
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return counts
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _cv_workers(10_000, 40) == 40
+        assert _cv_workers(10_000, 1) == 1
+        assert _cv_workers(3, 40) == 3
+        assert _cv_workers(1, 40) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _cv_workers(10_000, 40) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cv_workers(10_000, 40) == 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
+        reason="needs fork and two CPUs",
+    )
+    def test_pool_forks_while_single_threaded(self, forks):
+        X, y = self.data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # fork with threads warns
+            pooled = grid_search_cv(X, y, self.GRID, 5, 3, jobs=2)
+        assert forks == [1, 1]
+        assert threading.active_count() == 1  # the pool's threads were joined
+        assert pooled == grid_search_cv(X, y, self.GRID, 5, 3)
+
+    def test_fits_stay_in_process_while_threads_run(self, forks):
+        X, y = self.data()
+        with ThreadPoolExecutor(1) as pool:
+            threaded = pool.submit(grid_search_cv, X, y, self.GRID, 5, 3, 2).result(timeout=60)
+        assert forks == []
+        assert threaded == grid_search_cv(X, y, self.GRID, 5, 3)
 
 
 FAST = ImputationConfig(grid=GridSpec((25,), (0.3,), (2,)), seed=123)
