@@ -12,7 +12,6 @@ import numpy as np
 from regio import (
     GridSpec,
     ImputationConfig,
-    Observation,
     SpatialLevel,
     VariableSeries,
     impute_series,
@@ -27,11 +26,10 @@ b = rng.uniform(0, 10, N)
 signal = 2 * a + 3 * b
 y = signal + rng.normal(0, 0.01 * np.std(signal), N)
 
-target = VariableSeries.from_values(
-    "energy_use", SpatialLevel.LAU, dict(zip(REGIONS, map(float, y)))
-)
+values = dict(zip(REGIONS, map(float, y)))
 for i in rng.choice(N, size=N // 10, replace=False):
-    target.observations[REGIONS[i]] = Observation(REGIONS[i], None, None)
+    values[REGIONS[i]] = None  # missing
+target = VariableSeries.from_values("energy_use", SpatialLevel.LAU, values)
 print(f"blanked {len(target.missing_regions())} of {N} rows")
 
 candidates = [
@@ -58,10 +56,9 @@ for region in shown:
 
 # A target unrelated to every candidate cannot beat the mean: the learner is
 # discarded and the gaps are filled with the column mean at LOW confidence.
-noise_target = VariableSeries.from_values(
-    "noise_var", SpatialLevel.LAU, dict(zip(REGIONS, map(float, rng.normal(size=N))))
-)
+noise = dict(zip(REGIONS, map(float, rng.normal(size=N))))
 for i in range(0, N, 10):
-    noise_target.observations[REGIONS[i]] = Observation(REGIONS[i], None, None)
+    noise[REGIONS[i]] = None
+noise_target = VariableSeries.from_values("noise_var", SpatialLevel.LAU, noise)
 _, noise_report = impute_series(noise_target, candidates, config)
 print(f"\nnoise target -> {noise_report.method} at {noise_report.confidence.name}")

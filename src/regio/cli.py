@@ -17,18 +17,20 @@ from pathlib import Path
 from .config import (
     ComparisonSpec,
     ProjectConfig,
+    RegistryEntry,
     ingest_registry,
     load_project_config,
     load_registry,
     read_reference_csv,
 )
-from .disaggregation import check_dependencies, load_pipeline_config, run_pipeline
+from .disaggregation import TaskSpec, check_dependencies, load_pipeline_config, run_pipeline
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
 from .imputation import impute_series
 from .series import (
     SeriesMeta,
+    VariableStore,
     aggregate,
     atomic_writer,
     read_series_csv,
@@ -50,10 +52,10 @@ def _dump_json(obj, path: Path) -> None:
 @dataclass
 class LoadedProject:
     config: ProjectConfig
-    hierarchy: object
-    registry: list
-    store: object
-    specs: list
+    hierarchy: RegionHierarchy | None
+    registry: list[RegistryEntry]
+    store: VariableStore | None
+    specs: list[TaskSpec]
     findings: list[str]
 
 
@@ -131,7 +133,7 @@ def _impute_candidates(store, hierarchy, target):
             candidate = aggregate(series, hierarchy, target.level)
         else:
             continue
-        if not needed <= set(candidate.observations):
+        if not needed <= set(candidate.codes):
             continue
         candidates.append(candidate)
     return candidates
@@ -259,7 +261,7 @@ def cmd_disaggregate(project: LoadedProject, jobs: int) -> int:
     return OK
 
 
-def cmd_validate(config: ProjectConfig) -> int:
+def cmd_validate(config: ProjectConfig, hierarchy: RegionHierarchy) -> int:
     """Compare disaggregated outputs against reference datasets (reporting only)."""
     if not config.comparisons:
         print("no comparisons configured")
@@ -270,11 +272,6 @@ def cmd_validate(config: ProjectConfig) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}")
         return IO_ERROR
-    try:
-        hierarchy = load_hierarchy(config.hierarchy_path)
-    except RegioError as exc:
-        print(f"error: {exc}")
-        return VALIDATION_ERROR
     for spec in config.comparisons:
         result_path = config.output_dir / f"{spec.target_id}.csv"
         if not result_path.is_file():
@@ -358,8 +355,13 @@ def main(argv: list[str] | None = None) -> int:
         seed = config.seed
     jobs = max(1, args.jobs)
 
-    if args.command == "validate":
-        return cmd_validate(config)
+    if args.command == "validate":  # needs the hierarchy only, not the series
+        try:
+            hierarchy = load_hierarchy(config.hierarchy_path)
+        except RegioError as exc:
+            print(f"error: {exc}")
+            return VALIDATION_ERROR
+        return cmd_validate(config, hierarchy)
     project = _load_project(config)
     if args.command == "check":
         return cmd_check(project)
@@ -372,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         lambda: cmd_check(project),
         lambda: cmd_impute(project, seed, jobs),
         lambda: cmd_disaggregate(project, jobs),
-        lambda: cmd_validate(config),
+        lambda: cmd_validate(config, project.hierarchy),
     ):
         code = step()
         if code != OK:

@@ -19,8 +19,6 @@ from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
     ALL_COUNTRIES,
-    ConfidenceLevel,
-    Observation,
     SeriesMeta,
     VariableSeries,
     VariableStore,
@@ -265,12 +263,11 @@ def read_reference_csv(
     meta = SeriesMeta("reference", "", "", level)
     scope = set(hierarchy.regions_at(level))
     labels: dict[str, str] = {}
-    observations: dict[str, Observation] = {}
+    values: dict[str, float] = {}
     for lineno, region, value, row in _region_rows(path, REFERENCE_HEADERS, meta, scope):
         if value is None:
             raise NonNumericValue(f"{path}:{lineno}: empty value for {region!r}")
-        observations[region] = Observation(region, value, ConfidenceLevel.VERY_HIGH)
+        values[region] = value
         if len(row) > 2 and row[2].strip():
             labels[region] = row[2].strip()
-    series = VariableSeries("reference", "", "", level, ALL_COUNTRIES, observations)
-    return series, labels
+    return VariableSeries.from_values("reference", level, values), labels

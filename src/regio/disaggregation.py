@@ -19,10 +19,15 @@ later stages.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
 
 from .config import read_json
 from .errors import (
@@ -44,9 +49,7 @@ from .formulas import (
     variables,
 )
 from .hierarchy import RegionHierarchy, SpatialLevel
-from .series import ConfidenceLevel, Observation, VariableSeries, VariableStore
-
-import math
+from .series import ConfidenceLevel, VariableSeries, VariableStore
 
 ALLOCATE = "allocate"
 REPLICATE = "replicate"
@@ -92,20 +95,37 @@ class DisaggregationTask:
             raise ConfigError(f"{self.target_id}: unknown mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
+    """A task's output series and, per output region, where its value came
+    from. ``children`` lists the output regions grouped by source region, in
+    the order they were allocated; ``sources``, ``shares`` (NaN in replicate
+    mode) and ``fallback`` are aligned with it."""
+
     series: VariableSeries
-    provenance: dict[str, Provenance]
+    children: tuple[str, ...]
+    sources: tuple[str, ...]
+    shares: np.ndarray
+    fallback: np.ndarray
+
+    @property
+    def provenance(self) -> Mapping[str, Provenance]:
+        """A read-only region -> Provenance mapping, built on each access."""
+        return MappingProxyType({
+            child: Provenance(source, None if math.isnan(share) else share, fallback)
+            for child, source, share, fallback in zip(
+                self.children, self.sources, self.shares.tolist(), self.fallback.tolist()
+            )
+        })
 
     def fallback_count(self) -> int:
-        return sum(1 for p in self.provenance.values() if p.fallback)
+        return int(self.fallback.sum())
 
     def conservation_residuals(self, source: VariableSeries) -> dict[str, float]:
         """Per source region: relative |sum(children) - value| (absolute at 0)."""
         sums: dict[str, float] = {}
-        for region, prov in self.provenance.items():
-            value = self.series.value(region)
-            sums[prov.source_region] = sums.get(prov.source_region, 0.0) + value
+        for parent, value in zip(self.sources, self.series.values(self.children).tolist()):
+            sums[parent] = sums.get(parent, 0.0) + value
         residuals = {}
         for parent, total in sums.items():
             value = source.value(parent)
@@ -114,25 +134,27 @@ class AllocationResult:
         return residuals
 
 
-def allocate(parent_value: float, weights: dict[str, float]) -> dict[str, float]:
-    """Split a parent value over children in proportion to their weights.
+def allocate(parent_value: float, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Split a parent value over children in proportion to their weights;
+    returns the children's values and the weight total.
 
-    A zero weight sum degenerates to a uniform split (mass conservation is
-    the primary contract); callers detect that case via the weight sum.
+    The total is summed left to right. A zero total degenerates to a uniform
+    split (mass conservation is the primary contract); callers detect that
+    case by the returned total.
     """
-    if not weights:
+    weights = np.asarray(weights, dtype=np.float64)
+    if not weights.size:
         raise EmptyChildSet("cannot allocate to an empty child set")
-    total = 0.0
-    for child, weight in weights.items():
-        if not math.isfinite(weight):
-            raise NonFiniteValue(f"weight for {child!r} is not finite")
-        if weight < 0:
-            raise NegativeProxyValue(f"weight for {child!r} is negative")
-        total += weight
+    if not np.isfinite(weights).all():
+        bad = int(np.argmin(np.isfinite(weights)))
+        raise NonFiniteValue(f"weight {bad} of {weights.size} is not finite")
+    if (weights < 0).any():
+        bad = int(np.argmax(weights < 0))
+        raise NegativeProxyValue(f"weight {bad} of {weights.size} is negative")
+    total = float(np.cumsum(weights)[-1])
     if total == 0.0:
-        share = parent_value / len(weights)
-        return {child: share for child in weights}
-    return {child: parent_value * w / total for child, w in weights.items()}
+        return np.full(weights.size, parent_value / weights.size), total
+    return parent_value * weights / total, total
 
 
 def disaggregate(
@@ -149,8 +171,11 @@ def disaggregate(
             f"{task.target_id}: source series has missing values "
             f"({', '.join(source.missing_regions()[:5])} ...)"
         )
-    observations: dict[str, Observation] = {}
-    provenance: dict[str, Provenance] = {}
+    children: list[str] = []
+    sources: list[str] = []
+    fallback: list[bool] = []
+    # per source region; the empty array lets np.concatenate join no regions
+    values, grades, shares = [np.empty(0)], [np.empty(0)], [np.empty(0)]
 
     by_country: dict[str, list[str]] = {}
     for region in source.regions():
@@ -165,47 +190,45 @@ def disaggregate(
                 task.formula, env, scope, weights_on_raw=weights_on_raw
             )
         for parent in parents:
-            children = hierarchy.descendants(parent, task.output_level)
-            if not children:
+            kids = hierarchy.descendants(parent, task.output_level)
+            if not kids:
                 raise EmptyChildSet(
                     f"{task.target_id}: source region {parent!r} has no "
                     f"{task.output_level.name} descendants"
                 )
+            n = len(kids)
             parent_value = source.value(parent)
             if task.mode == REPLICATE:
-                conf = min(task.assignment_confidence, source.confidence(parent))
-                for child in children:
-                    observations[child] = Observation(child, parent_value, conf)
-                    provenance[child] = Provenance(parent, None, False)
-                continue
-            proxy = country_proxy
-            if proxy is None:  # per-parent normalization scope
-                proxy = evaluate(
-                    task.formula, env, children, weights_on_raw=weights_on_raw
-                )
-            weights = {child: proxy.value(child) for child in children}
-            allocated = allocate(parent_value, weights)
-            total = sum(weights.values())
-            fallback = total == 0.0
-            for child in children:
-                if fallback:
-                    conf = ConfidenceLevel.VERY_LOW
-                    share = 1.0 / len(children)
+                allocated = np.full(n, parent_value)
+                grade = min(task.assignment_confidence, source.confidence(parent))
+                share, fell_back = np.nan, False
+            else:
+                proxy = country_proxy
+                if proxy is None:  # per-parent normalization scope
+                    proxy = evaluate(task.formula, env, kids, weights_on_raw=weights_on_raw)
+                weights = proxy.values(kids)
+                allocated, total = allocate(parent_value, weights)
+                fell_back = total == 0.0
+                if fell_back:
+                    grade, share = ConfidenceLevel.VERY_LOW, 1.0 / n
                 else:
-                    conf = min(task.assignment_confidence, proxy.confidence(child))
-                    share = weights[child] / total
-                observations[child] = Observation(child, allocated[child], conf)
-                provenance[child] = Provenance(parent, share, fallback)
+                    grade = np.minimum(task.assignment_confidence, proxy.confidences(kids))
+                    share = weights / total
+            children.extend(kids)
+            sources.extend([parent] * n)
+            values.append(allocated)
+            grades.append(np.broadcast_to(grade, n))
+            shares.append(np.broadcast_to(share, n))
+            fallback.extend([fell_back] * n)
 
     series = VariableSeries(
-        task.target_id,
-        source.description,
-        source.unit,
-        task.output_level,
-        source.country_scope,
-        observations,
+        task.target_id, source.description, source.unit, task.output_level,
+        source.country_scope, children, np.concatenate(values), np.concatenate(grades),
     )
-    return AllocationResult(series, provenance)
+    return AllocationResult(
+        series, tuple(children), tuple(sources), np.concatenate(shares),
+        np.array(fallback, dtype=bool),
+    )
 
 
 # -- pipeline configuration ---------------------------------------------------
@@ -333,18 +356,7 @@ class TaskReport:
     max_conservation_residual: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "target_id": self.target_id,
-            "stage": self.stage,
-            "mode": self.mode,
-            "status": self.status,
-            "reason": self.reason,
-            "source_regions": self.source_regions,
-            "output_regions": self.output_regions,
-            "fallback_count": self.fallback_count,
-            "skipped_source_regions": list(self.skipped_source_regions),
-            "max_conservation_residual": self.max_conservation_residual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -357,24 +369,6 @@ class PipelineRun:
 
     def report_dict(self) -> dict:
         return {"tasks": [r.to_dict() for r in self.reports]}
-
-
-def _restrict_to_present(series: VariableSeries) -> tuple[VariableSeries, list[str]]:
-    skipped = series.missing_regions()
-    if not skipped:
-        return series, []
-    observations = {
-        r: o for r, o in series.observations.items() if not o.missing
-    }
-    restricted = VariableSeries(
-        series.variable_id,
-        series.description,
-        series.unit,
-        series.level,
-        series.country_scope,
-        observations,
-    )
-    return restricted, skipped
 
 
 def run_pipeline(
@@ -411,8 +405,13 @@ def run_pipeline(
                     spec.target_id, spec.stage, spec.mode, "skipped",
                     reason=f"no source series at {spec.source_level.name}",
                 )
-            restricted, skipped_regions = _restrict_to_present(source)
-            if not restricted.observations:
+            present = ~np.isnan(source.data)
+            restricted = replace(
+                source, codes=source.present_regions(), data=source.data[present],
+                grades=source.grades[present],
+            )
+            skipped_regions = source.missing_regions()
+            if not restricted.codes:
                 return spec, None, None, TaskReport(
                     spec.target_id, spec.stage, spec.mode, "skipped",
                     reason="source series has no observed values",
@@ -435,8 +434,8 @@ def run_pipeline(
             )
             report = TaskReport(
                 spec.target_id, spec.stage, spec.mode, "ok",
-                source_regions=len(restricted.observations),
-                output_regions=len(result.series.observations),
+                source_regions=len(restricted.codes),
+                output_regions=len(result.series.codes),
                 fallback_count=result.fallback_count(),
                 skipped_source_regions=skipped_regions,
             )

@@ -23,7 +23,7 @@ values and max-normalizes the composite result, for sensitivity runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -39,7 +39,7 @@ from .errors import (
     NegativeProxyValue,
     UnresolvedVariable,
 )
-from .series import ConfidenceLevel, Observation, VariableSeries
+from .series import ConfidenceLevel, VariableSeries
 
 
 @dataclass(frozen=True)
@@ -245,17 +245,9 @@ def normalize_series(
     """
     regions = list(scope) if scope is not None else series.regions()
     normalized = _normalized(_scope_values(series, regions))
-    observations = {
-        region: Observation(region, float(v), series.confidence(region))
-        for region, v in zip(regions, normalized)
-    }
-    return VariableSeries(
-        series.variable_id,
-        series.description,
-        "dimensionless",
-        series.level,
-        series.country_scope,
-        observations,
+    return replace(
+        series, unit="dimensionless", codes=regions, data=normalized,
+        grades=series.confidences(regions),
     )
 
 
@@ -276,6 +268,7 @@ def evaluate(
         raise FormulaSyntaxError("formula references no variable", 0)
     level = None
     arrays: dict[str, np.ndarray] = {}
+    grades = None
     for name in names:
         series = env.get(name)
         if series is None:
@@ -288,6 +281,8 @@ def evaluate(
             )
         raw = _scope_values(series, scope)
         arrays[name] = raw if weights_on_raw else _normalized(raw)
+        grade = series.confidences(scope)
+        grades = grade if grades is None else np.minimum(grades, grade)
 
     def walk(node: ProxyExpr) -> np.ndarray | float:
         if isinstance(node, Var):
@@ -307,21 +302,9 @@ def evaluate(
     values = np.asarray(walk(expr), dtype=float)
     if weights_on_raw:
         values = _normalized(values)
-    confidences = [
-        min(env[name].confidence(region) for name in names) for region in scope
-    ]
-    observations = {
-        region: Observation(region, float(v), conf)
-        for region, v, conf in zip(scope, values, confidences)
-    }
-    any_series = env[names[0]]
     return VariableSeries(
-        result_id,
-        format_expr(expr),
-        "dimensionless",
-        any_series.level,
-        any_series.country_scope,
-        observations,
+        result_id, format_expr(expr), "dimensionless", level,
+        env[names[0]].country_scope, scope, values, grades,
     )
 
 

@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,12 +32,7 @@ from .errors import (
     UndefinedR2,
 )
 from .gbrt import HyperParams, TrainedEnsemble, fit_gbrt
-from .series import (
-    ConfidenceLevel,
-    Observation,
-    VariableSeries,
-    pearson,
-)
+from .series import ConfidenceLevel, VariableSeries, pearson
 
 ENSEMBLE = "ENSEMBLE"
 MEAN_FALLBACK = "MEAN_FALLBACK"
@@ -101,16 +96,14 @@ def select_predictors(
        rows where the target is present; order by descending |corr|, ties by
        id. Undefined correlations count as 0.
     """
-    scope = target.regions()
-    present = target.present_regions()
-    if not present:
+    present = ~np.isnan(target.data)
+    if not present.any():
         raise NoPredictors(f"{target.variable_id}: no observed rows to correlate against")
-    y = target.values(present)
+    y = target.data[present]
 
-    ordered = sorted(candidates, key=lambda s: s.variable_id)
     arrays: dict[str, np.ndarray] = {}
-    for cand in ordered:
-        values = cand.values(scope)
+    for cand in sorted(candidates, key=lambda s: s.variable_id):
+        values = cand.values(target.codes)
         if values.max() == values.min():
             continue  # non-informative
         arrays[cand.variable_id] = values
@@ -126,11 +119,9 @@ def select_predictors(
         if not duplicate:
             kept.append(cid)
 
-    position = {region: i for i, region in enumerate(scope)}
-    present_idx = [position[r] for r in present]
     scored: list[tuple[float, str]] = []
     for cid in kept:
-        r = pearson(arrays[cid][present_idx], y)
+        r = pearson(arrays[cid][present], y)
         strength = 0.0 if r is None else abs(r)
         if strength >= threshold:
             scored.append((strength, cid))
@@ -343,35 +334,38 @@ class _Setup:
     r2_val: float
 
 
+def _report(
+    target: VariableSeries, setup: "_Setup | None", method: str, confidence: ConfidenceLevel
+) -> ImputationReport:
+    """The report of ``target``'s imputation; ``setup`` is the fitted setup
+    it reports on, if any."""
+    if setup is None:
+        return ImputationReport(
+            target.variable_id, None, [], None, None, None, None, None, method, confidence
+        )
+    return ImputationReport(
+        target.variable_id, setup.threshold, setup.predictors, setup.hp, setup.rmse_train,
+        setup.r2_train, setup.rmse_val, setup.r2_val, method, confidence,
+    )
+
+
+def _filled(target: VariableSeries, fill, confidence: ConfidenceLevel) -> VariableSeries:
+    """``target`` with its missing values set to ``fill`` (one value, or one
+    per missing region in code order) and graded ``confidence``."""
+    missing = np.isnan(target.data)
+    data = target.data.copy()
+    grades = target.grades.copy()
+    data[missing] = fill
+    grades[missing] = confidence
+    return replace(target, data=data, grades=grades)
+
+
 def _mean_fallback(
     target: VariableSeries, attempted: "_Setup | None"
 ) -> tuple[VariableSeries, ImputationReport]:
-    present = target.present_regions()
-    mean_value = float(np.mean(target.values(present)))
-    observations = dict(target.observations)
-    for region in target.missing_regions():
-        observations[region] = Observation(region, mean_value, ConfidenceLevel.LOW)
-    completed = VariableSeries(
-        target.variable_id,
-        target.description,
-        target.unit,
-        target.level,
-        target.country_scope,
-        observations,
-    )
-    report = ImputationReport(
-        variable_id=target.variable_id,
-        threshold_used=None if attempted is None else attempted.threshold,
-        selected_predictors=[] if attempted is None else attempted.predictors,
-        best_hyperparams=None if attempted is None else attempted.hp,
-        rmse_train=None if attempted is None else attempted.rmse_train,
-        r2_train=None if attempted is None else attempted.r2_train,
-        rmse_val=None if attempted is None else attempted.rmse_val,
-        r2_val=None if attempted is None else attempted.r2_val,
-        method=MEAN_FALLBACK,
-        confidence=ConfidenceLevel.LOW,
-    )
-    return completed, report
+    mean_value = float(np.mean(target.values(target.present_regions())))
+    completed = _filled(target, mean_value, ConfidenceLevel.LOW)
+    return completed, _report(target, attempted, MEAN_FALLBACK, ConfidenceLevel.LOW)
 
 
 def impute_series(
@@ -389,19 +383,7 @@ def impute_series(
     """
     missing = target.missing_regions()
     if not missing:
-        report = ImputationReport(
-            variable_id=target.variable_id,
-            threshold_used=None,
-            selected_predictors=[],
-            best_hyperparams=None,
-            rmse_train=None,
-            r2_train=None,
-            rmse_val=None,
-            r2_val=None,
-            method=ENSEMBLE,
-            confidence=ConfidenceLevel.VERY_HIGH,
-        )
-        return target, report
+        return target, _report(target, None, ENSEMBLE, ConfidenceLevel.VERY_HIGH)
 
     present = target.present_regions()
     seed = derive_seed(config.seed, target.variable_id)
@@ -466,32 +448,9 @@ def impute_series(
         return _mean_fallback(target, winner)
 
     X_missing = np.column_stack([by_id[p].values(missing) for p in winner.predictors])
-    predicted = winner.model.predict(X_missing)
     confidence = rate_confidence(winner.r2_val)
-    observations = dict(target.observations)
-    for region, value in zip(missing, predicted):
-        observations[region] = Observation(region, float(value), confidence)
-    completed = VariableSeries(
-        target.variable_id,
-        target.description,
-        target.unit,
-        target.level,
-        target.country_scope,
-        observations,
-    )
-    report = ImputationReport(
-        variable_id=target.variable_id,
-        threshold_used=winner.threshold,
-        selected_predictors=winner.predictors,
-        best_hyperparams=winner.hp,
-        rmse_train=winner.rmse_train,
-        r2_train=winner.r2_train,
-        rmse_val=winner.rmse_val,
-        r2_val=winner.r2_val,
-        method=ENSEMBLE,
-        confidence=confidence,
-    )
-    return completed, report
+    completed = _filled(target, winner.model.predict(X_missing), confidence)
+    return completed, _report(target, winner, ENSEMBLE, confidence)
 
 
 def cross_country_predict(
@@ -517,10 +476,7 @@ def cross_country_predict(
         level = series.level if level is None else level
     if not columns:
         raise MissingFeature("model has no feature columns")
-    X = np.column_stack(columns)
-    predicted = model.predict(X)
-    observations = {
-        region: Observation(region, float(v), confidence)
-        for region, v in zip(scope, predicted)
-    }
-    return VariableSeries(result_id, "", "", level, "ALL", observations)
+    predicted = model.predict(np.column_stack(columns))
+    return VariableSeries(
+        result_id, "", "", level, "ALL", scope, predicted, np.full(len(predicted), confidence)
+    )

@@ -1,26 +1,31 @@
 """Per-region variable tables: ingest, missingness accounting, aggregation.
 
-A VariableSeries holds one variable's observations at a declared spatial
-level. Observations track a value and a confidence grade; a region with no
-usable value is "missing" (a suppressed source row and an empty CSV cell are
-treated identically). Values observed at ingest are graded VERY_HIGH; lower
-grades appear only through imputation and disaggregation.
+A VariableSeries holds one variable at a declared spatial level as columns:
+sorted region codes, a value per region and a confidence grade per region.
+A region with no usable value is "missing" (a suppressed source row and an
+empty CSV cell are treated identically). Values observed at ingest are
+graded VERY_HIGH; lower grades appear only through imputation and
+disaggregation.
 
-Series are immutable after ingest; the store hands out the stored objects
-and callers must not mutate them.
+Series are immutable: the arrays are read-only, and a changed series is a
+new object (``dataclasses.replace``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
+from itertools import compress
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -63,6 +68,9 @@ class ConfidenceLevel(IntEnum):
             raise NonNumericValue(f"unknown confidence token {token!r}") from None
 
 
+_GRADE_NAMES = {int(level): level.name for level in ConfidenceLevel}
+
+
 @dataclass(frozen=True)
 class Observation:
     """One region's value; value None means missing (confidence then None)."""
@@ -70,10 +78,6 @@ class Observation:
     region: str
     value: float | None
     confidence: ConfidenceLevel | None
-
-    @property
-    def missing(self) -> bool:
-        return self.value is None
 
 
 @dataclass(frozen=True)
@@ -85,61 +89,125 @@ class SeriesMeta:
     country_scope: str = ALL_COUNTRIES
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VariableSeries:
+    """One variable at one level, held as three aligned columns.
+
+    ``codes`` holds the region codes in sorted order. ``data[i]`` is the
+    value of ``codes[i]``, NaN when missing; ``grades[i]`` is its
+    ConfidenceLevel as an int, -1 when missing. The constructor copies both
+    arrays into read-only ``float64`` and ``int8`` arrays and sorts the
+    columns by code if they are not sorted yet.
+    """
+
     variable_id: str
     description: str
     unit: str
     level: SpatialLevel
     country_scope: str
-    observations: dict[str, Observation] = field(default_factory=dict)
+    codes: tuple[str, ...] = ()
+    data: np.ndarray = ()
+    grades: np.ndarray = ()
+
+    def __post_init__(self):
+        codes = tuple(self.codes)
+        data = np.array(self.data, dtype=np.float64)
+        grades = np.array(self.grades, dtype=np.int8)
+        if data.shape != (len(codes),) or grades.shape != (len(codes),):
+            raise LengthMismatch(
+                f"{self.variable_id}: {len(codes)} regions, {data.size} values, "
+                f"{grades.size} grades"
+            )
+        if any(map(operator.ge, codes, codes[1:])):
+            order = sorted(range(len(codes)), key=codes.__getitem__)
+            codes = tuple(codes[i] for i in order)
+            data, grades = data[order], grades[order]
+            for a, b in zip(codes, codes[1:]):
+                if a == b:
+                    raise DuplicateRegion(f"{self.variable_id}: duplicate region {a!r}")
+        data.flags.writeable = False
+        grades.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "grades", grades)
+
+    # Two threads may build this at once; each stores a complete dict, so
+    # either result is correct.
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {code: i for i, code in enumerate(self.codes)}
+
+    @property
+    def observations(self) -> Mapping[str, Observation]:
+        """A read-only region -> Observation mapping, built on each access."""
+        return MappingProxyType({
+            code: Observation(code, None, None)
+            if math.isnan(value)
+            else Observation(code, value, ConfidenceLevel(grade))
+            for code, value, grade in zip(self.codes, self.data.tolist(), self.grades.tolist())
+        })
 
     def regions(self) -> list[str]:
-        return sorted(self.observations)
+        return list(self.codes)
 
     def present_regions(self) -> list[str]:
-        return sorted(r for r, o in self.observations.items() if not o.missing)
+        return list(compress(self.codes, ~np.isnan(self.data)))
 
     def missing_regions(self) -> list[str]:
-        return sorted(r for r, o in self.observations.items() if o.missing)
+        return list(compress(self.codes, np.isnan(self.data)))
 
     @property
     def is_complete(self) -> bool:
-        return all(not o.missing for o in self.observations.values())
+        return not np.isnan(self.data).any()
+
+    def _index(self, regions: Iterable[str]) -> np.ndarray:
+        """Positions of ``regions``; a region without a value raises
+        MissingValue (a region with no row is missing, like an empty cell)."""
+        regions = list(regions)
+        position = self._position
+        index = np.array([position.get(r, -1) for r in regions], dtype=np.intp)
+        missing = index < 0
+        if self.codes:  # index -1 reads the last value; it is masked anyway
+            missing |= np.isnan(self.data[index])
+        if missing.any():
+            region = regions[int(missing.argmax())]
+            raise MissingValue(f"{self.variable_id}: value for {region!r} is missing")
+        return index
 
     def value(self, region: str) -> float:
-        # a region with no observation row is missing, same as an empty cell
-        obs = self.observations.get(region)
-        if obs is None or obs.missing:
-            raise MissingValue(f"{self.variable_id}: value for {region!r} is missing")
-        return obs.value
+        return float(self.data[self._index((region,))[0]])
 
     def confidence(self, region: str) -> ConfidenceLevel:
-        obs = self.observations.get(region)
-        if obs is None or obs.confidence is None:
-            raise MissingValue(f"{self.variable_id}: no confidence for {region!r}")
-        return obs.confidence
+        return ConfidenceLevel(int(self.grades[self._index((region,))[0]]))
 
     def values(self, regions: Iterable[str]) -> np.ndarray:
         """Values for the given regions, in order; raises on missing."""
-        return np.array([self.value(r) for r in regions], dtype=float)
+        return self.data[self._index(regions)]
+
+    def confidences(self, regions: Iterable[str]) -> np.ndarray:
+        """Grades (int8) for the given regions, in order; raises on missing."""
+        return self.grades[self._index(regions)]
 
     @classmethod
     def from_values(
         cls,
         variable_id: str,
         level: SpatialLevel,
-        values: Mapping[str, float],
+        values: Mapping[str, float | None],
         confidence: ConfidenceLevel | Mapping[str, ConfidenceLevel] = ConfidenceLevel.VERY_HIGH,
         unit: str = "",
         description: str = "",
         country_scope: str = ALL_COUNTRIES,
     ) -> "VariableSeries":
-        obs = {}
-        for region, value in values.items():
-            conf = confidence[region] if isinstance(confidence, Mapping) else confidence
-            obs[region] = Observation(region, float(value), conf)
-        return cls(variable_id, description, unit, level, country_scope, obs)
+        """A series from region -> value; a None value is missing, and
+        ``confidence`` (one grade, or one per present region) grades the rest."""
+        codes = sorted(values)
+        data = np.array([values[r] for r in codes], dtype=np.float64)
+        if isinstance(confidence, Mapping):
+            grades = [-1 if values[r] is None else confidence[r] for r in codes]
+        else:
+            grades = np.where(np.isnan(data), -1, int(confidence))
+        return cls(variable_id, description, unit, level, country_scope, codes, data, grades)
 
 
 @dataclass(frozen=True)
@@ -233,15 +301,10 @@ def ingest_series(
         region: value
         for _, region, value, _ in _region_rows(Path(path), (SERIES_HEADER,), meta, set(scope))
     }
-    observations = {}
-    for region in scope:
-        value = seen.get(region)
-        if value is None:
-            observations[region] = Observation(region, None, None)
-        else:
-            observations[region] = Observation(region, value, ConfidenceLevel.VERY_HIGH)
-    return VariableSeries(
-        meta.variable_id, meta.description, meta.unit, meta.level, meta.country_scope, observations
+    values = {region: seen.get(region) for region in scope}
+    return VariableSeries.from_values(
+        meta.variable_id, meta.level, values, ConfidenceLevel.VERY_HIGH,
+        meta.unit, meta.description, meta.country_scope,
     )
 
 
@@ -251,18 +314,19 @@ def read_series_csv(
     """Read a ``region,value,confidence`` CSV written by the engine."""
     path = Path(path)
     scope = set(_scope(meta, hierarchy))
-    observations: dict[str, Observation] = {}
+    values: dict[str, float | None] = {}
+    grades: dict[str, ConfidenceLevel] = {}
     for lineno, region, value, row in _region_rows(path, (OUTPUT_HEADER,), meta, scope):
+        values[region] = value
         if value is None:
-            observations[region] = Observation(region, None, None)
             continue
         try:
-            conf = ConfidenceLevel.from_token(row[2].strip())
+            grades[region] = ConfidenceLevel.from_token(row[2].strip())
         except NonNumericValue as exc:
             raise NonNumericValue(f"{path}:{lineno}: {exc}") from None
-        observations[region] = Observation(region, value, conf)
-    return VariableSeries(
-        meta.variable_id, meta.description, meta.unit, meta.level, meta.country_scope, observations
+    return VariableSeries.from_values(
+        meta.variable_id, meta.level, values, grades,
+        meta.unit, meta.description, meta.country_scope,
     )
 
 
@@ -290,19 +354,19 @@ def write_series_csv(series: VariableSeries, path: str | Path) -> None:
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OUTPUT_HEADER)
-        for region in series.regions():
-            obs = series.observations[region]
-            if obs.missing:
+        for region, value, grade in zip(
+            series.codes, series.data.tolist(), series.grades.tolist()
+        ):
+            if math.isnan(value):
                 writer.writerow([region, "", ""])
             else:
-                writer.writerow([region, format(obs.value, ".17g"), obs.confidence.name])
+                writer.writerow([region, format(value, ".17g"), _GRADE_NAMES[grade]])
 
 
 def missing_report(series: VariableSeries) -> MissingReport:
     """Count missing observations (absent scope regions were filled at ingest)."""
-    total = len(series.observations)
-    missing = sum(1 for o in series.observations.values() if o.missing)
-    return MissingReport(series.variable_id, total, missing)
+    missing = int(np.isnan(series.data).sum())
+    return MissingReport(series.variable_id, len(series.codes), missing)
 
 
 def aggregate(
@@ -321,25 +385,21 @@ def aggregate(
             f"{series.variable_id}: {len(series.missing_regions())} missing values; "
             "aggregate requires a complete series (or allow_partial)"
         )
+    # Left to right in code order, from 0.0 (so all -0.0 values sum to 0.0):
+    # the written outputs depend on this exact order.
     sums: dict[str, float] = {}
-    confs: dict[str, ConfidenceLevel] = {}
-    for region in series.regions():
-        obs = series.observations[region]
-        if obs.missing:
+    grades: dict[str, int] = {}
+    for region, value, grade in zip(
+        series.codes, series.data.tolist(), series.grades.tolist()
+    ):
+        if math.isnan(value):
             continue
         parent = hierarchy.ancestor(region, target)
-        sums[parent] = sums.get(parent, 0.0) + obs.value
-        confs[parent] = min(confs.get(parent, obs.confidence), obs.confidence)
-    observations = {
-        r: Observation(r, sums[r], confs[r]) for r in sums
-    }
-    return VariableSeries(
-        series.variable_id,
-        series.description,
-        series.unit,
-        target,
-        series.country_scope,
-        observations,
+        sums[parent] = sums.get(parent, 0.0) + value
+        grades[parent] = min(grades.get(parent, grade), grade)
+    return replace(
+        series, level=target, codes=tuple(sums), data=list(sums.values()),
+        grades=list(grades.values()),
     )
 
 

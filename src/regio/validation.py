@@ -73,9 +73,10 @@ def compare_at_level(
     rows: list[DeviationRow] = []
     unmatched: list[str] = []
     undefined: list[str] = []
+    known = set(aggregated.codes)
     for region in reference.present_regions():
         reported = reference.value(region)
-        if region not in aggregated.observations:
+        if region not in known:
             unmatched.append(region)
             continue
         if reported == 0:

@@ -34,7 +34,6 @@ from regio.imputation import (
 from regio.series import (
     ConfidenceLevel,
     MissingReport,
-    Observation,
     VariableSeries,
 )
 from regio.validation import deviation, sector_comparison_report
@@ -246,10 +245,10 @@ def test_criterion_09_imputation_quality():
     config = ImputationConfig(grid=GridSpec((50, 100), (0.1, 0.3), (2, 4)), seed=2022)
 
     def blank(series_values):
-        target = VariableSeries.from_values("y", SpatialLevel.LAU, series_values)
+        values = dict(series_values)
         for i in blanked:
-            target.observations[regions[i]] = Observation(regions[i], None, None)
-        return target
+            values[regions[i]] = None
+        return VariableSeries.from_values("y", SpatialLevel.LAU, values)
 
     target = blank({r: float(v) for i, (r, v) in enumerate(zip(regions, y)) if i not in blanked})
     completed, rep = impute_series(target, candidates, config)

@@ -7,6 +7,7 @@ import pytest
 from regio import cli
 from regio.cli import _dump_json, main
 from regio.config import ingest_registry
+from regio.hierarchy import load_hierarchy
 
 
 def run_cli(*args):
@@ -391,14 +392,21 @@ class TestRun:
 
     def test_loads_project_once(self, toy_project, monkeypatch):
         calls = []
+        hierarchy_loads = []
 
         def counting_ingest(*args):
             calls.append(args)
             return ingest_registry(*args)
 
+        def counting_load_hierarchy(*args):
+            hierarchy_loads.append(args)
+            return load_hierarchy(*args)
+
         monkeypatch.setattr(cli, "ingest_registry", counting_ingest)
+        monkeypatch.setattr(cli, "load_hierarchy", counting_load_hierarchy)
         assert run_cli("run", "--config", toy_project) == 0
         assert len(calls) == 1
+        assert len(hierarchy_loads) == 1
 
     def test_same_outputs_as_separate_commands(self, toy_project):
         assert run_cli("run", "--config", toy_project) == 0

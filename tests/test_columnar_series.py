@@ -1,0 +1,213 @@
+"""The columnar series code against the per-region loops it replaced
+(``dict_reference.py``): every value, grade, fallback flag, share and
+conservation residual must be equal, with -0.0 told apart from 0.0."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import dict_reference as ref
+from conftest import random_hierarchy
+from regio.disaggregation import ALLOCATE, REPLICATE, DisaggregationTask, disaggregate
+from regio.errors import DuplicateRegion, MissingValue
+from regio.formulas import evaluate, parse
+from regio.hierarchy import RegionHierarchy, SpatialLevel
+from regio.series import ConfidenceLevel, VariableSeries, aggregate
+
+FORMULAS = ["a", "a + b", "2.5 * a + b * c", "a * b", "3 * c"]
+# few distinct values, so weights tie; 1e-300 * 1e-300 underflows to 0
+TIED = [0.0, -0.0, 1.0, 2.0, 3.5, 1e-300]
+ASSIGNMENT = [ConfidenceLevel.HIGH, ConfidenceLevel.MEDIUM, ConfidenceLevel.LOW]
+
+
+def exact(x):
+    return None if x is None else float(x).hex()
+
+
+def hierarchy_of(seed):
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for country in ("CC", "DD"):
+        nodes += random_hierarchy(rng, country, min_leaves=120).nodes.values()
+    return RegionHierarchy(nodes)
+
+
+def draw(rng, n, negative=False):
+    """Values mixing ties, signed zeros and spread-out magnitudes."""
+    values = np.where(rng.random(n) < 0.5, rng.choice(TIED, n), rng.uniform(0, 1e3, n))
+    if negative:
+        values = np.where(rng.random(n) < 0.2, -values, values)
+    return values
+
+
+def make_series(rng, vid, regions, level, negative=False, missing=0.0):
+    values = draw(rng, len(regions), negative)
+    grades = rng.integers(0, 5, len(regions))
+    return VariableSeries.from_values(
+        vid,
+        level,
+        {r: None if rng.random() < missing else float(v) for r, v in zip(regions, values)},
+        {r: ConfidenceLevel(int(g)) for r, g in zip(regions, grades)},
+    )
+
+
+def proxies(rng, hierarchy):
+    laus = hierarchy.regions_at(SpatialLevel.LAU)
+    env = {vid: make_series(rng, vid, laus, SpatialLevel.LAU) for vid in "abc"}
+    # every proxy is zero below a few NUTS3 regions: those parents fall back
+    zero = set()
+    for parent in rng.choice(hierarchy.regions_at(SpatialLevel.NUTS3), 4, replace=False):
+        zero.update(hierarchy.descendants(str(parent), SpatialLevel.LAU))
+    for vid, series in env.items():
+        values = {
+            r: (-0.0 if i % 2 else 0.0) if r in zero else series.value(r)
+            for i, r in enumerate(laus)
+        }
+        grades = {r: series.confidence(r) for r in laus}
+        env[vid] = VariableSeries.from_values(vid, SpatialLevel.LAU, values, grades)
+    return env
+
+
+def observed(series):
+    return {r: (exact(o.value), o.confidence) for r, o in series.observations.items()}
+
+
+def expected(observations):
+    return {r: (exact(v), c) for r, (v, c) in observations.items()}
+
+
+class TestColumnarMatchesDictReference:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_disaggregate(self, seed):
+        rng = np.random.default_rng(seed)
+        hierarchy = hierarchy_of(seed)
+        env = proxies(rng, hierarchy)
+        ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
+        for level in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
+            regions = hierarchy.regions_at(level)
+            for mode, formula in [(REPLICATE, None)] + [(ALLOCATE, f) for f in FORMULAS]:
+                source = make_series(rng, "src", regions, level, negative=True)
+                task = DisaggregationTask(
+                    "out", source, None if formula is None else parse(formula),
+                    ASSIGNMENT[int(rng.integers(3))], mode,
+                )
+                ref_source = ref.DictSeries.of(source)
+                for scope in ("country", "parent"):
+                    for raw in (False, True):
+                        got = disaggregate(task, hierarchy, env, scope, raw)
+                        obs, prov = ref.disaggregate(
+                            task, ref_source, hierarchy, ref_env, scope, raw
+                        )
+                        assert observed(got.series) == expected(obs)
+                        assert {
+                            r: (p.source_region, exact(p.share), p.fallback)
+                            for r, p in got.provenance.items()
+                        } == {r: (s, exact(share), f) for r, (s, share, f) in prov.items()}
+                        assert got.fallback_count() == sum(f for _, _, f in prov.values())
+                        residuals = ref.conservation_residuals(obs, prov, ref_source)
+                        assert {
+                            p: exact(v) for p, v in got.conservation_residuals(source).items()
+                        } == {p: exact(v) for p, v in residuals.items()}
+
+    def test_zero_proxy_parents_fall_back(self):
+        rng = np.random.default_rng(3)
+        hierarchy = hierarchy_of(3)
+        env = proxies(rng, hierarchy)
+        source = make_series(rng, "src", hierarchy.regions_at(SpatialLevel.NUTS3),
+                             SpatialLevel.NUTS3)
+        task = DisaggregationTask("out", source, parse("a"), ConfidenceLevel.HIGH)
+        assert disaggregate(task, hierarchy, env, "parent").fallback.any()
+
+    def test_missing_source_regions(self):
+        rng = np.random.default_rng(5)
+        hierarchy = hierarchy_of(5)
+        env = proxies(rng, hierarchy)
+        ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
+        regions = hierarchy.regions_at(SpatialLevel.NUTS3)
+        source = make_series(rng, "src", regions, SpatialLevel.NUTS3, missing=0.3)
+        task = DisaggregationTask("out", source, parse("a + b"), ConfidenceLevel.MEDIUM)
+        with pytest.raises(MissingValue):
+            disaggregate(task, hierarchy, env)
+        with pytest.raises(MissingValue):
+            ref.disaggregate(task, ref.DictSeries.of(source), hierarchy, ref_env)
+        present = VariableSeries.from_values(
+            "src", SpatialLevel.NUTS3,
+            {r: source.value(r) for r in source.present_regions()},
+            {r: source.confidence(r) for r in source.present_regions()},
+        )
+        task = DisaggregationTask("out", present, parse("a + b"), ConfidenceLevel.MEDIUM)
+        obs, _ = ref.disaggregate(task, ref.DictSeries.of(present), hierarchy, ref_env)
+        assert observed(disaggregate(task, hierarchy, env).series) == expected(obs)
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_evaluate(self, formula):
+        rng = np.random.default_rng(6)
+        hierarchy = hierarchy_of(6)
+        env = proxies(rng, hierarchy)
+        ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
+        expr = parse(formula)
+        for scope in (
+            hierarchy.regions_at(SpatialLevel.LAU, "CC"),
+            hierarchy.descendants("DD0", SpatialLevel.LAU)[::-1],  # not sorted
+        ):
+            for raw in (False, True):
+                want = ref.evaluate(expr, ref_env, scope, raw)
+                assert observed(evaluate(expr, env, scope, raw)) == expected(want.observations)
+
+    def test_aggregate(self):
+        rng = np.random.default_rng(7)
+        hierarchy = hierarchy_of(7)
+        laus = hierarchy.regions_at(SpatialLevel.LAU)
+        series = make_series(rng, "v", laus, SpatialLevel.LAU, negative=True, missing=0.1)
+        # a NUTS3 region whose values are all -0.0 sums to 0.0, not -0.0
+        signed_zero = set(hierarchy.descendants("CC000", SpatialLevel.LAU))
+        series = VariableSeries.from_values(
+            "v", SpatialLevel.LAU,
+            {r: -0.0 if r in signed_zero else o.value for r, o in series.observations.items()},
+            {r: o.confidence or ConfidenceLevel.LOW for r, o in series.observations.items()},
+        )
+        for target in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
+            got = aggregate(series, hierarchy, target, allow_partial=True)
+            want = ref.aggregate(ref.DictSeries.of(series), hierarchy, target)
+            assert observed(got) == expected(want)
+
+
+def test_concurrent_lookups_build_one_consistent_index():
+    """Threads that race to build a series' region index all read right."""
+    regions = [f"R{i:05d}" for i in range(20000)]
+    series = VariableSeries.from_values(
+        "v", SpatialLevel.LAU, {r: float(i) for i, r in enumerate(regions)}
+    )
+    picks = [regions[i::8] for i in range(8)]
+    results = [None] * 8
+
+    def lookup(i):
+        results[i] = series.values(picks[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lookup, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(8):
+        assert results[i].tolist() == [float(j) for j in range(i, 20000, 8)]
+
+
+def test_columns_are_sorted_read_only_and_unique():
+    s = VariableSeries.from_values("v", SpatialLevel.LAU, {"B": 2.0, "A": None})
+    assert s.codes == ("A", "B")
+    assert s.missing_regions() == ["A"] and s.grades.tolist() == [-1, 4]
+    with pytest.raises(ValueError):
+        s.data[1] = 3.0
+    with pytest.raises(TypeError):
+        s.observations["A"] = None
+    with pytest.raises(DuplicateRegion):
+        VariableSeries("v", "", "", SpatialLevel.LAU, "ALL", ("B", "A", "B"), [1, 2, 3], [4, 4, 4])

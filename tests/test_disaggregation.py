@@ -19,13 +19,13 @@ from regio.errors import (
     EmptyChildSet,
     MissingValue,
     NegativeProxyValue,
+    NonFiniteValue,
     UnresolvedDependency,
 )
 from regio.formulas import parse
 from regio.hierarchy import SpatialLevel
 from regio.series import (
     ConfidenceLevel,
-    Observation,
     VariableSeries,
     VariableStore,
 )
@@ -39,35 +39,48 @@ def series(values, level, vid="v", confidence=ConfidenceLevel.VERY_HIGH, scope="
 
 class TestAllocate:
     def test_symmetric(self):
-        assert allocate(100.0, {"a": 1.0, "b": 1.0}) == {"a": 50.0, "b": 50.0}
+        assert allocate(100.0, [1.0, 1.0])[0].tolist() == [50.0, 50.0]
 
     def test_single_child_identity(self):
-        assert allocate(100.0, {"a": 3.0}) == {"a": 100.0}
+        assert allocate(100.0, [3.0])[0].tolist() == [100.0]
 
     def test_proportional(self):
-        out = allocate(60.0, {"a": 1.0, "b": 2.0, "c": 3.0})
-        assert out == {"a": 10.0, "b": 20.0, "c": 30.0}
+        out, total = allocate(60.0, [1.0, 2.0, 3.0])
+        assert out.tolist() == [10.0, 20.0, 30.0]
+        assert total == 6.0
 
     def test_zero_sum_uniform_split(self):
-        out = allocate(90.0, {"a": 0.0, "b": 0.0, "c": 0.0})
-        assert out == {"a": 30.0, "b": 30.0, "c": 30.0}
+        out, total = allocate(90.0, [0.0, 0.0, 0.0])
+        assert out.tolist() == [30.0, 30.0, 30.0]
+        assert total == 0.0
 
     def test_empty_child_set(self):
         with pytest.raises(EmptyChildSet):
-            allocate(1.0, {})
+            allocate(1.0, [])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeProxyValue):
-            allocate(1.0, {"a": -0.5, "b": 1.0})
+            allocate(1.0, [-0.5, 1.0])
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            allocate(1.0, [1.0, np.inf])
+
+    def test_total_is_summed_left_to_right(self):
+        # builtin sum() of floats is compensated from CPython 3.12 on and
+        # would give 1.0000000000000002e16 here
+        out, total = allocate(1.0, [1e16, 1.0, 1.0])
+        assert total == 1e16
+        assert out.tolist() == [1.0, 1e-16, 1e-16]
 
     def test_mass_conserved_randomized(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(1, 30))
-            weights = {f"c{i}": float(w) for i, w in enumerate(rng.uniform(0, 5, n))}
+            weights = rng.uniform(0, 5, n)
             parent = float(rng.uniform(-100, 100))
-            out = allocate(parent, weights)
-            assert sum(out.values()) == pytest.approx(parent, rel=1e-12, abs=1e-12)
+            out, _ = allocate(parent, weights)
+            assert sum(out.tolist()) == pytest.approx(parent, rel=1e-12, abs=1e-12)
 
 
 def make_task(source, formula, confidence=ConfidenceLevel.HIGH, mode=ALLOCATE):
@@ -183,9 +196,19 @@ class TestDisaggregate:
         for obs in result.series.observations.values():
             assert obs.confidence <= ConfidenceLevel.LOW
 
+    def test_share_uses_the_allocation_total(self, mini_hierarchy):
+        # weights 1e16, 1, 1 sum left to right to 1e16; the builtin sum() of
+        # CPython 3.12+ is compensated and gives 1.0000000000000002e16
+        children = mini_hierarchy.descendants("AA000", SpatialLevel.LAU)
+        env = {"x": series(dict(zip(children, [1e16, 1.0, 1.0])), SpatialLevel.LAU, vid="x")}
+        src = series({"AA000": 1.0}, SpatialLevel.NUTS3)
+        result = disaggregate(make_task(src, "x"), mini_hierarchy, env, normalize_scope="parent")
+        assert result.provenance[children[0]].share == 1.0
+        for child in children:
+            assert result.provenance[child].share == result.series.value(child)
+
     def test_missing_source_value_rejected(self, mini_hierarchy):
-        src = series({"AA000": 10.0}, SpatialLevel.NUTS3)
-        src.observations["AA001"] = Observation("AA001", None, None)
+        src = series({"AA000": 10.0, "AA001": None}, SpatialLevel.NUTS3)
         with pytest.raises(MissingValue):
             disaggregate(make_task(src, "x"), mini_hierarchy, self.lau_env(mini_hierarchy))
 
@@ -319,8 +342,9 @@ class TestPipeline:
 
     def test_missing_source_value_skips_region(self, mini_hierarchy):
         store = pipeline_store(mini_hierarchy)
-        fec = store.get("fec_total", SpatialLevel.NUTS0)
-        fec.observations["BB"] = Observation("BB", None, None)
+        store.add(
+            series({"AA": 1000.0, "BB": None}, SpatialLevel.NUTS0, vid="fec_total"), replace=True
+        )
         run = run_pipeline(self.specs(), mini_hierarchy, store)
         report = [r for r in run.reports if r.target_id == "fec_total"][0]
         assert report.status == "ok"

@@ -33,7 +33,7 @@ from regio.imputation import (
     select_predictors,
     split_holdout,
 )
-from regio.series import ConfidenceLevel, Observation, VariableSeries
+from regio.series import ConfidenceLevel, VariableSeries
 
 
 def series(values, vid="v", confidence=ConfidenceLevel.VERY_HIGH):
@@ -41,10 +41,7 @@ def series(values, vid="v", confidence=ConfidenceLevel.VERY_HIGH):
 
 
 def series_with_missing(present, missing_regions, vid="v"):
-    s = series(present, vid=vid)
-    for region in missing_regions:
-        s.observations[region] = Observation(region, None, None)
-    return s
+    return series({**present, **dict.fromkeys(missing_regions)}, vid=vid)
 
 
 class TestMetrics:

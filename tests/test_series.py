@@ -16,7 +16,6 @@ from regio.hierarchy import SpatialLevel
 from regio.series import (
     ConfidenceLevel,
     MissingReport,
-    Observation,
     SeriesMeta,
     VariableSeries,
     aggregate,
@@ -93,13 +92,12 @@ class TestIngest:
     def test_failed_write_keeps_old_output(self, tmp_path):
         out = tmp_path / "out.csv"
         out.write_text("old\n")
-        observations = {
-            f"R{i}": Observation(f"R{i}", float(i), ConfidenceLevel.HIGH) for i in range(3)
-        }
-        # an observed value without a grade fails after the first rows
-        observations["R9"] = Observation("R9", 9.0, None)
-        s = VariableSeries("v", "", "", SpatialLevel.LAU, "ALL", observations)
-        with pytest.raises(AttributeError):
+        # an observed value without a grade (-1) fails after the first rows
+        s = VariableSeries(
+            "v", "", "", SpatialLevel.LAU, "ALL",
+            ("R0", "R1", "R2", "R9"), [0.0, 1.0, 2.0, 9.0], [3, 3, 3, -1],
+        )
+        with pytest.raises(KeyError):
             write_series_csv(s, out)
         assert out.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [out]
@@ -198,10 +196,7 @@ class TestAggregate:
         assert agg.confidence("AA000") == ConfidenceLevel.MEDIUM
 
     def test_rejects_missing_without_allow_partial(self, mini_hierarchy):
-        s = make_lau({"AA_000_0000": 1.0})
-        s.observations["AA_000_0001"] = type(s.observations["AA_000_0000"])(
-            "AA_000_0001", None, None
-        )
+        s = make_lau({"AA_000_0000": 1.0, "AA_000_0001": None})
         with pytest.raises(IncompleteSeries):
             aggregate(s, mini_hierarchy, SpatialLevel.NUTS3)
         agg = aggregate(s, mini_hierarchy, SpatialLevel.NUTS3, allow_partial=True)
