@@ -91,6 +91,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _string(value, where: str) -> str:
+    """``value`` if it is a string, else a ConfigError naming ``where``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 # key -> (test every entry must pass, what the entries must be)
 IMPUTATION_OVERRIDES = {
     "thresholds": (_is_number, "finite numbers"),
@@ -135,6 +142,7 @@ def load_project_config(path: str | Path) -> ProjectConfig:
             if required:
                 raise ConfigError(f"{path}: missing required key {key!r}")
             return None
+        _string(value, f"{path}: {key}")
         return (root / value).resolve() if not Path(value).is_absolute() else Path(value)
 
     entries = doc.get("comparisons", [])
@@ -144,6 +152,8 @@ def load_project_config(path: str | Path) -> ProjectConfig:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: comparison #{i} is not an object")
+        for key in ("target_id", "reference"):
+            _string(entry.get(key, ""), f"{path}: comparison #{i}: {key}")
         try:
             comparisons.append(
                 ComparisonSpec(
@@ -160,12 +170,22 @@ def load_project_config(path: str | Path) -> ProjectConfig:
     flags = doc.get("flags", {})
     if not isinstance(flags, dict):
         raise ConfigError(f"{path}: 'flags' must be an object")
+    for key in flags:
+        if key not in ("weights_on_raw", "normalize_scope"):
+            raise ConfigError(
+                f"{path}: flags.{key} is not a known key (known: weights_on_raw, normalize_scope)"
+            )
+    weights_on_raw = flags.get("weights_on_raw", False)
+    if not isinstance(weights_on_raw, bool):
+        raise ConfigError(
+            f"{path}: flags.weights_on_raw must be true or false, got {weights_on_raw!r}"
+        )
     normalize_scope = flags.get("normalize_scope", "country")
     if normalize_scope not in ("country", "parent"):
-        raise ConfigError(f"{path}: normalize_scope must be 'country' or 'parent'")
+        raise ConfigError(f"{path}: flags.normalize_scope must be 'country' or 'parent'")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"{path}: seed must be an integer")
+    if not _is_int(seed):
+        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
 
     return ProjectConfig(
         root=root,
@@ -178,7 +198,7 @@ def load_project_config(path: str | Path) -> ProjectConfig:
         reference_dir=resolve("reference_dir", required=False),
         comparisons=comparisons,
         seed=seed,
-        weights_on_raw=bool(flags.get("weights_on_raw", False)),
+        weights_on_raw=weights_on_raw,
         normalize_scope=normalize_scope,
         imputation_overrides=_imputation_overrides(path, doc.get("imputation", {})),
     )
@@ -207,6 +227,8 @@ def load_registry(path: str | Path) -> list[RegistryEntry]:
             raise ConfigError(f"{path}: variable id {vid!r} is not snake_case")
         if vid in seen:
             raise ConfigError(f"{path}: duplicate variable id {vid!r}")
+        for key in ("description", "unit", "country_scope", "file"):
+            _string(entry.get(key, ""), f"{path}: variable #{i}: {key}")
         seen.add(vid)
         meta = SeriesMeta(
             variable_id=vid,

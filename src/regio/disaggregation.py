@@ -1,13 +1,13 @@
 """Proportional allocation of coarse series to finer levels, in stages.
 
-Each task takes one source series (NUTS3, NUTS2 or NUTS0) and distributes
-every source region's value over its output-level descendants in proportion
-to an evaluated proxy expression. Variables referenced by the proxy are
-max-normalized over all output-level regions of the source region's country
-(``normalize_scope="parent"`` switches to per-parent normalization for
-sensitivity runs). A parent whose proxy weights sum to zero falls back to a
-uniform split so no mass is dropped; its children are flagged and graded
-VERY_LOW.
+Each task takes one source series (NUTS3, NUTS2 or NUTS0) and splits every
+source region's value over its output-level descendants, one run of children
+per source region, in proportion to an evaluated proxy expression. Both
+normalization scopes are one path: the proxy's variables are max-normalized
+per segment, where a segment is every output region of a country (default)
+or one run of children (``normalize_scope="parent"``, for sensitivity runs).
+A parent whose proxy weights sum to zero falls back to a uniform split so no
+mass is dropped; its children are flagged and graded VERY_LOW.
 
 ``replicate`` mode copies the parent value to every child unchanged — the
 rule for intensive quantities (e.g. heating degree days) that have no proxy.
@@ -25,11 +25,11 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import read_json
+from .config import _string, read_json
 from .errors import (
     ConfigError,
     DuplicateVariable,
@@ -37,6 +37,8 @@ from .errors import (
     MissingValue,
     NegativeProxyValue,
     NonFiniteValue,
+    NonNumericValue,
+    UnknownLevel,
     UnknownVariable,
     UnresolvedDependency,
 )
@@ -49,7 +51,7 @@ from .formulas import (
     variables,
 )
 from .hierarchy import RegionHierarchy, SpatialLevel
-from .series import ConfidenceLevel, VariableSeries, VariableStore
+from .series import ConfidenceLevel, VariableSeries, VariableStore, _run_starts, _run_sums
 
 ALLOCATE = "allocate"
 REPLICATE = "replicate"
@@ -74,39 +76,41 @@ class DisaggregationTask:
     output_level: SpatialLevel = SpatialLevel.LAU
 
     def __post_init__(self):
-        if self.source_series.level not in SOURCE_LEVELS:
-            raise ConfigError(
-                f"{self.target_id}: source level must be one of "
-                f"{[l.name for l in SOURCE_LEVELS]}, got {self.source_series.level.name}"
-            )
+        _check_task(self.target_id, self.source_series.level, self.mode, self.formula,
+                    self.assignment_confidence)
         if not self.output_level.is_finer_than(self.source_series.level):
             raise ConfigError(
                 f"{self.target_id}: output level {self.output_level.name} must be "
                 f"finer than source level {self.source_series.level.name}"
             )
-        if self.assignment_confidence not in ASSIGNMENT_CONFIDENCES:
-            raise ConfigError(
-                f"{self.target_id}: assignment confidence must be "
-                "HIGH|MEDIUM|LOW|VERY_LOW"
-            )
-        if self.mode == ALLOCATE and self.formula is None:
-            raise ConfigError(f"{self.target_id}: allocate mode requires a formula")
-        if self.mode not in (ALLOCATE, REPLICATE):
-            raise ConfigError(f"{self.target_id}: unknown mode {self.mode!r}")
+
+
+def _check_task(where, source_level, mode, formula, confidence) -> None:
+    """Checks shared by the pipeline loader and DisaggregationTask."""
+    if source_level not in SOURCE_LEVELS:
+        raise ConfigError(f"{where}: source level {source_level.name} is not NUTS0|NUTS2|NUTS3")
+    if mode not in (ALLOCATE, REPLICATE):
+        raise ConfigError(f"{where}: unknown mode {mode!r}")
+    if mode == ALLOCATE and formula is None:
+        raise ConfigError(f"{where}: allocate mode requires a formula")
+    if confidence not in ASSIGNMENT_CONFIDENCES:
+        raise ConfigError(f"{where}: assignment confidence must be HIGH|MEDIUM|LOW|VERY_LOW")
 
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
     """A task's output series and, per output region, where its value came
-    from. ``children`` lists the output regions grouped by source region, in
-    the order they were allocated; ``sources``, ``shares`` (NaN in replicate
-    mode) and ``fallback`` are aligned with it."""
+    from. ``children`` lists the output regions in allocation order, one run
+    per source region (``lengths`` long); ``sources``, ``values``, ``shares``
+    (NaN in replicate mode) and ``fallback`` are aligned with it."""
 
     series: VariableSeries
     children: tuple[str, ...]
     sources: tuple[str, ...]
+    values: np.ndarray
     shares: np.ndarray
     fallback: np.ndarray
+    lengths: np.ndarray
 
     @property
     def provenance(self) -> Mapping[str, Provenance]:
@@ -123,27 +127,24 @@ class AllocationResult:
 
     def conservation_residuals(self, source: VariableSeries) -> dict[str, float]:
         """Per source region: relative |sum(children) - value| (absolute at 0)."""
-        sums: dict[str, float] = {}
-        for parent, value in zip(self.sources, self.series.values(self.children).tolist()):
-            sums[parent] = sums.get(parent, 0.0) + value
-        residuals = {}
-        for parent, total in sums.items():
-            value = source.value(parent)
-            gap = abs(total - value)
-            residuals[parent] = gap if value == 0.0 else gap / abs(value)
-        return residuals
+        parents = list(map(self.sources.__getitem__, _run_starts(self.lengths).tolist()))
+        value = source.values(parents)
+        gap = np.abs(_run_sums(self.values, self.lengths) - value)
+        return dict(zip(parents, (gap / np.where(value == 0.0, 1.0, np.abs(value))).tolist()))
 
 
-def allocate(parent_value: float, weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split a parent value over children in proportion to their weights;
-    returns the children's values and the weight total.
-
-    The total is summed left to right. A zero total degenerates to a uniform
-    split (mass conservation is the primary contract); callers detect that
-    case by the returned total.
+def allocate(
+    parent_values, weights, lengths: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split each parent value over its run of children in proportion to
+    their weights (runs back to back, ``lengths`` long; one run by default).
+    Returns the children's values and each child's run total (``_run_sums``).
+    A zero total degenerates to a uniform split (mass conservation is the
+    primary contract); callers detect that case by the returned total.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if not weights.size:
+    lengths = np.asarray([weights.size] if lengths is None else lengths, dtype=np.intp)
+    if not lengths.all():
         raise EmptyChildSet("cannot allocate to an empty child set")
     if not np.isfinite(weights).all():
         bad = int(np.argmin(np.isfinite(weights)))
@@ -151,10 +152,11 @@ def allocate(parent_value: float, weights: np.ndarray) -> tuple[np.ndarray, floa
     if (weights < 0).any():
         bad = int(np.argmax(weights < 0))
         raise NegativeProxyValue(f"weight {bad} of {weights.size} is negative")
-    total = float(np.cumsum(weights)[-1])
-    if total == 0.0:
-        return np.full(weights.size, parent_value / weights.size), total
-    return parent_value * weights / total, total
+    totals = np.repeat(_run_sums(weights, lengths), lengths)
+    parents = np.repeat(np.broadcast_to(parent_values, lengths.shape), lengths)
+    uniform = totals == 0.0
+    split = parents * weights / np.where(uniform, 1.0, totals)
+    return np.where(uniform, parents / np.repeat(lengths, lengths), split), totals
 
 
 def disaggregate(
@@ -171,64 +173,47 @@ def disaggregate(
             f"{task.target_id}: source series has missing values "
             f"({', '.join(source.missing_regions()[:5])} ...)"
         )
-    children: list[str] = []
-    sources: list[str] = []
-    fallback: list[bool] = []
-    # per source region; the empty array lets np.concatenate join no regions
-    values, grades, shares = [np.empty(0)], [np.empty(0)], [np.empty(0)]
-
-    by_country: dict[str, list[str]] = {}
-    for region in source.regions():
-        by_country.setdefault(hierarchy.node(region).country, []).append(region)
-
-    for country in sorted(by_country):
-        parents = by_country[country]
-        country_proxy = None
-        if task.mode == ALLOCATE and normalize_scope == "country":
-            scope = hierarchy.regions_at(task.output_level, country)
-            country_proxy = evaluate(
-                task.formula, env, scope, weights_on_raw=weights_on_raw
-            )
-        for parent in parents:
-            kids = hierarchy.descendants(parent, task.output_level)
-            if not kids:
-                raise EmptyChildSet(
-                    f"{task.target_id}: source region {parent!r} has no "
-                    f"{task.output_level.name} descendants"
-                )
-            n = len(kids)
-            parent_value = source.value(parent)
-            if task.mode == REPLICATE:
-                allocated = np.full(n, parent_value)
-                grade = min(task.assignment_confidence, source.confidence(parent))
-                share, fell_back = np.nan, False
-            else:
-                proxy = country_proxy
-                if proxy is None:  # per-parent normalization scope
-                    proxy = evaluate(task.formula, env, kids, weights_on_raw=weights_on_raw)
-                weights = proxy.values(kids)
-                allocated, total = allocate(parent_value, weights)
-                fell_back = total == 0.0
-                if fell_back:
-                    grade, share = ConfidenceLevel.VERY_LOW, 1.0 / n
-                else:
-                    grade = np.minimum(task.assignment_confidence, proxy.confidences(kids))
-                    share = weights / total
-            children.extend(kids)
-            sources.extend([parent] * n)
-            values.append(allocated)
-            grades.append(np.broadcast_to(grade, n))
-            shares.append(np.broadcast_to(share, n))
-            fallback.extend([fell_back] * n)
-
+    out, codes = task.output_level, hierarchy.regions_at(task.output_level)
+    # Source regions in allocation order (by country, then by code), and
+    # one run of output regions below each.
+    where = hierarchy.positions(source.level, source.codes)
+    country = hierarchy.owners(source.level, SpatialLevel.NUTS0)[where]
+    order = np.argsort(country, kind="stable")
+    children, lengths = hierarchy.segments(out, source.level, where[order])
+    if not lengths.all():
+        raise EmptyChildSet(
+            f"{task.target_id}: source region {source.codes[order[lengths.argmin()]]!r} "
+            f"has no {out.name} descendants"
+        )
+    if task.mode == REPLICATE:
+        values = np.repeat(source.data[order], lengths)
+        grades = np.repeat(np.minimum(task.assignment_confidence, source.grades[order]), lengths)
+        shares, fallback = np.full(values.size, np.nan), np.zeros(values.size, dtype=bool)
+    else:
+        # One path for both scopes; only the segments normalized over differ.
+        scope, runs = children, lengths
+        if normalize_scope == "country":
+            countries = np.flatnonzero(np.bincount(country))
+            scope, runs = hierarchy.segments(out, SpatialLevel.NUTS0, countries)
+        proxy = evaluate(task.formula, env, list(map(codes.__getitem__, scope.tolist())),
+                         weights_on_raw=weights_on_raw, lengths=runs)
+        at = np.searchsorted(np.sort(scope), children)  # proxy rows are in code order
+        weights = proxy.data[at]
+        values, totals = allocate(source.data[order], weights, lengths)
+        fallback = totals == 0.0
+        grades = np.where(fallback, ConfidenceLevel.VERY_LOW,
+                          np.minimum(task.assignment_confidence, proxy.grades[at]))
+        shares = np.where(fallback, 1.0 / np.repeat(lengths, lengths),
+                          weights / np.where(fallback, 1.0, totals))
+    in_code_order = np.argsort(children)
     series = VariableSeries(
-        task.target_id, source.description, source.unit, task.output_level,
-        source.country_scope, children, np.concatenate(values), np.concatenate(grades),
+        task.target_id, source.description, source.unit, out, source.country_scope,
+        map(codes.__getitem__, children[in_code_order].tolist()),
+        values[in_code_order], grades[in_code_order],
     )
-    return AllocationResult(
-        series, tuple(children), tuple(sources), np.concatenate(shares),
-        np.array(fallback, dtype=bool),
-    )
+    sources = tuple(map(source.codes.__getitem__, np.repeat(order, lengths).tolist()))
+    children_codes = tuple(map(codes.__getitem__, children.tolist()))
+    return AllocationResult(series, children_codes, sources, values, shares, fallback, lengths)
 
 
 # -- pipeline configuration ---------------------------------------------------
@@ -270,45 +255,43 @@ def load_pipeline_config(
         tasks = entry.get("tasks", [])
         if not isinstance(tasks, list):
             raise ConfigError(f"{path}: stage {stage}: 'tasks' must be a list")
-        for task in tasks:
+        for t, task in enumerate(tasks):
             if not isinstance(task, dict):
                 raise ConfigError(f"{path}: stage {stage}: task {task!r} is not an object")
             try:
-                target_id = task["target_id"]
-                source_level = SpatialLevel.from_token(task["source_level"])
+                target_id, level_token = task["target_id"], task["source_level"]
             except KeyError as exc:
                 raise ConfigError(f"{path}: stage {stage} task missing {exc}") from None
-            mode = task.get("mode", ALLOCATE)
-            if mode not in (ALLOCATE, REPLICATE):
-                raise ConfigError(f"{path}: {target_id}: unknown mode {mode!r}")
+            _string(target_id, f"{path}: stage {stage} task #{t}: target_id")
+            try:
+                source_level = SpatialLevel.from_token(level_token)
+            except UnknownLevel as exc:
+                raise ConfigError(f"{path}: {target_id}: source_level: {exc}") from None
             inherited = assignments.get(target_id)
             formula_text = task.get("formula")
-            if formula_text is None and inherited is not None:
+            if formula_text is not None:
+                _string(formula_text, f"{path}: {target_id}: formula")
+            elif inherited is not None:
                 formula_text = inherited.formula
             conf_token = task.get("assignment_confidence")
             if conf_token is not None:
-                confidence = ConfidenceLevel.from_token(conf_token)
+                try:
+                    confidence = ConfidenceLevel.from_token(conf_token)
+                except NonNumericValue as exc:
+                    where = f"{path}: {target_id}: assignment_confidence"
+                    raise ConfigError(f"{where}: {exc}") from None
             elif inherited is not None:
                 confidence = inherited.assignment_confidence
             else:
                 raise ConfigError(f"{path}: {target_id}: no assignment_confidence")
-            if confidence not in ASSIGNMENT_CONFIDENCES:
-                raise ConfigError(
-                    f"{path}: {target_id}: assignment confidence must be "
-                    "HIGH|MEDIUM|LOW|VERY_LOW"
-                )
+            mode = task.get("mode", ALLOCATE)
+            _check_task(f"{path}: {target_id}", source_level, mode, formula_text, confidence)
             spec = TaskSpec(stage, target_id, source_level, mode, formula_text, confidence)
             if mode == ALLOCATE:
-                if formula_text is None:
-                    raise ConfigError(f"{path}: {target_id}: allocate task needs a formula")
                 spec.formula  # parse now so a syntax error fails the load
             if target_id in seen_targets:
                 raise ConfigError(f"{path}: duplicate task for target {target_id!r}")
             seen_targets.add(target_id)
-            if source_level not in SOURCE_LEVELS:
-                raise ConfigError(
-                    f"{path}: {target_id}: source_level must be NUTS0|NUTS2|NUTS3"
-                )
             specs.append(spec)
     return sorted(specs, key=lambda s: (s.stage, s.target_id))
 
@@ -321,11 +304,8 @@ def check_dependencies(
     """Every formula variable must resolve to an output-level series already
     in the store or produced by a strictly earlier stage."""
     available = set(store.series_at(output_level))
-    by_stage: dict[int, list[TaskSpec]] = {}
-    for spec in specs:
-        by_stage.setdefault(spec.stage, []).append(spec)
-    for stage in sorted(by_stage):
-        for spec in by_stage[stage]:
+    for stage, stage_specs in _by_stage(specs):
+        for spec in stage_specs:
             if spec.target_id in available:
                 raise DuplicateVariable(
                     f"stage {stage}: {spec.target_id!r} already exists at "
@@ -339,7 +319,13 @@ def check_dependencies(
                             f"{name!r}, which is not available at {output_level.name} "
                             "before this stage"
                         )
-        available.update(spec.target_id for spec in by_stage[stage])
+        available.update(spec.target_id for spec in stage_specs)
+
+
+def _by_stage(specs: list[TaskSpec]) -> list[tuple[int, list[TaskSpec]]]:
+    """The specs grouped by stage, stages ascending, order kept within one."""
+    stages = sorted({spec.stage for spec in specs})
+    return [(stage, [spec for spec in specs if spec.stage == stage]) for stage in stages]
 
 
 @dataclass
@@ -389,13 +375,8 @@ def run_pipeline(
     check_dependencies(specs, store, output_level)
     results: dict[str, AllocationResult] = {}
     reports: list[TaskReport] = []
-    by_stage: dict[int, list[TaskSpec]] = {}
-    for spec in specs:
-        by_stage.setdefault(spec.stage, []).append(spec)
-
-    for stage in sorted(by_stage):
+    for _, stage_specs in _by_stage(specs):
         env = store.series_at(output_level)
-        stage_specs = by_stage[stage]
 
         def execute(spec: TaskSpec):
             try:

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .config import read_json
+from .config import _string, read_json
 from .errors import (
     ConfigError,
     FormulaSyntaxError,
@@ -39,7 +39,7 @@ from .errors import (
     NegativeProxyValue,
     UnresolvedVariable,
 )
-from .series import ConfidenceLevel, VariableSeries
+from .series import ConfidenceLevel, VariableSeries, _run_starts
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,15 @@ def _scope_values(series: VariableSeries, scope: Sequence[str]) -> np.ndarray:
     return values
 
 
-def _normalized(values: np.ndarray) -> np.ndarray:
-    peak = values.max() if values.size else 0.0
-    if peak == 0.0:
-        return np.zeros_like(values)
-    return values / peak
+def _normalized(values: np.ndarray, lengths: Sequence[int] | None = None) -> np.ndarray:
+    """Each run of ``values`` (one by default) divided by its maximum, or all
+    0.0 if that is 0; max is exact in any order, so runs do not interact."""
+    if lengths is None:
+        lengths = [values.size] if values.size else []
+    starts = _run_starts(np.asarray(lengths, np.intp))
+    peak = np.repeat(np.maximum.reduceat(values, starts), lengths)
+    zero = peak == 0.0
+    return np.where(zero, 0.0, values / np.where(zero, 1.0, peak))
 
 
 def normalize_series(
@@ -257,10 +261,13 @@ def evaluate(
     scope: Sequence[str],
     weights_on_raw: bool = False,
     result_id: str = "composite_proxy",
+    lengths: Sequence[int] | None = None,
 ) -> VariableSeries:
     """Evaluate a proxy expression element-wise over the scope regions.
 
-    Result confidence per region is the minimum over the confidences of all
+    ``lengths`` splits ``scope`` into non-empty runs (one run by default),
+    each normalized on its own, as if evaluated by a call of its own. Result
+    confidence per region is the minimum over the confidences of all
     referenced variables' observations in that region.
     """
     names = variables(expr)
@@ -280,7 +287,7 @@ def evaluate(
                 f"variable {name!r} is at {series.level.name}, expected {level.name}"
             )
         raw = _scope_values(series, scope)
-        arrays[name] = raw if weights_on_raw else _normalized(raw)
+        arrays[name] = raw if weights_on_raw else _normalized(raw, lengths)
         grade = series.confidences(scope)
         grades = grade if grades is None else np.minimum(grades, grade)
 
@@ -301,7 +308,7 @@ def evaluate(
 
     values = np.asarray(walk(expr), dtype=float)
     if weights_on_raw:
-        values = _normalized(values)
+        values = _normalized(values, lengths)
     return VariableSeries(
         result_id, format_expr(expr), "dimensionless", level,
         env[names[0]].country_scope, scope, values, grades,
@@ -414,9 +421,12 @@ def load_proxy_assignments(path: str | Path) -> dict[str, ProxyAssignment]:
             target_id = entry["target_id"]
             source_level = entry["source_level"]
             formula = entry["formula"]
-            confidence = ConfidenceLevel[entry["assignment_confidence"]]
+            token = entry["assignment_confidence"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: assignment #{i}: {exc}") from None
+        for key in ("target_id", "source_level", "formula", "assignment_confidence"):
+            _string(entry[key], f"{path}: assignment #{i}: {key}")
+        confidence = ConfidenceLevel.__members__.get(token)
         if confidence not in ASSIGNMENT_CONFIDENCES:
             raise ConfigError(
                 f"{path}: assignment {target_id!r}: confidence must be one of "

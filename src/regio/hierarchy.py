@@ -11,9 +11,14 @@ The hierarchy is immutable after loading and safe for concurrent reads.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress, repeat
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -61,7 +66,10 @@ class RegionNode:
 
 
 class RegionHierarchy:
-    """Validated set of region nodes with fast parent/descendant lookups."""
+    """Validated set of region nodes, indexed by level once, here, so it is
+    immutable and safe for concurrent reads. Per level the index holds the
+    sorted codes (a region's position is its index in ``regions_at(level)``)
+    and each region's parent's position one level up (-1 at NUTS0)."""
 
     def __init__(self, nodes: list[RegionNode]):
         self.nodes: dict[str, RegionNode] = {}
@@ -70,17 +78,17 @@ class RegionHierarchy:
                 raise DuplicateCode(f"duplicate region code {node.code!r}")
             self.nodes[node.code] = node
         self._validate()
-        self._children: dict[str, tuple[str, ...]] = {}
-        kids: dict[str, list[str]] = {}
+        by_level: dict[SpatialLevel, list[str]] = {level: [] for level in SpatialLevel}
         for node in self.nodes.values():
-            if node.parent is not None:
-                kids.setdefault(node.parent, []).append(node.code)
-        self._children = {p: tuple(sorted(c)) for p, c in kids.items()}
-        self._by_level: dict[tuple[SpatialLevel, str], list[str]] = {}
-        for node in self.nodes.values():
-            self._by_level.setdefault((node.level, node.country), []).append(node.code)
-        for codes in self._by_level.values():
-            codes.sort()
+            by_level[node.level].append(node.code)
+        self._codes = {level: tuple(sorted(codes)) for level, codes in by_level.items()}
+        self._position = {
+            code: i for codes in self._codes.values() for i, code in enumerate(codes)
+        }
+        self._parent = {  # a NUTS0 region's parent None has position -1
+            level: np.array([self._position.get(self.nodes[c].parent, -1) for c in codes], np.intp)
+            for level, codes in self._codes.items()
+        }
 
     def _validate(self) -> None:
         # Parent-exists + one-step-coarser jointly rule out cycles: levels
@@ -127,21 +135,49 @@ class RegionHierarchy:
             raise UnknownRegion(f"unknown region {code!r}") from None
 
     def countries(self) -> list[str]:
-        return sorted({n.country for n in self.nodes.values()})
+        return list(self._codes[SpatialLevel.NUTS0])  # a NUTS0 code is its country
 
-    def children(self, code: str) -> tuple[str, ...]:
-        self.node(code)
-        return self._children.get(code, ())
+    def positions(self, level: SpatialLevel, codes: Sequence[str]) -> np.ndarray:
+        """Positions of ``codes`` within ``regions_at(level)``; a code that is
+        not a region at ``level`` raises UnknownRegion."""
+        level_codes = self._codes[level] + (None,)  # position -1 reads None
+        index = np.fromiter(map(self._position.get, codes, repeat(-1)), np.intp, len(codes))
+        index[index >= len(level_codes)] = -1  # a region at a larger level
+        found = list(map(operator.eq, map(level_codes.__getitem__, index.tolist()), codes))
+        if not all(found):
+            raise UnknownRegion(f"{codes[found.index(False)]!r} is not a {level.name} region")
+        return index
+
+    def owners(self, fine: SpatialLevel, coarse: SpatialLevel) -> np.ndarray:
+        """For each ``fine`` region, in code order, the position of its
+        ancestor at ``coarse`` (the region itself when the levels are equal)."""
+        if coarse > fine:
+            raise TargetFinerThanSource(f"{coarse.name} is finer than {fine.name}")
+        return self._lift(np.arange(len(self._codes[fine])), fine, coarse)
+
+    def _lift(self, position, level: SpatialLevel, target: SpatialLevel):
+        for step in range(level, target, -1):
+            position = self._parent[SpatialLevel(step)][position]
+        return position
+
+    def segments(
+        self, fine: SpatialLevel, coarse: SpatialLevel, heads: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the ``fine`` regions below each of ``heads``
+        (positions at ``coarse``), grouped by head in the order given and in
+        code order below one head; and the number of regions below each head."""
+        rank = np.full(len(self._codes[coarse]), -1)
+        rank[heads] = np.arange(len(heads))
+        key = rank[self.owners(fine, coarse)]
+        members = np.flatnonzero(key >= 0)
+        members = members[np.argsort(key[members], kind="stable")]
+        return members, np.bincount(key[members], minlength=len(heads))
 
     def regions_at(self, level: SpatialLevel, country: str | None = None) -> list[str]:
-        """All region codes at a level, optionally restricted to one country."""
-        if country is not None:
-            return list(self._by_level.get((level, country), []))
-        out: list[str] = []
-        for (lvl, _), codes in self._by_level.items():
-            if lvl == level:
-                out.extend(codes)
-        return sorted(out)
+        """All region codes at a level, sorted, optionally restricted to one country."""
+        if country is None:
+            return list(self._codes[level])
+        return self.descendants(country, level) if country in self.countries() else []
 
     def descendants(self, code: str, target: SpatialLevel) -> list[str]:
         """Regions at ``target`` below ``code``, sorted; the node itself if equal."""
@@ -150,10 +186,8 @@ class RegionHierarchy:
             raise TargetCoarserThanSource(
                 f"target level {target.name} is coarser than {code!r} ({node.level.name})"
             )
-        frontier = [code]
-        for _ in range(target - node.level):
-            frontier = [c for f in frontier for c in self._children.get(f, ())]
-        return sorted(frontier)
+        mask = self.owners(target, node.level) == self._position[code]
+        return list(compress(self._codes[target], mask))
 
     def ancestor(self, code: str, target: SpatialLevel) -> str:
         """The unique ancestor of ``code`` at ``target``; the node itself if equal."""
@@ -162,10 +196,7 @@ class RegionHierarchy:
             raise TargetFinerThanSource(
                 f"target level {target.name} is finer than {code!r} ({node.level.name})"
             )
-        current = node
-        while current.level > target:
-            current = self.nodes[current.parent]
-        return current.code
+        return self._codes[target][self._lift(self._position[code], node.level, target)]
 
 
 def load_hierarchy(path: str | Path) -> RegionHierarchy:

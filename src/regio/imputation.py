@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -301,25 +301,7 @@ class ImputationReport:
     confidence: ConfidenceLevel
 
     def to_dict(self) -> dict:
-        hp = self.best_hyperparams
-        return {
-            "variable_id": self.variable_id,
-            "threshold_used": self.threshold_used,
-            "selected_predictors": list(self.selected_predictors),
-            "best_hyperparams": None
-            if hp is None
-            else {
-                "n_estimators": hp.n_estimators,
-                "learning_rate": hp.learning_rate,
-                "max_depth": hp.max_depth,
-            },
-            "rmse_train": self.rmse_train,
-            "r2_train": self.r2_train,
-            "rmse_val": self.rmse_val,
-            "r2_val": self.r2_val,
-            "method": self.method,
-            "confidence": self.confidence.name,
-        }
+        return {**asdict(self), "confidence": self.confidence.name}
 
 
 @dataclass

@@ -64,7 +64,7 @@ class ConfidenceLevel(IntEnum):
     def from_token(cls, token: str) -> "ConfidenceLevel":
         try:
             return cls[token]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token from JSON
             raise NonNumericValue(f"unknown confidence token {token!r}") from None
 
 
@@ -385,22 +385,32 @@ def aggregate(
             f"{series.variable_id}: {len(series.missing_regions())} missing values; "
             "aggregate requires a complete series (or allow_partial)"
         )
-    # Left to right in code order, from 0.0 (so all -0.0 values sum to 0.0):
-    # the written outputs depend on this exact order.
-    sums: dict[str, float] = {}
-    grades: dict[str, int] = {}
-    for region, value, grade in zip(
-        series.codes, series.data.tolist(), series.grades.tolist()
-    ):
-        if math.isnan(value):
-            continue
-        parent = hierarchy.ancestor(region, target)
-        sums[parent] = sums.get(parent, 0.0) + value
-        grades[parent] = min(grades.get(parent, grade), grade)
+    present = ~np.isnan(series.data)
+    where = hierarchy.positions(series.level, list(compress(series.codes, present)))
+    owner = hierarchy.owners(series.level, target)[where]
+    order = np.argsort(owner, kind="stable")  # code order within each target
+    counts = np.bincount(owner)  # np.unique would import numpy.ma on first use
+    targets = np.flatnonzero(counts)
+    lengths = counts[targets]
+    codes = map(hierarchy.regions_at(target).__getitem__, targets.tolist())
     return replace(
-        series, level=target, codes=tuple(sums), data=list(sums.values()),
-        grades=list(grades.values()),
+        series, level=target, codes=codes, data=_run_sums(series.data[present][order], lengths),
+        grades=np.minimum.reduceat(series.grades[present][order], _run_starts(lengths)),
     )
+
+
+def _run_starts(lengths: np.ndarray) -> np.ndarray:
+    return np.cumsum(lengths) - lengths
+
+
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``values`` (runs back to back, each non-empty),
+    by regio's one summation rule: ``np.cumsum(run)[-1] + 0.0``. That equals
+    a left-to-right loop from 0.0, since the two differ only in the sign of
+    a zero total, which ``+ 0.0`` makes positive. Outputs depend on it."""
+    ends = np.cumsum(lengths).tolist()
+    sums = [values[end - n:end].cumsum()[-1] + 0.0 for n, end in zip(lengths.tolist(), ends)]
+    return np.array(sums, dtype=np.float64)
 
 
 def pearson(x: Iterable[float], y: Iterable[float]) -> float | None:

@@ -167,6 +167,80 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "check", {"variables.json": '[{"id": "population", "level": "NUTS9"}]'},
             "variables.json: variable #0: unknown spatial level", id="registry-level",
         ),
+        # JSON fields of the wrong type
+        pytest.param(
+            "check",
+            {"config.json": {"comparisons": [
+                {"target_id": "transport_fec", "reference": 5, "level": "NUTS2"}
+            ]}},
+            "config.json: comparison #0: reference must be a string",
+            id="comparison-reference-type",
+        ),
+        pytest.param(
+            "check", {"config.json": {"hierarchy": 5}}, "config.json: hierarchy must be a string",
+            id="hierarchy-path-type",
+        ),
+        pytest.param(
+            "check", {"variables.json": '[{"id": "population", "level": "LAU", "file": 5}]'},
+            "variables.json: variable #0: file must be a string", id="registry-file-type",
+        ),
+        pytest.param(
+            "check", {"variables.json": '[{"id": "population", "level": "LAU", "unit": [1]}]'},
+            "variables.json: variable #0: unit must be a string", id="registry-unit-type",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": ["x"], '
+                              '"source_level": "NUTS3", "assignment_confidence": "LOW"}]}]}'},
+            "pipeline.json: stage 1 task #0: target_id must be a string", id="task-target-type",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
+                              '"source_level": "NUTS3", "mode": "replicate", '
+                              '"assignment_confidence": ["HIGH"]}]}]}'},
+            "pipeline.json: x: assignment_confidence", id="task-confidence-type",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
+                              '"source_level": ["NUTS3"], "assignment_confidence": "LOW"}]}]}'},
+            "pipeline.json: x: source_level", id="task-level-type",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
+                              '"source_level": "NUTS3", "formula": 5, '
+                              '"assignment_confidence": "LOW"}]}]}'},
+            "pipeline.json: x: formula must be a string", id="task-formula-type",
+        ),
+        pytest.param(
+            "check",
+            {"proxy_assignments.json": '[{"target_id": "t", "source_level": "NUTS0", '
+                                       '"formula": 5, "assignment_confidence": "HIGH"}]'},
+            "proxy_assignments.json: assignment #0: formula must be a string",
+            id="assignment-formula-type",
+        ),
+        pytest.param(
+            "check",
+            {"proxy_assignments.json": '[{"target_id": "t", "source_level": "NUTS0", '
+                                       '"formula": "a", "assignment_confidence": ["HIGH"]}]'},
+            "proxy_assignments.json: assignment #0: assignment_confidence must be a string",
+            id="assignment-confidence-type",
+        ),
+        # flags are checked like the imputation keys
+        pytest.param(
+            "check", {"config.json": {"flags": {"weights_on_raw": "false"}}},
+            "config.json: flags.weights_on_raw must be true or false", id="flags-raw-not-bool",
+        ),
+        pytest.param(
+            "check", {"config.json": {"flags": {"normalise_scope": "parent"}}},
+            "config.json: flags.normalise_scope is not a known key", id="flags-unknown-key",
+        ),
+        pytest.param(
+            "check", {"config.json": {"seed": True}}, "config.json: seed must be an integer",
+            id="seed-bool",
+        ),
     ],
 )
 def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):

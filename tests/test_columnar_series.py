@@ -13,7 +13,7 @@ from conftest import random_hierarchy
 from regio.disaggregation import ALLOCATE, REPLICATE, DisaggregationTask, disaggregate
 from regio.errors import DuplicateRegion, MissingValue
 from regio.formulas import evaluate, parse
-from regio.hierarchy import RegionHierarchy, SpatialLevel
+from regio.hierarchy import RegionHierarchy, RegionNode, SpatialLevel
 from regio.series import ConfidenceLevel, VariableSeries, aggregate
 
 FORMULAS = ["a", "a + b", "2.5 * a + b * c", "a * b", "3 * c"]
@@ -78,38 +78,79 @@ def expected(observations):
     return {r: (exact(v), c) for r, (v, c) in observations.items()}
 
 
+def scrambled_hierarchy(seed):
+    """Two countries whose codes sort neither by country nor by parent:
+    ZZ's regions are coded A..., AA's are coded Z..., the NUTS3 regions of
+    sibling NUTS2 regions interleave in code order, and so do the LAUs of
+    sibling NUTS3 regions."""
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for country, p in (("ZZ", "A"), ("AA", "Z")):
+        nodes.append(RegionNode(country, SpatialLevel.NUTS0, None, country))
+        nodes.append(RegionNode(f"{p}1", SpatialLevel.NUTS1, country, country))
+        for j in range(int(rng.integers(2, 4))):
+            nodes.append(RegionNode(f"{p}2{j}", SpatialLevel.NUTS2, f"{p}1", country))
+            for k in range(int(rng.integers(2, 6))):
+                n3 = f"{p}3{k}{j}"
+                nodes.append(RegionNode(n3, SpatialLevel.NUTS3, f"{p}2{j}", country))
+                for m in range(int(rng.integers(3, 12))):
+                    nodes.append(RegionNode(f"{p}_{m:03d}_{j}{k}", SpatialLevel.LAU, n3, country))
+    return RegionHierarchy(nodes)
+
+
+def compare_disaggregate(rng, hierarchy):
+    """Every scope, weighting and mode of disaggregate against the reference."""
+    env = proxies(rng, hierarchy)
+    ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
+    for level in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
+        regions = hierarchy.regions_at(level)
+        for mode, formula in [(REPLICATE, None)] + [(ALLOCATE, f) for f in FORMULAS]:
+            source = make_series(rng, "src", regions, level, negative=True)
+            task = DisaggregationTask(
+                "out", source, None if formula is None else parse(formula),
+                ASSIGNMENT[int(rng.integers(3))], mode,
+            )
+            ref_source = ref.DictSeries.of(source)
+            for scope in ("country", "parent"):
+                for raw in (False, True):
+                    got = disaggregate(task, hierarchy, env, scope, raw)
+                    obs, prov = ref.disaggregate(
+                        task, ref_source, hierarchy, ref_env, scope, raw
+                    )
+                    assert observed(got.series) == expected(obs)
+                    assert got.children == tuple(prov)  # allocation order
+                    assert {
+                        r: (p.source_region, exact(p.share), p.fallback)
+                        for r, p in got.provenance.items()
+                    } == {r: (s, exact(share), f) for r, (s, share, f) in prov.items()}
+                    assert got.fallback_count() == sum(f for _, _, f in prov.values())
+                    residuals = ref.conservation_residuals(obs, prov, ref_source)
+                    assert {
+                        p: exact(v) for p, v in got.conservation_residuals(source).items()
+                    } == {p: exact(v) for p, v in residuals.items()}
+
+
+def compare_aggregate(rng, hierarchy, signed_zero_parent):
+    """aggregate to every coarser source level against the reference."""
+    laus = hierarchy.regions_at(SpatialLevel.LAU)
+    series = make_series(rng, "v", laus, SpatialLevel.LAU, negative=True, missing=0.1)
+    # a NUTS3 region whose values are all -0.0 sums to 0.0, not -0.0
+    signed_zero = set(hierarchy.descendants(signed_zero_parent, SpatialLevel.LAU))
+    series = VariableSeries.from_values(
+        "v", SpatialLevel.LAU,
+        {r: -0.0 if r in signed_zero else o.value for r, o in series.observations.items()},
+        {r: o.confidence or ConfidenceLevel.LOW for r, o in series.observations.items()},
+    )
+    for target in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
+        got = aggregate(series, hierarchy, target, allow_partial=True)
+        want = ref.aggregate(ref.DictSeries.of(series), hierarchy, target)
+        assert observed(got) == expected(want)
+
+
 class TestColumnarMatchesDictReference:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_disaggregate(self, seed):
-        rng = np.random.default_rng(seed)
-        hierarchy = hierarchy_of(seed)
-        env = proxies(rng, hierarchy)
-        ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
-        for level in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
-            regions = hierarchy.regions_at(level)
-            for mode, formula in [(REPLICATE, None)] + [(ALLOCATE, f) for f in FORMULAS]:
-                source = make_series(rng, "src", regions, level, negative=True)
-                task = DisaggregationTask(
-                    "out", source, None if formula is None else parse(formula),
-                    ASSIGNMENT[int(rng.integers(3))], mode,
-                )
-                ref_source = ref.DictSeries.of(source)
-                for scope in ("country", "parent"):
-                    for raw in (False, True):
-                        got = disaggregate(task, hierarchy, env, scope, raw)
-                        obs, prov = ref.disaggregate(
-                            task, ref_source, hierarchy, ref_env, scope, raw
-                        )
-                        assert observed(got.series) == expected(obs)
-                        assert {
-                            r: (p.source_region, exact(p.share), p.fallback)
-                            for r, p in got.provenance.items()
-                        } == {r: (s, exact(share), f) for r, (s, share, f) in prov.items()}
-                        assert got.fallback_count() == sum(f for _, _, f in prov.values())
-                        residuals = ref.conservation_residuals(obs, prov, ref_source)
-                        assert {
-                            p: exact(v) for p, v in got.conservation_residuals(source).items()
-                        } == {p: exact(v) for p, v in residuals.items()}
+        compare_disaggregate(np.random.default_rng(seed), hierarchy_of(seed))
 
     def test_zero_proxy_parents_fall_back(self):
         rng = np.random.default_rng(3)
@@ -157,21 +198,27 @@ class TestColumnarMatchesDictReference:
                 assert observed(evaluate(expr, env, scope, raw)) == expected(want.observations)
 
     def test_aggregate(self):
-        rng = np.random.default_rng(7)
-        hierarchy = hierarchy_of(7)
-        laus = hierarchy.regions_at(SpatialLevel.LAU)
-        series = make_series(rng, "v", laus, SpatialLevel.LAU, negative=True, missing=0.1)
-        # a NUTS3 region whose values are all -0.0 sums to 0.0, not -0.0
-        signed_zero = set(hierarchy.descendants("CC000", SpatialLevel.LAU))
-        series = VariableSeries.from_values(
-            "v", SpatialLevel.LAU,
-            {r: -0.0 if r in signed_zero else o.value for r, o in series.observations.items()},
-            {r: o.confidence or ConfidenceLevel.LOW for r, o in series.observations.items()},
-        )
-        for target in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
-            got = aggregate(series, hierarchy, target, allow_partial=True)
-            want = ref.aggregate(ref.DictSeries.of(series), hierarchy, target)
-            assert observed(got) == expected(want)
+        compare_aggregate(np.random.default_rng(7), hierarchy_of(7), "CC000")
+
+
+class TestCodesNotSortedByParentOrCountry:
+    """Allocation order (country, then source code) and the children's
+    grouping differ from code order here, unlike in ``hierarchy_of``."""
+
+    def test_codes_interleave(self):
+        h = scrambled_hierarchy(8)
+        assert h.regions_at(SpatialLevel.LAU)[0].startswith("A")  # country ZZ comes first
+        laus = h.regions_at(SpatialLevel.LAU)
+        parents = [h.ancestor(r, SpatialLevel.NUTS3) for r in laus]
+        assert parents != sorted(parents)
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_disaggregate(self, seed):
+        compare_disaggregate(np.random.default_rng(seed), scrambled_hierarchy(seed))
+
+    def test_aggregate(self):
+        hierarchy = scrambled_hierarchy(10)
+        compare_aggregate(np.random.default_rng(10), hierarchy, "Z301")
 
 
 def test_concurrent_lookups_build_one_consistent_index():

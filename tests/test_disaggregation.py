@@ -47,12 +47,12 @@ class TestAllocate:
     def test_proportional(self):
         out, total = allocate(60.0, [1.0, 2.0, 3.0])
         assert out.tolist() == [10.0, 20.0, 30.0]
-        assert total == 6.0
+        assert total.tolist() == [6.0, 6.0, 6.0]
 
     def test_zero_sum_uniform_split(self):
         out, total = allocate(90.0, [0.0, 0.0, 0.0])
         assert out.tolist() == [30.0, 30.0, 30.0]
-        assert total == 0.0
+        assert total.tolist() == [0.0, 0.0, 0.0]
 
     def test_empty_child_set(self):
         with pytest.raises(EmptyChildSet):
@@ -70,7 +70,7 @@ class TestAllocate:
         # builtin sum() of floats is compensated from CPython 3.12 on and
         # would give 1.0000000000000002e16 here
         out, total = allocate(1.0, [1e16, 1.0, 1.0])
-        assert total == 1e16
+        assert total.tolist() == [1e16, 1e16, 1e16]
         assert out.tolist() == [1.0, 1e-16, 1e-16]
 
     def test_mass_conserved_randomized(self):
