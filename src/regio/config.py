@@ -14,15 +14,20 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, NonNumericValue, RegioError, UnknownLevel
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
     ALL_COUNTRIES,
+    ConfidenceLevel,
     SeriesMeta,
     VariableSeries,
     VariableStore,
+    _fast_columns,
     _region_rows,
+    _sorted_series,
     ingest_series,
 )
 
@@ -283,6 +288,15 @@ def read_reference_csv(
     """
     path = Path(path)
     meta = SeriesMeta("reference", "", "", level)
+    fast = _fast_columns(path, REFERENCE_HEADERS, hierarchy._codes[level])
+    if fast is not None and not np.isnan(fast[1]).any():  # every value given
+        regions, values, columns = fast
+        grades = np.full(len(regions), int(ConfidenceLevel.VERY_HIGH))
+        labels = zip(regions, map(str.strip, columns[2])) if len(columns) > 2 else ()
+        return (
+            _sorted_series(meta, hierarchy, regions, values, grades),
+            {region: label for region, label in labels if label},
+        )
     scope = set(hierarchy.regions_at(level))
     labels: dict[str, str] = {}
     values: dict[str, float] = {}

@@ -268,6 +268,11 @@ def load_pipeline_config(
             except UnknownLevel as exc:
                 raise ConfigError(f"{path}: {target_id}: source_level: {exc}") from None
             inherited = assignments.get(target_id)
+            if inherited is not None and inherited.source_level != source_level:
+                raise ConfigError(
+                    f"{path}: {target_id}: source_level {source_level.name} differs from "
+                    f"the proxy assignment's {inherited.source_level.name}"
+                )
             formula_text = task.get("formula")
             if formula_text is not None:
                 _string(formula_text, f"{path}: {target_id}: formula")

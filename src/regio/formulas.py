@@ -37,8 +37,10 @@ from .errors import (
     LevelMismatch,
     NegativeCap,
     NegativeProxyValue,
+    UnknownLevel,
     UnresolvedVariable,
 )
+from .hierarchy import SpatialLevel
 from .series import ConfidenceLevel, VariableSeries, _run_starts
 
 
@@ -399,7 +401,7 @@ ASSIGNMENT_CONFIDENCES = (
 @dataclass(frozen=True)
 class ProxyAssignment:
     target_id: str
-    source_level: str
+    source_level: SpatialLevel
     formula: str
     assignment_confidence: ConfidenceLevel
 
@@ -426,6 +428,10 @@ def load_proxy_assignments(path: str | Path) -> dict[str, ProxyAssignment]:
             raise ConfigError(f"{path}: assignment #{i}: {exc}") from None
         for key in ("target_id", "source_level", "formula", "assignment_confidence"):
             _string(entry[key], f"{path}: assignment #{i}: {key}")
+        try:
+            source_level = SpatialLevel.from_token(source_level)
+        except UnknownLevel as exc:
+            raise ConfigError(f"{path}: assignment #{i}: source_level: {exc}") from None
         confidence = ConfidenceLevel.__members__.get(token)
         if confidence not in ASSIGNMENT_CONFIDENCES:
             raise ConfigError(

@@ -14,9 +14,10 @@ import csv
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class SpatialLevel(IntEnum):
         return self < other
 
 
+_LEVELS = dict(SpatialLevel.__members__)  # token -> level
+
+
 @dataclass(frozen=True)
 class RegionNode:
     code: str
@@ -71,29 +75,77 @@ class RegionHierarchy:
     sorted codes (a region's position is its index in ``regions_at(level)``)
     and each region's parent's position one level up (-1 at NUTS0)."""
 
-    def __init__(self, nodes: list[RegionNode]):
-        self.nodes: dict[str, RegionNode] = {}
-        for node in nodes:
-            if node.code in self.nodes:
-                raise DuplicateCode(f"duplicate region code {node.code!r}")
-            self.nodes[node.code] = node
-        self._validate()
-        by_level: dict[SpatialLevel, list[str]] = {level: [] for level in SpatialLevel}
-        for node in self.nodes.values():
-            by_level[node.level].append(node.code)
-        self._codes = {level: tuple(sorted(codes)) for level, codes in by_level.items()}
-        self._position = {
-            code: i for codes in self._codes.values() for i, code in enumerate(codes)
-        }
-        self._parent = {  # a NUTS0 region's parent None has position -1
-            level: np.array([self._position.get(self.nodes[c].parent, -1) for c in codes], np.intp)
-            for level, codes in self._codes.items()
-        }
+    def __init__(self, nodes: Iterable[RegionNode]):
+        nodes = list(nodes)
+        self._build(
+            [node.code for node in nodes], [node.level for node in nodes],
+            [node.parent for node in nodes], [node.country for node in nodes],
+        )
+
+    @classmethod
+    def _from_columns(cls, codes, levels, parents, countries) -> "RegionHierarchy":
+        hierarchy = cls.__new__(cls)
+        hierarchy._build(codes, levels, parents, countries)
+        return hierarchy
+
+    def _build(
+        self,
+        codes: list[str],
+        levels: list[SpatialLevel],
+        parents: list[str | None],
+        countries: list[str],
+    ) -> None:
+        """Check and index the nodes given as four columns, one entry per node."""
+        self._columns = (codes, levels, parents, countries)
+        n = len(codes)
+        row = dict(zip(codes, range(n)))
+        level = np.fromiter(levels, np.intp, n)
+        parent = np.fromiter(map(row.get, parents, repeat(-1)), np.intp, n)
+        country = np.fromiter(map(row.get, countries, repeat(-1)), np.intp, n)
+        root = level == SpatialLevel.NUTS0
+        child = np.flatnonzero(~root)
+        up = parent[child]
+        # A valid hierarchy has unique codes; roots without a parent, each its
+        # own country; and every other node's parent one level up in the same
+        # country, so every country is a root's code.
+        if not (
+            len(row) == n
+            and (country >= 0).all()
+            and (country[root] == np.flatnonzero(root)).all()
+            and all(p is None for p in compress(parents, root))
+            and (up >= 0).all()
+            and (level[up] == level[child] - 1).all()
+            and (country[up] == country[child]).all()
+        ):
+            self._validate()
+        self._codes: dict[SpatialLevel, tuple[str, ...]] = {}
+        self._position: dict[str, int] = {}
+        self._parent: dict[SpatialLevel, np.ndarray] = {}
+        position = np.empty(n, np.intp)  # row -> position within its level
+        for lvl in SpatialLevel:  # coarse to fine, so parents are placed first
+            rows = sorted(np.flatnonzero(level == lvl).tolist(), key=codes.__getitem__)
+            self._codes[lvl] = level_codes = tuple(map(codes.__getitem__, rows))
+            self._position.update(zip(level_codes, range(len(rows))))
+            position[rows] = np.arange(len(rows))
+            self._parent[lvl] = position[parent[rows]] if lvl else np.full(len(rows), -1, np.intp)
+
+    @cached_property
+    def nodes(self) -> dict[str, RegionNode]:
+        """Code -> RegionNode, in input order; built on first use."""
+        return {node.code: node for node in map(RegionNode, *self._columns)}
 
     def _validate(self) -> None:
+        """Raise the first error, one node at a time in input order. It runs
+        when a bulk check of ``_build`` fails, so its messages are the ones
+        users see."""
+        nodes: dict[str, RegionNode] = {}
+        for node in map(RegionNode, *self._columns):
+            if node.code in nodes:
+                raise DuplicateCode(f"duplicate region code {node.code!r}")
+            nodes[node.code] = node
         # Parent-exists + one-step-coarser jointly rule out cycles: levels
         # strictly decrease along parent edges down to a NUTS0 root.
-        for node in self.nodes.values():
+        for node in nodes.values():
             if node.level == SpatialLevel.NUTS0:
                 if node.parent is not None:
                     raise ParentLevelMismatch(
@@ -106,7 +158,7 @@ class RegionHierarchy:
                 continue
             if node.parent is None:
                 raise DanglingParent(f"region {node.code!r} ({node.level.name}) has no parent")
-            parent = self.nodes.get(node.parent)
+            parent = nodes.get(node.parent)
             if parent is None:
                 raise DanglingParent(
                     f"region {node.code!r} references unknown parent {node.parent!r}"
@@ -123,10 +175,10 @@ class RegionHierarchy:
                 )
 
     def __contains__(self, code: str) -> bool:
-        return code in self.nodes
+        return code in self._position
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._position)
 
     def node(self, code: str) -> RegionNode:
         try:
@@ -177,7 +229,10 @@ class RegionHierarchy:
         """All region codes at a level, sorted, optionally restricted to one country."""
         if country is None:
             return list(self._codes[level])
-        return self.descendants(country, level) if country in self.countries() else []
+        if country not in self._codes[SpatialLevel.NUTS0]:
+            return []
+        mask = self.owners(level, SpatialLevel.NUTS0) == self._position[country]
+        return list(compress(self._codes[level], mask))
 
     def descendants(self, code: str, target: SpatialLevel) -> list[str]:
         """Regions at ``target`` below ``code``, sorted; the node itself if equal."""
@@ -199,11 +254,54 @@ class RegionHierarchy:
         return self._codes[target][self._lift(self._position[code], node.level, target)]
 
 
+def _csv_columns(path: Path, headers: Sequence[list[str]]) -> list[list[str]] | None:
+    """The cells of a CSV file by column, header row left out, when splitting
+    on newlines and commas reads it exactly as ``csv.reader`` would: no
+    ``"``, no ``\r``, a first line that is exactly one of ``headers`` and
+    every other line exactly as wide (so a blank line fails). None
+    otherwise; the caller then reads the file row by row."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
+    if not lines or lines[0].split(",") not in headers:
+        return None
+    width = lines[0].count(",") + 1
+    del lines[0]
+    if not all(map((width - 1).__eq__, map(str.count, lines, repeat(",")))):
+        return None
+    cells = ",".join(lines).split(",") if lines else []
+    return [cells[i::width] for i in range(width)]
+
+
+def _hierarchy_columns(path: Path):
+    """``load_hierarchy``'s columns (code, level, parent, country) read in
+    bulk, or None when some row needs the row reader's checks: a quoted,
+    blank or unparsable row, an empty code or an unknown level token."""
+    columns = _csv_columns(path, (HIERARCHY_HEADER,))
+    if columns is None:
+        return None
+    codes, tokens, parents, countries = (list(map(str.strip, cells)) for cells in columns)
+    if "" in codes or not _LEVELS.keys() >= set(tokens):
+        return None
+    return codes, list(map(_LEVELS.__getitem__, tokens)), [p or None for p in parents], countries
+
+
 def load_hierarchy(path: str | Path) -> RegionHierarchy:
     """Load and validate a hierarchy CSV (header ``code,level,parent,country``)."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"hierarchy file not found: {path}")
+    columns = _hierarchy_columns(path)
+    if columns is not None:
+        return RegionHierarchy._from_columns(*columns)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from decimal import ROUND_HALF_UP, Decimal
 from enum import IntEnum
-from itertools import compress
+from itertools import compress, islice, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
@@ -43,7 +43,7 @@ from .errors import (
     UnknownRegion,
     UnknownVariable,
 )
-from .hierarchy import RegionHierarchy, SpatialLevel
+from .hierarchy import RegionHierarchy, SpatialLevel, _csv_columns
 
 ALL_COUNTRIES = "ALL"
 
@@ -69,6 +69,7 @@ class ConfidenceLevel(IntEnum):
 
 
 _GRADE_NAMES = {int(level): level.name for level in ConfidenceLevel}
+_GRADES = {level.name: int(level) for level in ConfidenceLevel}
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,12 @@ def _parse_value(raw: str, path: Path, lineno: int) -> float | None:
     return value
 
 
-def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> list[str]:
-    country = None if meta.country_scope == ALL_COUNTRIES else meta.country_scope
-    return hierarchy.regions_at(meta.level, country)
+def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> tuple[str, ...]:
+    """The sorted codes a series of ``meta`` may hold: the hierarchy's own
+    code tuple of the level, or one country's part of it."""
+    if meta.country_scope == ALL_COUNTRIES:
+        return hierarchy._codes[meta.level]
+    return tuple(hierarchy.regions_at(meta.level, meta.country_scope))
 
 
 def _region_rows(
@@ -287,6 +291,57 @@ def _region_rows(
             yield lineno, region, _parse_value(row[1], path, lineno), row
 
 
+_EMPTY_AS_NAN = {"": "nan"}
+
+
+def _fast_columns(
+    path: Path, headers: tuple[list[str], ...], scope: tuple[str, ...]
+) -> tuple[tuple[str, ...], np.ndarray, list[list[str]]] | None:
+    """``(regions, values, columns)`` of a region CSV whose rows all pass the
+    checks of ``_region_rows``, checked in bulk: ``values`` holds the value
+    column as float64 (NaN for an empty cell) and ``columns`` every column
+    as cells. None when a check fails or the file needs the csv module; the
+    caller then reads it with ``_region_rows``, which reports the error."""
+    columns = _csv_columns(path, headers)
+    if columns is None:
+        return None
+    regions, cells = tuple(columns[0]), columns[1]
+    if "" in regions:  # an all-blank row, which the row reader skips
+        return None
+    if regions != scope and (
+        len(set(regions)) != len(regions) or not set(scope).issuperset(regions)
+    ):
+        return None
+    try:
+        values = map(float, map(_EMPTY_AS_NAN.get, cells, cells))
+        values = np.fromiter(values, np.float64, len(cells))
+    except ValueError:
+        return None
+    # an empty cell is the only way to a NaN; a nan or inf token is an error
+    if np.isnan(values).sum() != cells.count("") or np.isinf(values).any():
+        return None
+    return regions, values, columns
+
+
+def _sorted_series(
+    meta: SeriesMeta, hierarchy: RegionHierarchy, regions: tuple[str, ...],
+    values: np.ndarray, grades: np.ndarray,
+) -> VariableSeries:
+    """The series of ``regions`` (distinct regions at ``meta.level``) in code
+    order; when they are the whole level in order it shares the hierarchy's
+    code tuple."""
+    codes = hierarchy._codes[meta.level]
+    if regions != codes:
+        position = hierarchy._position
+        order = np.argsort(np.fromiter(map(position.__getitem__, regions), np.intp, len(regions)))
+        codes = tuple(map(regions.__getitem__, order.tolist()))
+        values, grades = values[order], grades[order]
+    return VariableSeries(
+        meta.variable_id, meta.description, meta.unit, meta.level, meta.country_scope,
+        codes, values, grades,
+    )
+
+
 def ingest_series(
     path: str | Path, meta: SeriesMeta, hierarchy: RegionHierarchy
 ) -> VariableSeries:
@@ -296,10 +351,23 @@ def ingest_series(
     observation: values present in the file are graded VERY_HIGH, empty cells
     and absent regions are missing.
     """
+    path = Path(path)
     scope = _scope(meta, hierarchy)
+    fast = _fast_columns(path, (SERIES_HEADER,), scope)
+    if fast is not None:
+        regions, values, _ = fast
+        if regions != scope:  # place the values at their regions
+            position = hierarchy._position
+            if scope is not hierarchy._codes[meta.level]:  # one country's regions
+                position = dict(zip(scope, range(len(scope))))
+            placed = np.full(len(scope), np.nan)
+            placed[np.fromiter(map(position.__getitem__, regions), np.intp, len(regions))] = values
+            values = placed
+        grades = np.where(np.isnan(values), -1, int(ConfidenceLevel.VERY_HIGH))
+        return _sorted_series(meta, hierarchy, scope, values, grades)
     seen = {
         region: value
-        for _, region, value, _ in _region_rows(Path(path), (SERIES_HEADER,), meta, set(scope))
+        for _, region, value, _ in _region_rows(path, (SERIES_HEADER,), meta, set(scope))
     }
     values = {region: seen.get(region) for region in scope}
     return VariableSeries.from_values(
@@ -313,7 +381,15 @@ def read_series_csv(
 ) -> VariableSeries:
     """Read a ``region,value,confidence`` CSV written by the engine."""
     path = Path(path)
-    scope = set(_scope(meta, hierarchy))
+    scope = _scope(meta, hierarchy)
+    fast = _fast_columns(path, (OUTPUT_HEADER,), scope)
+    if fast is not None:
+        regions, values, (_, _, tokens) = fast
+        grades = np.fromiter(map(_GRADES.get, tokens, repeat(-1)), np.int8, len(tokens))
+        present = ~np.isnan(values)
+        if (grades[present] >= 0).all():  # a present value needs a known grade
+            return _sorted_series(meta, hierarchy, regions, values, np.where(present, grades, -1))
+    scope = set(scope)
     values: dict[str, float | None] = {}
     grades: dict[str, ConfidenceLevel] = {}
     for lineno, region, value, row in _region_rows(path, (OUTPUT_HEADER,), meta, scope):
@@ -349,14 +425,26 @@ def atomic_writer(path: str | Path) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
 
 
+_WRITE_CHUNK = 1024  # rows joined into one write; bounds the text held at once
+
+
 def write_series_csv(series: VariableSeries, path: str | Path) -> None:
     """Write ``region,value,confidence`` with 17-significant-digit floats."""
+    rows = zip(series.codes, series.data.tolist(), series.grades.tolist())
+    joined = "".join(series.codes)
     with atomic_writer(path) as fh:
+        if not any(char in joined for char in ',"\r\n'):  # no code needs quoting
+            fh.write(",".join(OUTPUT_HEADER) + "\n")
+            while chunk := list(islice(rows, _WRITE_CHUNK)):
+                fh.write("".join([
+                    f"{region},,\n" if value != value else  # NaN: missing
+                    f"{region},{value:.17g},{_GRADE_NAMES[grade]}\n"
+                    for region, value, grade in chunk
+                ]))
+            return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(OUTPUT_HEADER)
-        for region, value, grade in zip(
-            series.codes, series.data.tolist(), series.grades.tolist()
-        ):
+        for region, value, grade in rows:
             if math.isnan(value):
                 writer.writerow([region, "", ""])
             else:

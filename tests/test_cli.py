@@ -228,6 +228,19 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "proxy_assignments.json: assignment #0: assignment_confidence must be a string",
             id="assignment-confidence-type",
         ),
+        pytest.param(
+            "check",
+            {"proxy_assignments.json": '[{"target_id": "transport_fec", "source_level": "NUTS9", '
+                                       '"formula": "population", "assignment_confidence": "HIGH"}]'},
+            "proxy_assignments.json: assignment #0: source_level", id="assignment-level",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": '{"stages": [{"stage": 3, "tasks": '
+                              '[{"target_id": "transport_fec", "source_level": "NUTS2"}]}]}'},
+            "pipeline.json: transport_fec: source_level NUTS2 differs from the proxy "
+            "assignment's NUTS0", id="task-level-differs-from-assignment",
+        ),
         # flags are checked like the imputation keys
         pytest.param(
             "check", {"config.json": {"flags": {"weights_on_raw": "false"}}},

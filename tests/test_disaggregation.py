@@ -390,7 +390,7 @@ class TestPipelineConfigLoader:
         from regio.formulas import ProxyAssignment
 
         assignments = {
-            "fec": ProxyAssignment("fec", "NUTS0", "pop + jobs", ConfidenceLevel.HIGH)
+            "fec": ProxyAssignment("fec", SpatialLevel.NUTS0, "pop + jobs", ConfidenceLevel.HIGH)
         }
         path = self.write(
             tmp_path,
@@ -405,7 +405,7 @@ class TestPipelineConfigLoader:
         from regio.formulas import ProxyAssignment
 
         assignments = {
-            "fec": ProxyAssignment("fec", "NUTS0", "pop", ConfidenceLevel.HIGH)
+            "fec": ProxyAssignment("fec", SpatialLevel.NUTS0, "pop", ConfidenceLevel.HIGH)
         }
         path = self.write(
             tmp_path,
