@@ -23,6 +23,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -42,16 +43,9 @@ from .errors import (
     UnknownVariable,
     UnresolvedDependency,
 )
-from .formulas import (
-    ASSIGNMENT_CONFIDENCES,
-    ProxyAssignment,
-    ProxyExpr,
-    evaluate,
-    parse,
-    variables,
-)
+from .formulas import ASSIGNMENT_CONFIDENCES, ProxyAssignment, ProxyExpr, combine, parse, variables
 from .hierarchy import RegionHierarchy, SpatialLevel
-from .series import ConfidenceLevel, VariableSeries, VariableStore, _run_starts, _run_sums
+from .series import ConfidenceLevel, VariableSeries, VariableStore, _run_sums
 
 ALLOCATE = "allocate"
 REPLICATE = "replicate"
@@ -100,17 +94,31 @@ def _check_task(where, source_level, mode, formula, confidence) -> None:
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
     """A task's output series and, per output region, where its value came
-    from. ``children`` lists the output regions in allocation order, one run
-    per source region (``lengths`` long); ``sources``, ``values``, ``shares``
-    (NaN in replicate mode) and ``fallback`` are aligned with it."""
+    from, in allocation order: one run of output regions per source region,
+    ``lengths`` long. ``positions`` holds each output region's position in
+    ``level_codes`` (the hierarchy's code tuple of the output level) and
+    ``parents`` each run's source region; ``values``, ``shares`` (NaN in
+    replicate mode) and ``fallback`` are aligned with ``positions``. The
+    code tuples ``children`` and ``sources`` are built on first read."""
 
     series: VariableSeries
-    children: tuple[str, ...]
-    sources: tuple[str, ...]
+    level_codes: tuple[str, ...]
+    positions: np.ndarray
+    parents: tuple[str, ...]
     values: np.ndarray
     shares: np.ndarray
     fallback: np.ndarray
     lengths: np.ndarray
+
+    @cached_property
+    def children(self) -> tuple[str, ...]:
+        """The output regions in allocation order."""
+        return tuple(map(self.level_codes.__getitem__, self.positions.tolist()))
+
+    @cached_property
+    def sources(self) -> tuple[str, ...]:
+        """Each output region's source region, aligned with ``children``."""
+        return tuple(chain.from_iterable(map(repeat, self.parents, self.lengths.tolist())))
 
     @property
     def provenance(self) -> Mapping[str, Provenance]:
@@ -127,10 +135,9 @@ class AllocationResult:
 
     def conservation_residuals(self, source: VariableSeries) -> dict[str, float]:
         """Per source region: relative |sum(children) - value| (absolute at 0)."""
-        parents = list(map(self.sources.__getitem__, _run_starts(self.lengths).tolist()))
-        value = source.values(parents)
+        value = source.values(self.parents)
         gap = np.abs(_run_sums(self.values, self.lengths) - value)
-        return dict(zip(parents, (gap / np.where(value == 0.0, 1.0, np.abs(value))).tolist()))
+        return dict(zip(self.parents, (gap / np.where(value == 0.0, 1.0, np.abs(value))).tolist()))
 
 
 def allocate(
@@ -173,7 +180,7 @@ def disaggregate(
             f"{task.target_id}: source series has missing values "
             f"({', '.join(source.missing_regions()[:5])} ...)"
         )
-    out, codes = task.output_level, hierarchy.regions_at(task.output_level)
+    out, codes = task.output_level, hierarchy._codes[task.output_level]
     # Source regions in allocation order (by country, then by code), and
     # one run of output regions below each.
     where = hierarchy.positions(source.level, source.codes)
@@ -195,25 +202,35 @@ def disaggregate(
         if normalize_scope == "country":
             countries = np.flatnonzero(np.bincount(country))
             scope, runs = hierarchy.segments(out, SpatialLevel.NUTS0, countries)
-        proxy = evaluate(task.formula, env, list(map(codes.__getitem__, scope.tolist())),
-                         weights_on_raw=weights_on_raw, lengths=runs)
-        at = np.searchsorted(np.sort(scope), children)  # proxy rows are in code order
-        weights = proxy.data[at]
+        # A series that holds the level's code tuple is read at the scope's
+        # positions; any other is first mapped onto the level's positions.
+        weights, proxy_grades, _ = combine(
+            task.formula, env,
+            lambda s: scope if s.codes is codes else hierarchy.rows(out, s.codes)[scope],
+            lambda i: codes[scope[i]], weights_on_raw, runs,
+        )
+        if scope is not children:  # take the children's rows out of the countries'
+            at = np.empty(len(codes), np.intp)
+            at[scope] = np.arange(scope.size)
+            weights, proxy_grades = weights[at[children]], proxy_grades[at[children]]
         values, totals = allocate(source.data[order], weights, lengths)
         fallback = totals == 0.0
         grades = np.where(fallback, ConfidenceLevel.VERY_LOW,
-                          np.minimum(task.assignment_confidence, proxy.grades[at]))
+                          np.minimum(task.assignment_confidence, proxy_grades))
         shares = np.where(fallback, 1.0 / np.repeat(lengths, lengths),
                           weights / np.where(fallback, 1.0, totals))
     in_code_order = np.argsort(children)
+    # An output over the whole level takes the level's code tuple, so later
+    # stages read it at the scope's positions too.
+    out_codes = codes
+    if children.size < len(codes):
+        out_codes = map(codes.__getitem__, children[in_code_order].tolist())
     series = VariableSeries(
         task.target_id, source.description, source.unit, out, source.country_scope,
-        map(codes.__getitem__, children[in_code_order].tolist()),
-        values[in_code_order], grades[in_code_order],
+        out_codes, values[in_code_order], grades[in_code_order],
     )
-    sources = tuple(map(source.codes.__getitem__, np.repeat(order, lengths).tolist()))
-    children_codes = tuple(map(codes.__getitem__, children.tolist()))
-    return AllocationResult(series, children_codes, sources, values, shares, fallback, lengths)
+    parents = tuple(map(source.codes.__getitem__, order.tolist()))
+    return AllocationResult(series, codes, children, parents, values, shares, fallback, lengths)
 
 
 # -- pipeline configuration ---------------------------------------------------

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -219,16 +219,6 @@ def variables(expr: ProxyExpr) -> list[str]:
     return sorted(found)
 
 
-def _scope_values(series: VariableSeries, scope: Sequence[str]) -> np.ndarray:
-    values = series.values(scope)
-    if np.any(values < 0):
-        bad = scope[int(np.argmin(values))]
-        raise NegativeProxyValue(
-            f"{series.variable_id}: negative proxy value at {bad!r}"
-        )
-    return values
-
-
 def _normalized(values: np.ndarray, lengths: Sequence[int] | None = None) -> np.ndarray:
     """Each run of ``values`` (one by default) divided by its maximum, or all
     0.0 if that is 0; max is exact in any order, so runs do not interact."""
@@ -250,11 +240,11 @@ def normalize_series(
     Confidences are unchanged.
     """
     regions = list(scope) if scope is not None else series.regions()
-    normalized = _normalized(_scope_values(series, regions))
-    return replace(
-        series, unit="dimensionless", codes=regions, data=normalized,
-        grades=series.confidences(regions),
+    data, grades, _ = combine(
+        Var(series.variable_id), {series.variable_id: series},
+        lambda s: s._rows(regions), regions.__getitem__,
     )
+    return replace(series, unit="dimensionless", codes=regions, data=data, grades=grades)
 
 
 def evaluate(
@@ -271,26 +261,64 @@ def evaluate(
     each normalized on its own, as if evaluated by a call of its own. Result
     confidence per region is the minimum over the confidences of all
     referenced variables' observations in that region.
+
+    Each variable is aligned with ``scope`` by looking the codes up in the
+    series. ``disaggregate`` runs the same ``combine`` kernel on hierarchy
+    positions instead, with no code lookup for a series that holds its
+    level's whole code tuple.
+    """
+    scope = list(scope)
+    values, grades, first = combine(
+        expr, env, lambda s: s._rows(scope), scope.__getitem__, weights_on_raw, lengths
+    )
+    return VariableSeries(
+        result_id, format_expr(expr), "dimensionless", first.level,
+        first.country_scope, scope, values, grades,
+    )
+
+
+def combine(
+    expr: ProxyExpr,
+    env: Mapping[str, VariableSeries],
+    rows: Callable[[VariableSeries], np.ndarray],
+    region: Callable[[int], str],
+    weights_on_raw: bool = False,
+    lengths: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, VariableSeries]:
+    """The proxy of ``expr`` over a scope, as ``(values, grades, the series
+    of the first variable)`` aligned with the scope.
+
+    ``rows(series)`` gives, for each scope region, its row in ``series``
+    (-1 where the series has none); ``region(i)`` names scope region ``i``
+    in errors. A scope region with no value in some variable raises
+    MissingValue, a negative value NegativeProxyValue; ``lengths`` and
+    ``weights_on_raw`` are as in ``evaluate``.
     """
     names = variables(expr)
     if not names:
         raise FormulaSyntaxError("formula references no variable", 0)
-    level = None
+    first = None
     arrays: dict[str, np.ndarray] = {}
     grades = None
     for name in names:
         series = env.get(name)
         if series is None:
             raise UnresolvedVariable(f"formula references unknown variable {name!r}")
-        if level is None:
-            level = series.level
-        elif series.level != level:
+        if first is None:
+            first = series
+        elif series.level != first.level:
             raise LevelMismatch(
-                f"variable {name!r} is at {series.level.name}, expected {level.name}"
+                f"variable {name!r} is at {series.level.name}, expected {first.level.name}"
             )
-        raw = _scope_values(series, scope)
+        index = rows(series)
+        series._require(index, region)
+        raw = series.data[index]
+        if (raw < 0).any():
+            raise NegativeProxyValue(
+                f"{series.variable_id}: negative proxy value at {region(int(raw.argmin()))!r}"
+            )
         arrays[name] = raw if weights_on_raw else _normalized(raw, lengths)
-        grade = series.confidences(scope)
+        grade = series.grades[index]
         grades = grade if grades is None else np.minimum(grades, grade)
 
     def walk(node: ProxyExpr) -> np.ndarray | float:
@@ -311,10 +339,7 @@ def evaluate(
     values = np.asarray(walk(expr), dtype=float)
     if weights_on_raw:
         values = _normalized(values, lengths)
-    return VariableSeries(
-        result_id, format_expr(expr), "dimensionless", level,
-        env[names[0]].country_scope, scope, values, grades,
-    )
+    return values, grades, first
 
 
 # -- vehicle emission-standard weighting --------------------------------------

@@ -17,7 +17,7 @@ from enum import IntEnum
 from functools import cached_property
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,16 +189,33 @@ class RegionHierarchy:
     def countries(self) -> list[str]:
         return list(self._codes[SpatialLevel.NUTS0])  # a NUTS0 code is its country
 
-    def positions(self, level: SpatialLevel, codes: Sequence[str]) -> np.ndarray:
-        """Positions of ``codes`` within ``regions_at(level)``; a code that is
-        not a region at ``level`` raises UnknownRegion."""
+    def _lookup(self, level: SpatialLevel, codes: Sequence[str]) -> np.ndarray:
+        """Positions of ``codes`` within ``regions_at(level)``, -1 for a code
+        that is not a region at ``level``."""
         level_codes = self._codes[level] + (None,)  # position -1 reads None
         index = np.fromiter(map(self._position.get, codes, repeat(-1)), np.intp, len(codes))
         index[index >= len(level_codes)] = -1  # a region at a larger level
-        found = list(map(operator.eq, map(level_codes.__getitem__, index.tolist()), codes))
-        if not all(found):
-            raise UnknownRegion(f"{codes[found.index(False)]!r} is not a {level.name} region")
+        found = map(operator.eq, map(level_codes.__getitem__, index.tolist()), codes)
+        index[~np.fromiter(found, bool, len(codes))] = -1
         return index
+
+    def positions(self, level: SpatialLevel, codes: Sequence[str]) -> np.ndarray:
+        """Positions of ``codes`` within ``regions_at(level)``; a code that is
+        not a region at ``level`` raises UnknownRegion."""
+        index = self._lookup(level, codes)
+        if (index < 0).any():
+            raise UnknownRegion(f"{codes[int(index.argmin())]!r} is not a {level.name} region")
+        return index
+
+    def rows(self, level: SpatialLevel, codes: Sequence[str]) -> np.ndarray:
+        """For each region at ``level``, in code order, the index of its code
+        in ``codes`` (distinct codes), or -1 when ``codes`` lacks it; codes
+        that are not regions at ``level`` are ignored."""
+        index = self._lookup(level, codes)
+        found = index >= 0
+        rows = np.full(len(self._codes[level]), -1, np.intp)
+        rows[index[found]] = np.flatnonzero(found)
+        return rows
 
     def owners(self, fine: SpatialLevel, coarse: SpatialLevel) -> np.ndarray:
         """For each ``fine`` region, in code order, the position of its
@@ -281,6 +298,26 @@ def _csv_columns(path: Path, headers: Sequence[list[str]]) -> list[list[str]] | 
     return [cells[i::width] for i in range(width)]
 
 
+def _csv_rows(path: Path, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """``(row number, row)`` for each row of a CSV file, the header being
+    row 1. Bytes that are not UTF-8, or a row ``csv.reader`` cannot read,
+    raise ``error`` naming ``path:line``."""
+    lineno = 0
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                yield lineno, row
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # here exc.start is an offset in the file
+            lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise error(f"{path}:{lineno + 1}: {exc}") from None
+
+
 def _hierarchy_columns(path: Path):
     """``load_hierarchy``'s columns (code, level, parent, country) read in
     bulk, or None when some row needs the row reader's checks: a quoted,
@@ -302,29 +339,25 @@ def load_hierarchy(path: str | Path) -> RegionHierarchy:
     columns = _hierarchy_columns(path)
     if columns is not None:
         return RegionHierarchy._from_columns(*columns)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UnknownLevel(f"{path}: empty hierarchy file") from None
-        if header != HIERARCHY_HEADER:
-            raise UnknownLevel(
-                f"{path}: bad header {header!r}; expected {HIERARCHY_HEADER!r}"
+    rows = _csv_rows(path, UnknownLevel)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise UnknownLevel(f"{path}: empty hierarchy file")
+    if header != HIERARCHY_HEADER:
+        raise UnknownLevel(f"{path}: bad header {header!r}; expected {HIERARCHY_HEADER!r}")
+    nodes = []
+    for lineno, row in rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 4:
+            raise UnknownLevel(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        code, level_token, parent, country = (cell.strip() for cell in row)
+        nodes.append(
+            RegionNode(
+                code=code,
+                level=SpatialLevel.from_token(level_token),
+                parent=parent or None,
+                country=country,
             )
-        nodes = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise UnknownLevel(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            code, level_token, parent, country = (cell.strip() for cell in row)
-            nodes.append(
-                RegionNode(
-                    code=code,
-                    level=SpatialLevel.from_token(level_token),
-                    parent=parent or None,
-                    country=country,
-                )
-            )
+        )
     return RegionHierarchy(nodes)

@@ -26,7 +26,7 @@ from enum import IntEnum
 from itertools import compress, islice, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     UnknownRegion,
     UnknownVariable,
 )
-from .hierarchy import RegionHierarchy, SpatialLevel, _csv_columns
+from .hierarchy import RegionHierarchy, SpatialLevel, _csv_columns, _csv_rows
 
 ALL_COUNTRIES = "ALL"
 
@@ -165,15 +165,24 @@ class VariableSeries:
         """Positions of ``regions``; a region without a value raises
         MissingValue (a region with no row is missing, like an empty cell)."""
         regions = list(regions)
-        position = self._position
-        index = np.array([position.get(r, -1) for r in regions], dtype=np.intp)
+        index = self._rows(regions)
+        self._require(index, regions.__getitem__)
+        return index
+
+    def _rows(self, regions: list[str]) -> np.ndarray:
+        """The row of each region, -1 for a region the series does not hold."""
+        return np.fromiter(map(self._position.get, regions, repeat(-1)), np.intp, len(regions))
+
+    def _require(self, index: np.ndarray, region: Callable[[int], str]) -> None:
+        """Raise MissingValue for the first ``i`` whose row ``index[i]`` is -1
+        (no row) or holds no value, naming the region as ``region(i)``."""
         missing = index < 0
         if self.codes:  # index -1 reads the last value; it is masked anyway
             missing |= np.isnan(self.data[index])
         if missing.any():
-            region = regions[int(missing.argmax())]
-            raise MissingValue(f"{self.variable_id}: value for {region!r} is missing")
-        return index
+            raise MissingValue(
+                f"{self.variable_id}: value for {region(int(missing.argmax()))!r} is missing"
+            )
 
     def value(self, region: str) -> float:
         return float(self.data[self._index((region,))[0]])
@@ -264,31 +273,28 @@ def _region_rows(
     as many cells; the region must lie in ``scope`` and appear once. The value
     is parsed by ``_parse_value`` (None for an empty cell).
     """
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] not in headers:
-            expected = " or ".join(",".join(h) for h in headers)
-            raise NonNumericValue(f"{path}: bad header {header!r}; expected {expected}")
-        width = len(header)
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():  # blank line or only blank cells
-                continue
-            if len(row) != width:
-                raise NonNumericValue(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-                )
-            region = row[0].strip()
-            if region not in scope:
-                raise UnknownRegion(
-                    f"{path}:{lineno}: region {region!r} is not a "
-                    f"{meta.level.name} region of scope {meta.country_scope}"
-                )
-            if region in seen:
-                raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
-            seen.add(region)
-            yield lineno, region, _parse_value(row[1], path, lineno), row
+    rows = _csv_rows(path, NonNumericValue)
+    _, header = next(rows, (1, None))
+    if header is None or [c.strip() for c in header] not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise NonNumericValue(f"{path}: bad header {header!r}; expected {expected}")
+    width = len(header)
+    seen: set[str] = set()
+    for lineno, row in rows:
+        if not "".join(row).strip():  # blank line or only blank cells
+            continue
+        if len(row) != width:
+            raise NonNumericValue(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        region = row[0].strip()
+        if region not in scope:
+            raise UnknownRegion(
+                f"{path}:{lineno}: region {region!r} is not a "
+                f"{meta.level.name} region of scope {meta.country_scope}"
+            )
+        if region in seen:
+            raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
+        seen.add(region)
+        yield lineno, region, _parse_value(row[1], path, lineno), row
 
 
 _EMPTY_AS_NAN = {"": "nan"}

@@ -254,6 +254,35 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "check", {"config.json": {"seed": True}}, "config.json: seed must be an integer",
             id="seed-bool",
         ),
+        # bytes that are not UTF-8, and cells too large for the csv module
+        pytest.param(
+            "check",
+            {"series/industrial_area.csv": b"region,value\nAA_0001,1.0\nAA_0002,\xe92.0\n"},
+            "industrial_area.csv:3: not UTF-8 text", id="series-not-utf8",
+        ),
+        pytest.param(
+            "check", {"hierarchy.csv": b"code,level,parent,country\nAA,NUTS0,,AA\n\xe9\n"},
+            "hierarchy.csv:3: not UTF-8 text", id="hierarchy-not-utf8",
+        ),
+        pytest.param(
+            "check", {REFERENCE: b"region,value,label\nAA11,1,\xe9\n"},
+            "transport_fec_nuts2.csv:2: not UTF-8 text", id="reference-not-utf8",
+        ),
+        pytest.param(
+            "disaggregate",
+            {"output/imputed/industrial_area.csv": b"region,value,confidence\nAA_0004,4,H\xc3\n"},
+            "industrial_area.csv:2: not UTF-8 text", id="imputed-not-utf8",
+        ),
+        pytest.param(
+            "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'1' * 140_000}\n"},
+            "industrial_area.csv:2: field larger than field limit", id="series-oversized-cell",
+        ),
+        pytest.param(
+            "check",
+            {"hierarchy.csv": 'code,level,parent,country\nAA,NUTS0,,AA\n'
+                              f'"{"A" * 140_000}",NUTS1,AA,AA\n'},
+            "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell",
+        ),
     ],
 )
 def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
@@ -262,7 +291,10 @@ def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
         path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(content, dict):
             content = json.dumps({**json.loads(path.read_text()), **content})
-        path.write_text(content)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
     assert run_cli(command, "--config", toy_project) == 2
     out = capsys.readouterr().out
     assert "error:" in out

@@ -4,6 +4,7 @@ conservation residual must be equal, with -0.0 told apart from 0.0."""
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import dict_reference as ref
 from conftest import random_hierarchy
 from regio.disaggregation import ALLOCATE, REPLICATE, DisaggregationTask, disaggregate
-from regio.errors import DuplicateRegion, MissingValue
+from regio.errors import DuplicateRegion, MissingValue, NegativeProxyValue
 from regio.formulas import evaluate, parse
 from regio.hierarchy import RegionHierarchy, RegionNode, SpatialLevel
 from regio.series import ConfidenceLevel, VariableSeries, aggregate
@@ -98,6 +99,17 @@ def scrambled_hierarchy(seed):
     return RegionHierarchy(nodes)
 
 
+def assert_matches(got, obs, prov):
+    """An AllocationResult equals the reference's observations and
+    provenance, children and sources in allocation order."""
+    assert observed(got.series) == expected(obs)
+    assert got.children == tuple(prov)
+    assert got.sources == tuple(source for source, _, _ in prov.values())
+    assert {
+        r: (p.source_region, exact(p.share), p.fallback) for r, p in got.provenance.items()
+    } == {r: (s, exact(share), f) for r, (s, share, f) in prov.items()}
+
+
 def compare_disaggregate(rng, hierarchy):
     """Every scope, weighting and mode of disaggregate against the reference."""
     env = proxies(rng, hierarchy)
@@ -117,17 +129,73 @@ def compare_disaggregate(rng, hierarchy):
                     obs, prov = ref.disaggregate(
                         task, ref_source, hierarchy, ref_env, scope, raw
                     )
-                    assert observed(got.series) == expected(obs)
-                    assert got.children == tuple(prov)  # allocation order
-                    assert {
-                        r: (p.source_region, exact(p.share), p.fallback)
-                        for r, p in got.provenance.items()
-                    } == {r: (s, exact(share), f) for r, (s, share, f) in prov.items()}
+                    assert_matches(got, obs, prov)
+                    # the output covers the level, so it holds the level's code tuple
+                    assert got.series.codes is hierarchy._codes[SpatialLevel.LAU]
                     assert got.fallback_count() == sum(f for _, _, f in prov.values())
                     residuals = ref.conservation_residuals(obs, prov, ref_source)
                     assert {
                         p: exact(v) for p, v in got.conservation_residuals(source).items()
                     } == {p: exact(v) for p, v in residuals.items()}
+
+
+def mixed_env(rng, hierarchy):
+    """Proxies on both alignment paths. ``a`` holds the hierarchy's own LAU
+    code tuple, ``b`` an equal but distinct tuple and ``c`` every LAU plus
+    two codes that are not LAU regions (a NUTS3 code and an unknown one);
+    ``home`` covers the first country only (its country scope); ``whole`` is
+    an earlier stage's output over every LAU and ``part`` one over the first
+    country."""
+    env = proxies(rng, hierarchy)
+    level = hierarchy._codes[SpatialLevel.LAU]
+    env["a"] = replace(env["a"], codes=level)
+    assert env["b"].codes == level and env["b"].codes is not level
+    c = env["c"]
+    extra = (hierarchy.regions_at(SpatialLevel.NUTS3)[-1], "~not_a_region")
+    env["c"] = replace(
+        c, codes=c.codes + extra, data=np.r_[c.data, 7.0, 8.0], grades=np.r_[c.grades, 4, 4]
+    )
+    home = hierarchy.countries()[0]
+    env["home"] = replace(
+        make_series(rng, "home", hierarchy.regions_at(SpatialLevel.LAU, home), SpatialLevel.LAU),
+        country_scope=home,
+    )
+    nuts3 = hierarchy.regions_at(SpatialLevel.NUTS3)
+    for vid, regions, formula in (
+        ("whole", nuts3, "a + b"),
+        ("part", hierarchy.regions_at(SpatialLevel.NUTS3, home), "home * c + a"),
+    ):
+        source = make_series(rng, vid, regions, SpatialLevel.NUTS3)
+        stage = DisaggregationTask(vid, source, parse(formula), ConfidenceLevel.HIGH)
+        env[vid] = disaggregate(stage, hierarchy, env).series
+    assert env["whole"].codes is level
+    assert env["part"].codes == tuple(env["home"].codes)
+    return env
+
+
+# formulas over every country, and (second list) over the first country only
+MIXED = ["a + b", "whole * a + 2 * c", "a * whole + b * c"]
+MIXED_HOME = ["home + a", "part * home + whole", "2.5 * part + a * b"]
+
+
+def compare_mixed(rng, hierarchy):
+    """disaggregate over a mixed env against the reference, in both scopes."""
+    env = mixed_env(rng, hierarchy)
+    ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
+    home = hierarchy.countries()[0]
+    for level in (SpatialLevel.NUTS3, SpatialLevel.NUTS2, SpatialLevel.NUTS0):
+        for formula in MIXED + MIXED_HOME:
+            regions = hierarchy.regions_at(level, home if formula in MIXED_HOME else None)
+            source = make_series(rng, "src", regions, level, negative=True)
+            task = DisaggregationTask("out", source, parse(formula), ConfidenceLevel.MEDIUM)
+            ref_source = ref.DictSeries.of(source)
+            for scope in ("country", "parent"):
+                for raw in (False, True):
+                    got = disaggregate(task, hierarchy, env, scope, raw)
+                    obs, prov = ref.disaggregate(
+                        task, ref_source, hierarchy, ref_env, scope, raw
+                    )
+                    assert_matches(got, obs, prov)
 
 
 def compare_aggregate(rng, hierarchy, signed_zero_parent):
@@ -151,6 +219,9 @@ class TestColumnarMatchesDictReference:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_disaggregate(self, seed):
         compare_disaggregate(np.random.default_rng(seed), hierarchy_of(seed))
+
+    def test_disaggregate_mixed_alignment(self):
+        compare_mixed(np.random.default_rng(12), hierarchy_of(12))
 
     def test_zero_proxy_parents_fall_back(self):
         rng = np.random.default_rng(3)
@@ -216,6 +287,9 @@ class TestCodesNotSortedByParentOrCountry:
     def test_disaggregate(self, seed):
         compare_disaggregate(np.random.default_rng(seed), scrambled_hierarchy(seed))
 
+    def test_disaggregate_mixed_alignment(self):
+        compare_mixed(np.random.default_rng(13), scrambled_hierarchy(13))
+
     def test_aggregate(self):
         hierarchy = scrambled_hierarchy(10)
         compare_aggregate(np.random.default_rng(10), hierarchy, "Z301")
@@ -258,3 +332,43 @@ def test_columns_are_sorted_read_only_and_unique():
         s.observations["A"] = None
     with pytest.raises(DuplicateRegion):
         VariableSeries("v", "", "", SpatialLevel.LAU, "ALL", ("B", "A", "B"), [1, 2, 3], [4, 4, 4])
+
+
+@pytest.mark.parametrize("scope", ["country", "parent"])
+@pytest.mark.parametrize(
+    "case,shared",
+    [("empty", True), ("empty", False), ("absent", False), ("negative", True), ("negative", False)],
+)
+def test_bad_proxy_value_raises_on_both_paths(case, shared, scope):
+    """A proxy value that is missing (an empty cell or no row) or negative
+    raises with the same message whether the series holds the level's code
+    tuple (read at positions) or an equal tuple of its own (mapped first)."""
+    hierarchy = scrambled_hierarchy(11)
+    level = hierarchy._codes[SpatialLevel.LAU]
+    bad = level[len(level) // 2]
+    values = {r: 1.0 for r in level}
+    if case == "empty":
+        values[bad] = None
+    elif case == "absent":
+        del values[bad]
+    else:
+        values[bad] = -2.0
+    b = VariableSeries.from_values("b", SpatialLevel.LAU, values)
+    if shared:
+        b = replace(b, codes=level)
+    assert (b.codes is level) == shared
+    env = {"a": VariableSeries.from_values("a", SpatialLevel.LAU, {r: 1.0 for r in level}), "b": b}
+    source = VariableSeries.from_values(
+        "src", SpatialLevel.NUTS3, {r: 1.0 for r in hierarchy.regions_at(SpatialLevel.NUTS3)}
+    )
+    task = DisaggregationTask("out", source, parse("a + b"), ConfidenceLevel.HIGH)
+    error, message = (
+        (NegativeProxyValue, f"b: negative proxy value at {bad!r}") if case == "negative"
+        else (MissingValue, f"b: value for {bad!r} is missing")
+    )
+    with pytest.raises(error) as caught:
+        disaggregate(task, hierarchy, env, scope)
+    assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        evaluate(task.formula, env, level)
+    assert str(caught.value) == message
