@@ -1,8 +1,13 @@
 """Batch entry point: check -> impute -> disaggregate -> validate -> report.
 
-Exit codes: 0 success, 2 validation/config error, 3 I/O error. Commands are
-idempotent; re-running overwrites outputs. Two runs with identical inputs
-and seed produce byte-identical output files.
+Exit codes: 0 success, 2 validation/config error, 3 I/O error. The commands
+raise; ``main`` alone turns a ``RegioError`` into ``error: <message>`` and
+exit 2, and an ``OSError`` reading or writing a project file into
+``i/o error: <message naming the path>`` and exit 3. ``check`` alone
+collects and prints every finding, among them each comparison whose target
+no pipeline task produces. Commands are idempotent; re-running overwrites
+outputs. Two runs with identical inputs and seed produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -55,8 +60,18 @@ class LoadedProject:
     hierarchy: RegionHierarchy | None
     registry: list[RegistryEntry]
     store: VariableStore | None
-    specs: list[TaskSpec]
+    specs: list[TaskSpec] | None  # None when the pipeline did not load
     findings: list[str]
+
+
+def _collect(findings: list[str], call, *args, default=None):
+    """``call(*args)``; if it raises a RegioError, append the message to
+    ``findings`` and return ``default``."""
+    try:
+        return call(*args)
+    except RegioError as exc:
+        findings.append(str(exc))
+        return default
 
 
 def _load_project(config: ProjectConfig) -> LoadedProject:
@@ -66,24 +81,18 @@ def _load_project(config: ProjectConfig) -> LoadedProject:
     without a hierarchy), so the later inputs are still loaded and checked.
     """
     findings: list[str] = []
-
-    def attempt(load, *args, default):
-        try:
-            return load(*args)
-        except RegioError as exc:
-            findings.append(str(exc))
-            return default
-
-    hierarchy = attempt(load_hierarchy, config.hierarchy_path, default=None)
-    registry = attempt(load_registry, config.registry_path, default=[])
+    hierarchy = _collect(findings, load_hierarchy, config.hierarchy_path)
+    registry = _collect(findings, load_registry, config.registry_path, default=[])
     store = None
     if hierarchy is not None:
         store, errors = ingest_registry(config, hierarchy, registry)
         findings.extend(str(exc) for exc in errors)
     assignments = {}
     if config.proxy_assignments_path is not None:
-        assignments = attempt(load_proxy_assignments, config.proxy_assignments_path, default={})
-    specs = attempt(load_pipeline_config, config.pipeline_path, assignments, default=[])
+        assignments = _collect(
+            findings, load_proxy_assignments, config.proxy_assignments_path, default={}
+        )
+    specs = _collect(findings, load_pipeline_config, config.pipeline_path, assignments)
     return LoadedProject(config, hierarchy, registry, store, specs, findings)
 
 
@@ -102,20 +111,23 @@ def _print_errors(findings: list[str]) -> None:
 
 
 def cmd_check(project: LoadedProject) -> int:
-    """Validate hierarchy, series, formulas, dependency ordering and references."""
+    """Validate hierarchy, series, formulas, dependency ordering, comparison
+    targets and references; print every finding."""
     config = project.config
     findings = list(project.findings)
     if project.store is not None and project.specs:
-        try:
-            check_dependencies(project.specs, project.store)
-        except RegioError as exc:
-            findings.append(str(exc))
+        _collect(findings, check_dependencies, project.specs, project.store)
+    if project.specs is not None:
+        targets = {spec.target_id for spec in project.specs}
+        findings.extend(
+            f"comparison #{i}: target {spec.target_id!r} is not a target of any task "
+            f"in {config.pipeline_path}"
+            for i, spec in enumerate(config.comparisons)
+            if spec.target_id not in targets
+        )
     if project.hierarchy is not None:
         for spec in config.comparisons:
-            try:
-                _read_reference(config, spec, project.hierarchy)
-            except RegioError as exc:
-                findings.append(str(exc))
+            _collect(findings, _read_reference, config, spec, project.hierarchy)
     _print_errors(findings)
     print(f"{len(findings)} error{'s' if len(findings) != 1 else ''}")
     return OK if not findings else VALIDATION_ERROR
@@ -139,57 +151,44 @@ def _impute_candidates(store, hierarchy, target):
     return candidates
 
 
-def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> int:
+def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
     """Fill every sub-national series that has missing values.
 
     National (NUTS0) series are the disaggregation targets and are never
     imputed; a missing national value later skips its pipeline task. The
     cross-validation fits of each variable run in up to ``jobs`` processes.
     """
-    config = project.config
-    if project.findings:
-        _print_errors(project.findings)
-        return VALIDATION_ERROR
-    out_dir = config.output_dir / "imputed"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}")
-        return IO_ERROR
-
-    icfg = config.imputation_config(seed)
+    out_dir = project.config.output_dir / "imputed"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    icfg = project.config.imputation_config(seed)
     summary = {"imputed": {}, "complete": []}
-    try:
-        for series in project.store.all_series():
-            if series.level == SpatialLevel.NUTS0:
-                continue
-            if series.is_complete:
-                summary["complete"].append(series.variable_id)
-                continue
-            candidates = _impute_candidates(project.store, project.hierarchy, series)
-            completed, report = impute_series(series, candidates, icfg, jobs)
-            write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
-            _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
-            n_imputed = len(series.missing_regions())
-            summary["imputed"][series.variable_id] = {
-                "n_imputed": n_imputed,
-                "method": report.method,
-                "confidence": report.confidence.name,
-            }
-            print(
-                f"imputed {series.variable_id}: {n_imputed} values "
-                f"({report.method}, {report.confidence.name})"
-            )
-        _dump_json(summary, out_dir / "imputation_summary.json")
-    except OSError as exc:
-        print(f"i/o error: {exc}")
-        return IO_ERROR
+    for series in project.store.all_series():
+        if series.level == SpatialLevel.NUTS0:
+            continue
+        if series.is_complete:
+            summary["complete"].append(series.variable_id)
+            continue
+        candidates = _impute_candidates(project.store, project.hierarchy, series)
+        completed, report = impute_series(series, candidates, icfg, jobs)
+        write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
+        _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
+        n_imputed = len(series.missing_regions())
+        summary["imputed"][series.variable_id] = {
+            "n_imputed": n_imputed,
+            "method": report.method,
+            "confidence": report.confidence.name,
+        }
+        print(
+            f"imputed {series.variable_id}: {n_imputed} values "
+            f"({report.method}, {report.confidence.name})"
+        )
+    _dump_json(summary, out_dir / "imputation_summary.json")
     print(f"{len(summary['imputed'])} variable(s) imputed")
-    return OK
 
 
-def _overlay_imputed(project: LoadedProject) -> list[str]:
-    """Replace incomplete sub-national series with their imputed outputs."""
+def _overlay_imputed(project: LoadedProject) -> None:
+    """Replace incomplete sub-national series with their imputed outputs;
+    a ConfigError names every such series that has none."""
     unresolved = []
     imputed_dir = project.config.output_dir / "imputed"
     for entry in project.registry:
@@ -205,50 +204,33 @@ def _overlay_imputed(project: LoadedProject) -> list[str]:
             unresolved.append(series.variable_id)
             continue
         project.store.add(completed, replace=True)
-    return unresolved
+    if unresolved:
+        raise ConfigError(
+            "series with missing values and no imputed output "
+            f"({', '.join(unresolved)}); run 'regio impute' first"
+        )
 
 
-def cmd_disaggregate(project: LoadedProject, jobs: int) -> int:
+def cmd_disaggregate(project: LoadedProject, jobs: int) -> None:
     """Run the staged pipeline and write one CSV per target plus a run report.
 
     It overlays the imputed series onto ``project.store`` in place, so
     ``run`` calls it after every other user of the store.
     """
     config = project.config
-    if project.findings:
-        _print_errors(project.findings)
-        return VALIDATION_ERROR
-    try:
-        unresolved = _overlay_imputed(project)
-    except RegioError as exc:
-        print(f"error: {exc}")
-        return VALIDATION_ERROR
-    if unresolved:
-        print(
-            "error: series with missing values and no imputed output "
-            f"({', '.join(unresolved)}); run 'regio impute' first"
-        )
-        return VALIDATION_ERROR
-    try:
-        run = run_pipeline(
-            project.specs,
-            project.hierarchy,
-            project.store,
-            normalize_scope=config.normalize_scope,
-            weights_on_raw=config.weights_on_raw,
-            jobs=jobs,
-        )
-    except RegioError as exc:
-        print(f"error: {exc}")
-        return VALIDATION_ERROR
-    try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        for target_id in sorted(run.results):
-            write_series_csv(run.results[target_id].series, config.output_dir / f"{target_id}.csv")
-        _dump_json(run.report_dict(), config.output_dir / "run_report.json")
-    except OSError as exc:
-        print(f"i/o error: {exc}")
-        return IO_ERROR
+    _overlay_imputed(project)
+    run = run_pipeline(
+        project.specs,
+        project.hierarchy,
+        project.store,
+        normalize_scope=config.normalize_scope,
+        weights_on_raw=config.weights_on_raw,
+        jobs=jobs,
+    )
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    for target_id in sorted(run.results):
+        write_series_csv(run.results[target_id].series, config.output_dir / f"{target_id}.csv")
+    _dump_json(run.report_dict(), config.output_dir / "run_report.json")
     for report in run.reports:
         if report.status == "skipped":
             print(f"skipped {report.target_id}: {report.reason}")
@@ -258,44 +240,30 @@ def cmd_disaggregate(project: LoadedProject, jobs: int) -> int:
                 f"{', '.join(report.skipped_source_regions)}"
             )
     print(f"{len(run.results)} target(s) written to {config.output_dir}")
-    return OK
 
 
-def cmd_validate(config: ProjectConfig, hierarchy: RegionHierarchy) -> int:
+def cmd_validate(config: ProjectConfig, hierarchy: RegionHierarchy) -> None:
     """Compare disaggregated outputs against reference datasets (reporting only)."""
     if not config.comparisons:
         print("no comparisons configured")
-        return OK
+        return
     report_dir = config.output_dir / "validation"
-    try:
-        report_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}")
-        return IO_ERROR
+    report_dir.mkdir(parents=True, exist_ok=True)
     for spec in config.comparisons:
         result_path = config.output_dir / f"{spec.target_id}.csv"
         if not result_path.is_file():
-            print(
-                f"error: no disaggregated output for {spec.target_id!r} "
+            raise ConfigError(
+                f"no disaggregated output for {spec.target_id!r} "
                 f"({result_path}); run 'regio disaggregate' first"
             )
-            return VALIDATION_ERROR
         meta = SeriesMeta(spec.target_id, "", "", SpatialLevel.LAU)
-        try:
-            result = read_series_csv(result_path, meta, hierarchy)
-            reference, labels = _read_reference(config, spec, hierarchy)
-            comparison = compare_at_level(result, reference, hierarchy, spec.level)
-        except RegioError as exc:
-            print(f"error: {exc}")
-            return VALIDATION_ERROR
+        result = read_series_csv(result_path, meta, hierarchy)
+        reference, labels = _read_reference(config, spec, hierarchy)
+        comparison = compare_at_level(result, reference, hierarchy, spec.level)
         rows = [replace(r, label=labels.get(r.label, r.label)) for r in comparison.rows]
-        try:
-            write_deviation_csv(rows, report_dir / f"deviation_{spec.target_id}.csv")
-            with atomic_writer(report_dir / f"deviation_{spec.target_id}.md") as fh:
-                fh.write(markdown_table(rows))
-        except OSError as exc:
-            print(f"i/o error: {exc}")
-            return IO_ERROR
+        write_deviation_csv(rows, report_dir / f"deviation_{spec.target_id}.csv")
+        with atomic_writer(report_dir / f"deviation_{spec.target_id}.md") as fh:
+            fh.write(markdown_table(rows))
         worst = max((abs(r.pct_deviation) for r in rows), default=0.0)
         print(
             f"{spec.target_id} vs {spec.reference} at {spec.level.name}: "
@@ -311,7 +279,6 @@ def cmd_validate(config: ProjectConfig, hierarchy: RegionHierarchy) -> int:
                 else ""
             )
         )
-    return OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -336,49 +303,49 @@ def main(argv: list[str] | None = None) -> int:
             "disaggregate: threads for the tasks of a stage",
         )
     args = parser.parse_args(argv)
-
     try:
-        config = load_project_config(args.config)
+        return _dispatch(args)
     except RegioError as exc:
         print(f"error: {exc}")
         return VALIDATION_ERROR
+    except OSError as exc:
+        print(f"i/o error: {exc}")
+        return IO_ERROR
 
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run ``args.command``. Findings in the loaded project are printed and
+    return exit 2; every other failure raises."""
+    config = load_project_config(args.config)
     if args.seed is not None:
         seed = args.seed
     elif os.environ.get("REGIO_SEED") is not None:
         try:
             seed = int(os.environ["REGIO_SEED"])
         except ValueError:
-            print("error: REGIO_SEED must be an integer")
-            return VALIDATION_ERROR
+            raise ConfigError("REGIO_SEED must be an integer") from None
     else:
         seed = config.seed
     jobs = max(1, args.jobs)
 
     if args.command == "validate":  # needs the hierarchy only, not the series
-        try:
-            hierarchy = load_hierarchy(config.hierarchy_path)
-        except RegioError as exc:
-            print(f"error: {exc}")
-            return VALIDATION_ERROR
-        return cmd_validate(config, hierarchy)
+        cmd_validate(config, load_hierarchy(config.hierarchy_path))
+        return OK
     project = _load_project(config)
-    if args.command == "check":
-        return cmd_check(project)
-    if args.command == "impute":
-        return cmd_impute(project, seed, jobs)
-    if args.command == "disaggregate":
-        return cmd_disaggregate(project, jobs)
-    # run: chain all four on one loaded project, stopping at the first failure
-    for step in (
-        lambda: cmd_check(project),
-        lambda: cmd_impute(project, seed, jobs),
-        lambda: cmd_disaggregate(project, jobs),
-        lambda: cmd_validate(config, project.hierarchy),
-    ):
-        code = step()
-        if code != OK:
+    if args.command in ("check", "run"):
+        code = cmd_check(project)
+        if code != OK or args.command == "check":
             return code
+    elif project.findings:
+        _print_errors(project.findings)
+        return VALIDATION_ERROR
+    # run chains check, impute, disaggregate and validate on one loaded project
+    if args.command in ("impute", "run"):
+        cmd_impute(project, seed, jobs)
+    if args.command in ("disaggregate", "run"):
+        cmd_disaggregate(project, jobs)
+    if args.command == "run":
+        cmd_validate(config, project.hierarchy)
     return OK
 
 

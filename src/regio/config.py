@@ -148,6 +148,8 @@ def load_project_config(path: str | Path) -> ProjectConfig:
                 raise ConfigError(f"{path}: missing required key {key!r}")
             return None
         _string(value, f"{path}: {key}")
+        if "\0" in value:  # Path.resolve raises ValueError on it
+            raise ConfigError(f"{path}: {key} contains a NUL character: {value!r}")
         return (root / value).resolve() if not Path(value).is_absolute() else Path(value)
 
     entries = doc.get("comparisons", [])

@@ -283,6 +283,17 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
                               f'"{"A" * 140_000}",NUTS1,AA,AA\n'},
             "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell",
         ),
+        pytest.param(
+            "check", {"config.json": {"hierarchy": "a\u0000b.csv"}},
+            "config.json: hierarchy contains a NUL character", id="hierarchy-path-nul",
+        ),
+        pytest.param(
+            "check",
+            {"config.json": {"comparisons": [
+                {"target_id": "nope", "reference": "transport_fec_nuts2.csv", "level": "NUTS2"}
+            ]}},
+            "comparison #0: target 'nope' is not a target of any task", id="comparison-target",
+        ),
     ],
 )
 def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
@@ -299,6 +310,45 @@ def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
     out = capsys.readouterr().out
     assert "error:" in out
     assert culprit in out
+
+
+class TestErrorBoundary:
+    """An OSError anywhere under ``main`` exits 3 with ``i/o error:`` and the
+    path; nothing escapes ``main``."""
+
+    @pytest.mark.parametrize("command", ["check", "impute", "disaggregate", "run"])
+    def test_unreadable_series_file_exits_3(self, toy_project, monkeypatch, capsys, command):
+        denied = toy_project.parent / "series" / "population.csv"
+        real_open = Path.open
+
+        def open_(path, *args, **kwargs):
+            if path == denied:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        assert run_cli(command, "--config", toy_project) == 3
+        out = capsys.readouterr().out
+        assert f"i/o error: [Errno 13] Permission denied: '{denied}'" in out
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("where", ["registry-file", "config-hierarchy"])
+    def test_file_name_too_long(self, toy_project, capsys, command, where):
+        name = "x" * 300 + ".csv"
+        if where == "config-hierarchy":
+            edit_config(toy_project, hierarchy=name)
+        else:
+            registry = toy_project.parent / "variables.json"
+            doc = json.loads(registry.read_text())
+            doc["variables"][0]["file"] = name
+            registry.write_text(json.dumps(doc))
+        # Path.is_file raises ENAMETOOLONG up to CPython 3.12 and returns
+        # False from 3.13, which reads as a missing file
+        code = run_cli(command, "--config", toy_project)
+        out = capsys.readouterr().out
+        assert code in (2, 3)
+        assert ("i/o error:" if code == 3 else "error:") in out
+        assert name in out
 
 
 def test_failed_json_write_keeps_old_file(tmp_path):

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -267,7 +268,14 @@ class TestCrossValidationPool:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Thread count seen in this process right after each fork."""
+        """Thread count seen in this process right after each fork.
+
+        A pool thread of an earlier test can still be leaving the OS after
+        Python has joined it, so first wait (up to 5 s) for the OS count to
+        fall to the threads Python knows of."""
+        deadline = time.monotonic() + 5.0
+        while os_thread_count() > threading.active_count() and time.monotonic() < deadline:
+            time.sleep(0.01)
         counts = []
         real_fork = os.fork
 
