@@ -28,7 +28,9 @@ from .config import (
     load_registry,
     read_reference_csv,
 )
-from .disaggregation import TaskSpec, check_dependencies, load_pipeline_config, run_pipeline
+from .disaggregation import (
+    TaskSpec, check_dependencies, childless_sources, load_pipeline_config, run_pipeline,
+)
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
@@ -117,6 +119,7 @@ def cmd_check(project: LoadedProject) -> int:
     findings = list(project.findings)
     if project.store is not None and project.specs:
         _collect(findings, check_dependencies, project.specs, project.store)
+        findings.extend(childless_sources(project.specs, project.store, project.hierarchy))
     if project.specs is not None:
         targets = {spec.target_id for spec in project.specs}
         findings.extend(

@@ -13,10 +13,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NonNumericValue, RegioError, UnknownLevel
+from .errors import ConfigError, NonNumericValue, RegioError
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
@@ -49,7 +50,6 @@ class ComparisonSpec:
 
 @dataclass
 class ProjectConfig:
-    root: Path
     hierarchy_path: Path
     series_dir: Path
     registry_path: Path
@@ -88,6 +88,42 @@ def read_json(path: Path, what: str):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
+def _fields(obj, where: str, checks: dict, required: Iterable[str] = ()) -> dict:
+    """The checked values of the JSON object ``obj`` by key, for the keys it
+    holds. ``checks`` maps every key the object may hold to its check,
+    ``check(value, where)``, which returns the value to use or raises a
+    RegioError whose message starts with ``where`` (the file, the entry and
+    the key). A value that is not an object, a key outside ``checks`` and a
+    missing ``required`` key raise a ConfigError naming ``where``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in obj:
+        if key not in checks:
+            raise ConfigError(f"{where}: {key} is not a known key (known: {', '.join(checks)})")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return {key: checks[key](value, f"{where}: {key}") for key, value in obj.items()}
+
+
+def _check(test, what: str, convert=None):
+    """The check that passes a value ``test`` accepts (``convert(value)`` when
+    ``convert`` is given) and rejects any other as not ``what``."""
+
+    def check(value, where: str):
+        if not test(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+def _token(members: dict):
+    """The check that maps one of the string keys of ``members`` to its value."""
+    return _check(lambda v: isinstance(v, str) and v in members,
+                  f"one of {'|'.join(members)}", members.__getitem__)
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
@@ -96,156 +132,109 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _string(value, where: str) -> str:
-    """``value`` if it is a string, else a ConfigError naming ``where``."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
+def _list_of(valid, what: str):
+    return _check(lambda v: isinstance(v, list) and v and all(map(valid, v)),
+                  f"a non-empty list of {what}")
 
 
-# key -> (test every entry must pass, what the entries must be)
-IMPUTATION_OVERRIDES = {
-    "thresholds": (_is_number, "finite numbers"),
-    "learning_rates": (lambda v: _is_number(v) and 0.0 < v <= 1.0, "numbers in (0, 1]"),
-    "n_estimators": (lambda v: _is_int(v) and v >= 0, "integers >= 0"),
-    "max_depths": (lambda v: _is_int(v) and v >= 1, "integers >= 1"),
+_string = _check(lambda v: isinstance(v, str), "a string")
+_list = _check(lambda v: isinstance(v, list), "a list")
+_level = _token(SpatialLevel.__members__)
+# Path.resolve raises ValueError on a NUL character
+_path = _check(lambda v: isinstance(v, str) and "\0" not in v, "a string without NUL", Path)
+
+COMPARISON_KEYS = {"target_id": _string, "reference": _string, "level": _level}
+FLAG_KEYS = {
+    "weights_on_raw": _check(lambda v: isinstance(v, bool), "true or false"),
+    "normalize_scope": _token({"country": "country", "parent": "parent"}),
+}
+IMPUTATION_KEYS = {
+    "thresholds": _list_of(_is_number, "finite numbers"),
+    "learning_rates": _list_of(lambda v: _is_number(v) and 0.0 < v <= 1.0, "numbers in (0, 1]"),
+    "n_estimators": _list_of(lambda v: _is_int(v) and v >= 0, "integers >= 0"),
+    "max_depths": _list_of(lambda v: _is_int(v) and v >= 1, "integers >= 1"),
+}
+REQUIRED_CONFIG_KEYS = ("hierarchy", "series_dir", "registry", "pipeline", "output_dir")
+CONFIG_KEYS = {
+    "hierarchy": _path, "series_dir": _path, "registry": _path, "pipeline": _path,
+    "output_dir": _path, "proxy_assignments": _path, "reference_dir": _path,
+    "comparisons": _list,
+    "seed": _check(_is_int, "an integer"),
+    "flags": lambda value, where: _fields(value, where, FLAG_KEYS),
+    "imputation": lambda value, where: _fields(value, where, IMPUTATION_KEYS),
+}
+VARIABLE_KEYS = {
+    # formulas can only reference snake_case identifiers
+    "id": _check(lambda v: isinstance(v, str) and re.fullmatch(r"[a-z][a-z0-9_]*", v),
+                 "a snake_case identifier"),
+    "level": _level, "description": _string, "unit": _string, "country_scope": _string,
+    "file": _string,
 }
 
 
-def _imputation_overrides(path: Path, overrides) -> dict:
-    """Check the ``imputation`` object: every key must be a known one and,
-    when given, a non-empty list of valid entries."""
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{path}: 'imputation' must be an object")
-    for key in overrides:
-        if key not in IMPUTATION_OVERRIDES:
-            raise ConfigError(
-                f"{path}: imputation.{key} is not a known key "
-                f"(known: {', '.join(IMPUTATION_OVERRIDES)})"
-            )
-    for key, (valid, what) in IMPUTATION_OVERRIDES.items():
-        if key not in overrides:
-            continue
-        values = overrides[key]
-        if not isinstance(values, list) or not values or not all(map(valid, values)):
-            raise ConfigError(
-                f"{path}: imputation.{key} must be a non-empty list of {what}, got {values!r}"
-            )
-    return overrides
+def _entries(path: Path, what: str, key: str) -> list:
+    """The entries of a JSON document that is a list, or an object holding
+    the list under ``key``."""
+    doc = read_json(path, what)
+    if isinstance(doc, dict):
+        doc = _fields(doc, str(path), {key: _list}, (key,))[key]
+    return _list(doc, str(path))
 
 
 def load_project_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
-    doc = read_json(path, "config file")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    root = path.parent
-
-    def resolve(key: str, required: bool = True) -> Path | None:
-        value = doc.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return None
-        _string(value, f"{path}: {key}")
-        if "\0" in value:  # Path.resolve raises ValueError on it
-            raise ConfigError(f"{path}: {key} contains a NUL character: {value!r}")
-        return (root / value).resolve() if not Path(value).is_absolute() else Path(value)
-
-    entries = doc.get("comparisons", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: 'comparisons' must be a list")
-    comparisons = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: comparison #{i} is not an object")
-        for key in ("target_id", "reference"):
-            _string(entry.get(key, ""), f"{path}: comparison #{i}: {key}")
-        try:
-            comparisons.append(
-                ComparisonSpec(
-                    target_id=entry["target_id"],
-                    reference=entry["reference"],
-                    level=SpatialLevel.from_token(entry["level"]),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}: comparison #{i} missing {exc}") from None
-        except UnknownLevel as exc:
-            raise ConfigError(f"{path}: comparison #{i}: {exc}") from None
-
-    flags = doc.get("flags", {})
-    if not isinstance(flags, dict):
-        raise ConfigError(f"{path}: 'flags' must be an object")
-    for key in flags:
-        if key not in ("weights_on_raw", "normalize_scope"):
+    doc = _fields(read_json(path, "config file"), str(path), CONFIG_KEYS, REQUIRED_CONFIG_KEYS)
+    paths = {  # the _path values, relative ones taken from the config file's directory
+        key: value if value.is_absolute() else (path.parent / value).resolve()
+        for key, value in doc.items() if isinstance(value, Path)
+    }
+    comparisons: list[ComparisonSpec] = []
+    first: dict[str, int] = {}  # target -> its comparison's number
+    for i, entry in enumerate(doc.get("comparisons", [])):
+        where = f"{path}: comparison #{i}"
+        spec = ComparisonSpec(**_fields(entry, where, COMPARISON_KEYS, COMPARISON_KEYS))
+        # each comparison writes validation/deviation_<target>.csv
+        if first.setdefault(spec.target_id, i) != i:
             raise ConfigError(
-                f"{path}: flags.{key} is not a known key (known: weights_on_raw, normalize_scope)"
+                f"{where}: target {spec.target_id!r} is already compared by "
+                f"comparison #{first[spec.target_id]}"
             )
-    weights_on_raw = flags.get("weights_on_raw", False)
-    if not isinstance(weights_on_raw, bool):
-        raise ConfigError(
-            f"{path}: flags.weights_on_raw must be true or false, got {weights_on_raw!r}"
-        )
-    normalize_scope = flags.get("normalize_scope", "country")
-    if normalize_scope not in ("country", "parent"):
-        raise ConfigError(f"{path}: flags.normalize_scope must be 'country' or 'parent'")
-    seed = doc.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
-
+        comparisons.append(spec)
+    flags = doc.get("flags", {})
     return ProjectConfig(
-        root=root,
-        hierarchy_path=resolve("hierarchy"),
-        series_dir=resolve("series_dir"),
-        registry_path=resolve("registry"),
-        pipeline_path=resolve("pipeline"),
-        output_dir=resolve("output_dir"),
-        proxy_assignments_path=resolve("proxy_assignments", required=False),
-        reference_dir=resolve("reference_dir", required=False),
+        hierarchy_path=paths["hierarchy"],
+        series_dir=paths["series_dir"],
+        registry_path=paths["registry"],
+        pipeline_path=paths["pipeline"],
+        output_dir=paths["output_dir"],
+        proxy_assignments_path=paths.get("proxy_assignments"),
+        reference_dir=paths.get("reference_dir"),
         comparisons=comparisons,
-        seed=seed,
-        weights_on_raw=weights_on_raw,
-        normalize_scope=normalize_scope,
-        imputation_overrides=_imputation_overrides(path, doc.get("imputation", {})),
+        seed=doc.get("seed", 0),
+        weights_on_raw=flags.get("weights_on_raw", False),
+        normalize_scope=flags.get("normalize_scope", "country"),
+        imputation_overrides=doc.get("imputation", {}),
     )
 
 
 def load_registry(path: str | Path) -> list[RegistryEntry]:
     path = Path(path)
-    doc = read_json(path, "variable registry")
-    entries = doc.get("variables", doc) if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected a list of variable entries")
-    out = []
-    seen = set()
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: variable #{i} is not an object")
-        try:
-            vid = entry["id"]
-            level = SpatialLevel.from_token(entry["level"])
-        except KeyError as exc:
-            raise ConfigError(f"{path}: variable #{i} missing {exc}") from None
-        except UnknownLevel as exc:
-            raise ConfigError(f"{path}: variable #{i}: {exc}") from None
-        # formulas can only reference snake_case identifiers
-        if not isinstance(vid, str) or not re.fullmatch(r"[a-z][a-z0-9_]*", vid):
-            raise ConfigError(f"{path}: variable id {vid!r} is not snake_case")
-        if vid in seen:
-            raise ConfigError(f"{path}: duplicate variable id {vid!r}")
-        for key in ("description", "unit", "country_scope", "file"):
-            _string(entry.get(key, ""), f"{path}: variable #{i}: {key}")
-        seen.add(vid)
+    out: dict[str, RegistryEntry] = {}
+    for i, entry in enumerate(_entries(path, "variable registry", "variables")):
+        where = f"{path}: variable #{i}"
+        fields = _fields(entry, where, VARIABLE_KEYS, ("id", "level"))
+        vid = fields["id"]
+        if vid in out:
+            raise ConfigError(f"{where}: duplicate variable id {vid!r}")
         meta = SeriesMeta(
             variable_id=vid,
-            description=entry.get("description", ""),
-            unit=entry.get("unit", ""),
-            level=level,
-            country_scope=entry.get("country_scope", ALL_COUNTRIES),
+            description=fields.get("description", ""),
+            unit=fields.get("unit", ""),
+            level=fields["level"],
+            country_scope=fields.get("country_scope", ALL_COUNTRIES),
         )
-        out.append(RegistryEntry(meta, entry.get("file", f"{vid}.csv")))
-    return out
+        out[vid] = RegistryEntry(meta, fields.get("file", f"{vid}.csv"))
+    return list(out.values())
 
 
 def ingest_registry(

@@ -23,14 +23,14 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import _string, read_json
+from .config import _check, _fields, _is_int, _level, _list, _string, read_json
 from .errors import (
     ConfigError,
     DuplicateVariable,
@@ -38,12 +38,13 @@ from .errors import (
     MissingValue,
     NegativeProxyValue,
     NonFiniteValue,
-    NonNumericValue,
-    UnknownLevel,
     UnknownVariable,
     UnresolvedDependency,
 )
-from .formulas import ASSIGNMENT_CONFIDENCES, ProxyAssignment, ProxyExpr, combine, parse, variables
+from .formulas import (
+    ASSIGNMENT_CONFIDENCES, ProxyAssignment, ProxyExpr, _confidence, _formula, combine, parse,
+    variables,
+)
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .series import ConfidenceLevel, VariableSeries, VariableStore, _run_sums
 
@@ -249,6 +250,13 @@ class TaskSpec:
         return None if self.formula_text is None else parse(self.formula_text)
 
 
+STAGE_KEYS = {"stage": _check(lambda v: _is_int(v) and 1 <= v <= 3, "1, 2 or 3"), "tasks": _list}
+TASK_KEYS = {
+    "target_id": _string, "source_level": _level, "mode": _string, "formula": _formula,
+    "assignment_confidence": _confidence,
+}
+
+
 def load_pipeline_config(
     path: str | Path,
     assignments: dict[str, ProxyAssignment] | None = None,
@@ -256,63 +264,33 @@ def load_pipeline_config(
     """Parse the staged task list; tasks may inherit formula/confidence from
     the proxy-assignment document by target_id (inline values win)."""
     path = Path(path)
-    doc = read_json(path, "pipeline config")
-    stages = doc.get("stages") if isinstance(doc, dict) else None
-    if not isinstance(stages, list):
-        raise ConfigError(f"{path}: expected top-level 'stages' list")
+    doc = _fields(read_json(path, "pipeline config"), str(path), {"stages": _list}, ("stages",))
     assignments = assignments or {}
     specs: list[TaskSpec] = []
     seen_targets: set[str] = set()
-    for entry in stages:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: stage entry {entry!r} is not an object")
-        stage = entry.get("stage")
-        if stage not in (1, 2, 3):
-            raise ConfigError(f"{path}: stage must be 1, 2 or 3, got {stage!r}")
-        tasks = entry.get("tasks", [])
-        if not isinstance(tasks, list):
-            raise ConfigError(f"{path}: stage {stage}: 'tasks' must be a list")
-        for t, task in enumerate(tasks):
-            if not isinstance(task, dict):
-                raise ConfigError(f"{path}: stage {stage}: task {task!r} is not an object")
-            try:
-                target_id, level_token = task["target_id"], task["source_level"]
-            except KeyError as exc:
-                raise ConfigError(f"{path}: stage {stage} task missing {exc}") from None
-            _string(target_id, f"{path}: stage {stage} task #{t}: target_id")
-            try:
-                source_level = SpatialLevel.from_token(level_token)
-            except UnknownLevel as exc:
-                raise ConfigError(f"{path}: {target_id}: source_level: {exc}") from None
+    for i, entry in enumerate(doc["stages"]):
+        stage = _fields(entry, f"{path}: stage entry #{i}", STAGE_KEYS, ("stage",))
+        for t, task in enumerate(stage.get("tasks", [])):
+            where = f"{path}: stage {stage['stage']} task #{t}"
+            fields = _fields(task, where, TASK_KEYS, ("target_id", "source_level"))
+            target_id, source_level = fields["target_id"], fields["source_level"]
             inherited = assignments.get(target_id)
-            if inherited is not None and inherited.source_level != source_level:
-                raise ConfigError(
-                    f"{path}: {target_id}: source_level {source_level.name} differs from "
-                    f"the proxy assignment's {inherited.source_level.name}"
-                )
-            formula_text = task.get("formula")
-            if formula_text is not None:
-                _string(formula_text, f"{path}: {target_id}: formula")
-            elif inherited is not None:
-                formula_text = inherited.formula
-            conf_token = task.get("assignment_confidence")
-            if conf_token is not None:
-                try:
-                    confidence = ConfidenceLevel.from_token(conf_token)
-                except NonNumericValue as exc:
-                    where = f"{path}: {target_id}: assignment_confidence"
-                    raise ConfigError(f"{where}: {exc}") from None
-            elif inherited is not None:
-                confidence = inherited.assignment_confidence
-            else:
-                raise ConfigError(f"{path}: {target_id}: no assignment_confidence")
-            mode = task.get("mode", ALLOCATE)
-            _check_task(f"{path}: {target_id}", source_level, mode, formula_text, confidence)
-            spec = TaskSpec(stage, target_id, source_level, mode, formula_text, confidence)
-            if mode == ALLOCATE:
-                spec.formula  # parse now so a syntax error fails the load
+            if inherited is not None:
+                if inherited.source_level != source_level:
+                    raise ConfigError(
+                        f"{where}: source_level {source_level.name} differs from "
+                        f"the proxy assignment's {inherited.source_level.name}"
+                    )
+                fields = {"formula": inherited.formula,
+                          "assignment_confidence": inherited.assignment_confidence, **fields}
+            if "assignment_confidence" not in fields:
+                raise ConfigError(f"{where}: no assignment_confidence")
+            spec = TaskSpec(stage["stage"], target_id, source_level, fields.get("mode", ALLOCATE),
+                            fields.get("formula"), fields["assignment_confidence"])
+            _check_task(where, source_level, spec.mode, spec.formula_text,
+                        spec.assignment_confidence)
             if target_id in seen_targets:
-                raise ConfigError(f"{path}: duplicate task for target {target_id!r}")
+                raise ConfigError(f"{where}: duplicate task for target {target_id!r}")
             seen_targets.add(target_id)
             specs.append(spec)
     return sorted(specs, key=lambda s: (s.stage, s.target_id))
@@ -342,6 +320,31 @@ def check_dependencies(
                             "before this stage"
                         )
         available.update(spec.target_id for spec in stage_specs)
+
+
+def childless_sources(
+    specs: list[TaskSpec], store: VariableStore, hierarchy: RegionHierarchy
+) -> list[str]:
+    """One message per task whose source series holds a region with no LAU
+    region below it, which ``disaggregate`` rejects. At NUTS0 only regions
+    with a value count, as a missing national value skips the task; missing
+    values at other levels are imputed first."""
+    childless = {}
+    for level in {spec.source_level for spec in specs}:
+        counts = np.bincount(hierarchy.owners(SpatialLevel.LAU, level),
+                             minlength=len(hierarchy._codes[level]))
+        childless[level] = set(compress(hierarchy._codes[level], counts == 0))
+    found = []
+    for spec in specs:
+        if not childless[spec.source_level] or not store.has(spec.target_id, spec.source_level):
+            continue
+        source = store.get(spec.target_id, spec.source_level)
+        held = source.present_regions() if source.level == SpatialLevel.NUTS0 else source.codes
+        regions = sorted(childless[spec.source_level].intersection(held))
+        if regions:
+            found.append(f"task {spec.target_id!r}: no LAU region below source region(s) "
+                         f"{', '.join(regions)}")
+    return found
 
 
 def _by_stage(specs: list[TaskSpec]) -> list[tuple[int, list[TaskSpec]]]:

@@ -92,7 +92,7 @@ class FormulaSyntaxError(FormulaError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class UnresolvedVariable(FormulaError):

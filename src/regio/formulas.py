@@ -30,14 +30,13 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .config import _string, read_json
+from .config import _entries, _fields, _level, _string, _token
 from .errors import (
     ConfigError,
     FormulaSyntaxError,
     LevelMismatch,
     NegativeCap,
     NegativeProxyValue,
-    UnknownLevel,
     UnresolvedVariable,
 )
 from .hierarchy import SpatialLevel
@@ -435,36 +434,30 @@ class ProxyAssignment:
         return parse(self.formula)
 
 
+def _formula(text, where: str) -> str:
+    """``text`` if it is a formula, else an error naming ``where``."""
+    try:
+        parse(_string(text, where))
+    except FormulaSyntaxError as exc:
+        raise FormulaSyntaxError(f"{where}: {exc.message}", exc.position) from None
+    return text
+
+
+_confidence = _token({level.name: level for level in ASSIGNMENT_CONFIDENCES})
+ASSIGNMENT_KEYS = {
+    "target_id": _string, "source_level": _level, "formula": _formula,
+    "assignment_confidence": _confidence,
+}
+
+
 def load_proxy_assignments(path: str | Path) -> dict[str, ProxyAssignment]:
     """Load the per-target formula/confidence document (JSON list)."""
     path = Path(path)
-    doc = read_json(path, "proxy assignment file")
-    entries = doc.get("assignments", doc) if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected a list of assignments")
     out: dict[str, ProxyAssignment] = {}
-    for i, entry in enumerate(entries):
-        try:
-            target_id = entry["target_id"]
-            source_level = entry["source_level"]
-            formula = entry["formula"]
-            token = entry["assignment_confidence"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: assignment #{i}: {exc}") from None
-        for key in ("target_id", "source_level", "formula", "assignment_confidence"):
-            _string(entry[key], f"{path}: assignment #{i}: {key}")
-        try:
-            source_level = SpatialLevel.from_token(source_level)
-        except UnknownLevel as exc:
-            raise ConfigError(f"{path}: assignment #{i}: source_level: {exc}") from None
-        confidence = ConfidenceLevel.__members__.get(token)
-        if confidence not in ASSIGNMENT_CONFIDENCES:
-            raise ConfigError(
-                f"{path}: assignment {target_id!r}: confidence must be one of "
-                "HIGH|MEDIUM|LOW|VERY_LOW"
-            )
-        if target_id in out:
-            raise ConfigError(f"{path}: duplicate assignment for {target_id!r}")
-        parse(formula)  # fail early with position info
-        out[target_id] = ProxyAssignment(target_id, source_level, formula, confidence)
+    for i, entry in enumerate(_entries(path, "proxy assignment file", "assignments")):
+        where = f"{path}: assignment #{i}"
+        assignment = ProxyAssignment(**_fields(entry, where, ASSIGNMENT_KEYS, ASSIGNMENT_KEYS))
+        if assignment.target_id in out:
+            raise ConfigError(f"{where}: duplicate assignment for {assignment.target_id!r}")
+        out[assignment.target_id] = assignment
     return out

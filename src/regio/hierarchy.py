@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     DanglingParent,
     DuplicateCode,
+    HierarchyError,
     ParentLevelMismatch,
     TargetCoarserThanSource,
     TargetFinerThanSource,
@@ -105,11 +106,12 @@ class RegionHierarchy:
         root = level == SpatialLevel.NUTS0
         child = np.flatnonzero(~root)
         up = parent[child]
-        # A valid hierarchy has unique codes; roots without a parent, each its
-        # own country; and every other node's parent one level up in the same
-        # country, so every country is a root's code.
+        # A valid hierarchy has unique, non-empty codes; roots without a
+        # parent, each its own country; and every other node's parent one level
+        # up in the same country, so every country is a root's code.
         if not (
             len(row) == n
+            and "" not in row
             and (country >= 0).all()
             and (country[root] == np.flatnonzero(root)).all()
             and all(p is None for p in compress(parents, root))
@@ -140,6 +142,8 @@ class RegionHierarchy:
         users see."""
         nodes: dict[str, RegionNode] = {}
         for node in map(RegionNode, *self._columns):
+            if not node.code:
+                raise HierarchyError(f"empty region code at {node.level.name}")
             if node.code in nodes:
                 raise DuplicateCode(f"duplicate region code {node.code!r}")
             nodes[node.code] = node
@@ -352,6 +356,8 @@ def load_hierarchy(path: str | Path) -> RegionHierarchy:
         if len(row) != 4:
             raise UnknownLevel(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
         code, level_token, parent, country = (cell.strip() for cell in row)
+        if not code:
+            raise HierarchyError(f"{path}:{lineno}: empty region code")
         nodes.append(
             RegionNode(
                 code=code,

@@ -1,12 +1,21 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from conftest import TOY_PROJECT
 from regio import cli
 from regio.cli import _dump_json, main
-from regio.config import ingest_registry
+from regio.config import (
+    COMPARISON_KEYS,
+    CONFIG_KEYS,
+    FLAG_KEYS,
+    IMPUTATION_KEYS,
+    ingest_registry,
+    load_project_config,
+)
 from regio.hierarchy import load_hierarchy
 
 
@@ -68,6 +77,18 @@ class TestCheck:
         assert "snake_case" in capsys.readouterr().out
 
 
+def toy_json(name: str, edit) -> str:
+    """The toy project's JSON file ``name`` after ``edit(doc)``, as text."""
+    doc = json.loads((TOY_PROJECT / name).read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def toy_text(name: str, line: str) -> str:
+    """The toy project's file ``name`` with ``line`` appended."""
+    return f"{(TOY_PROJECT / name).read_text()}{line}\n"
+
+
 REFERENCE = "reference/transport_fec_nuts2.csv"
 # validate reads the disaggregated output before the reference file
 HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
@@ -125,27 +146,27 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
         # a dict is merged into the JSON object already in the file
         pytest.param(
             "check", {"config.json": {"imputation": {"learning_rates": [2]}}},
-            "config.json: imputation.learning_rates", id="learning-rate-range",
+            "config.json: imputation: learning_rates", id="learning-rate-range",
         ),
         pytest.param(
             "impute", {"config.json": {"imputation": {"thresholds": 0.3}}},
-            "config.json: imputation.thresholds", id="thresholds-not-list",
+            "config.json: imputation: thresholds", id="thresholds-not-list",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": {"max_depths": []}}},
-            "config.json: imputation.max_depths", id="max-depths-empty",
+            "config.json: imputation: max_depths", id="max-depths-empty",
         ),
         pytest.param(
             "impute", {"config.json": {"imputation": {"n_estimators": [10.5]}}},
-            "config.json: imputation.n_estimators", id="n-estimators-not-int",
+            "config.json: imputation: n_estimators", id="n-estimators-not-int",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": {"max_depth": [9]}}},
-            "config.json: imputation.max_depth is not a known key", id="imputation-unknown-key",
+            "config.json: imputation: max_depth is not a known key", id="imputation-unknown-key",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": [0.1]}},
-            "config.json: 'imputation'", id="imputation-not-object",
+            "config.json: imputation must be an object", id="imputation-not-object",
         ),
         pytest.param(
             "check", {"config.json": {"comparisons": [1]}},
@@ -153,19 +174,21 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
         ),
         pytest.param(
             "check", {"config.json": {"comparisons": {"target_id": "transport_fec"}}},
-            "config.json: 'comparisons'", id="comparisons-not-list",
+            "config.json: comparisons must be a list", id="comparisons-not-list",
         ),
         pytest.param(
-            "check", {"config.json": {"flags": [1]}}, "config.json: 'flags'", id="flags-not-object",
+            "check", {"config.json": {"flags": [1]}}, "config.json: flags must be an object",
+            id="flags-not-object",
         ),
         pytest.param(
             "check",
             {"config.json": {"comparisons": [{"target_id": "t", "reference": "r", "level": ["X"]}]}},
-            "config.json: comparison #0: unknown spatial level", id="comparison-level",
+            "config.json: comparison #0: level must be one of NUTS0|NUTS1|NUTS2|NUTS3|LAU",
+            id="comparison-level",
         ),
         pytest.param(
             "check", {"variables.json": '[{"id": "population", "level": "NUTS9"}]'},
-            "variables.json: variable #0: unknown spatial level", id="registry-level",
+            "variables.json: variable #0: level must be one of", id="registry-level",
         ),
         # JSON fields of the wrong type
         pytest.param(
@@ -199,20 +222,21 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
                               '"source_level": "NUTS3", "mode": "replicate", '
                               '"assignment_confidence": ["HIGH"]}]}]}'},
-            "pipeline.json: x: assignment_confidence", id="task-confidence-type",
+            "pipeline.json: stage 1 task #0: assignment_confidence must be one of "
+            "HIGH|MEDIUM|LOW|VERY_LOW", id="task-confidence-type",
         ),
         pytest.param(
             "check",
             {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
                               '"source_level": ["NUTS3"], "assignment_confidence": "LOW"}]}]}'},
-            "pipeline.json: x: source_level", id="task-level-type",
+            "pipeline.json: stage 1 task #0: source_level must be one of", id="task-level-type",
         ),
         pytest.param(
             "check",
             {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
                               '"source_level": "NUTS3", "formula": 5, '
                               '"assignment_confidence": "LOW"}]}]}'},
-            "pipeline.json: x: formula must be a string", id="task-formula-type",
+            "pipeline.json: stage 1 task #0: formula must be a string", id="task-formula-type",
         ),
         pytest.param(
             "check",
@@ -225,7 +249,8 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "check",
             {"proxy_assignments.json": '[{"target_id": "t", "source_level": "NUTS0", '
                                        '"formula": "a", "assignment_confidence": ["HIGH"]}]'},
-            "proxy_assignments.json: assignment #0: assignment_confidence must be a string",
+            "proxy_assignments.json: assignment #0: assignment_confidence must be one of "
+            "HIGH|MEDIUM|LOW|VERY_LOW",
             id="assignment-confidence-type",
         ),
         pytest.param(
@@ -238,17 +263,17 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "check",
             {"pipeline.json": '{"stages": [{"stage": 3, "tasks": '
                               '[{"target_id": "transport_fec", "source_level": "NUTS2"}]}]}'},
-            "pipeline.json: transport_fec: source_level NUTS2 differs from the proxy "
+            "pipeline.json: stage 3 task #0: source_level NUTS2 differs from the proxy "
             "assignment's NUTS0", id="task-level-differs-from-assignment",
         ),
         # flags are checked like the imputation keys
         pytest.param(
             "check", {"config.json": {"flags": {"weights_on_raw": "false"}}},
-            "config.json: flags.weights_on_raw must be true or false", id="flags-raw-not-bool",
+            "config.json: flags: weights_on_raw must be true or false", id="flags-raw-not-bool",
         ),
         pytest.param(
             "check", {"config.json": {"flags": {"normalise_scope": "parent"}}},
-            "config.json: flags.normalise_scope is not a known key", id="flags-unknown-key",
+            "config.json: flags: normalise_scope is not a known key", id="flags-unknown-key",
         ),
         pytest.param(
             "check", {"config.json": {"seed": True}}, "config.json: seed must be an integer",
@@ -285,7 +310,7 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
         ),
         pytest.param(
             "check", {"config.json": {"hierarchy": "a\u0000b.csv"}},
-            "config.json: hierarchy contains a NUL character", id="hierarchy-path-nul",
+            "config.json: hierarchy must be a string without NUL", id="hierarchy-path-nul",
         ),
         pytest.param(
             "check",
@@ -293,6 +318,96 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
                 {"target_id": "nope", "reference": "transport_fec_nuts2.csv", "level": "NUTS2"}
             ]}},
             "comparison #0: target 'nope' is not a target of any task", id="comparison-target",
+        ),
+        # every JSON object kind rejects a key it does not declare
+        pytest.param(
+            "check", {"config.json": {"sed": 5}}, "config.json: sed is not a known key",
+            id="config-unknown-key",
+        ),
+        pytest.param(
+            "check",
+            {"config.json": toy_json("config.json", lambda doc: doc["comparisons"][0].update(
+                levle="NUTS0"))},
+            "config.json: comparison #0: levle is not a known key", id="comparison-unknown-key",
+        ),
+        pytest.param(
+            "check",
+            {"variables.json": toy_json("variables.json", lambda doc: doc["variables"][0].update(
+                contry_scope="AA"))},
+            "variables.json: variable #0: contry_scope is not a known key",
+            id="registry-unknown-key",
+        ),
+        pytest.param(
+            "check",
+            {"proxy_assignments.json": toy_json(
+                "proxy_assignments.json",
+                lambda doc: doc["assignments"][1].update(assignment_confidnce="LOW"))},
+            "proxy_assignments.json: assignment #1: assignment_confidnce is not a known key",
+            id="assignment-unknown-key",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][1].update(
+                task=[]))},
+            "pipeline.json: stage entry #1: task is not a known key", id="stage-unknown-key",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][0]["tasks"][0]
+                                       .update(assignment_confidnce="VERY_LOW"))},
+            "pipeline.json: stage 1 task #0: assignment_confidnce is not a known key",
+            id="task-unknown-key",
+        ),
+        pytest.param(
+            "check", {"pipeline.json": {"stagse": []}}, "pipeline.json: stagse is not a known key",
+            id="document-unknown-key",
+        ),
+        # a stage number is an integer, not a boolean or a float
+        pytest.param(
+            "check",
+            {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][0].update(
+                stage=True))},
+            "pipeline.json: stage entry #0: stage must be 1, 2 or 3, got True", id="stage-bool",
+        ),
+        pytest.param(
+            "check",
+            {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][0].update(
+                stage=1.0))},
+            "pipeline.json: stage entry #0: stage must be 1, 2 or 3, got 1.0", id="stage-float",
+        ),
+        # a formula syntax error names the file and the entry
+        pytest.param(
+            "check",
+            {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][1]["tasks"][0]
+                                       .update(formula="freight_traffic +"))},
+            "pipeline.json: stage 2 task #0: formula: unexpected end of formula",
+            id="task-formula-syntax",
+        ),
+        pytest.param(
+            "check",
+            {"proxy_assignments.json": toy_json(
+                "proxy_assignments.json",
+                lambda doc: doc["assignments"][0].update(formula="1.78 * (freight_traffic"))},
+            "proxy_assignments.json: assignment #0: formula: expected ')'",
+            id="assignment-formula-syntax",
+        ),
+        pytest.param(
+            "check", {"hierarchy.csv": toy_text("hierarchy.csv", ",LAU,AA111,AA")},
+            "hierarchy.csv:24: empty region code", id="hierarchy-empty-code",
+        ),
+        pytest.param(
+            "run",
+            {"hierarchy.csv": toy_text("hierarchy.csv", "AA113,NUTS3,AA11,AA"),
+             "series/freight_traffic.csv": toy_text("series/freight_traffic.csv", "AA113,5.0")},
+            "task 'freight_traffic': no LAU region below source region(s) AA113",
+            id="source-region-without-lau",
+        ),
+        pytest.param(
+            "check",
+            {"config.json": toy_json("config.json", lambda doc: doc["comparisons"].append(
+                {"target_id": "transport_fec", "reference": "nat.csv", "level": "NUTS0"}))},
+            "config.json: comparison #1: target 'transport_fec' is already compared by "
+            "comparison #0", id="comparison-target-twice",
         ),
     ],
 )
@@ -310,6 +425,21 @@ def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
     out = capsys.readouterr().out
     assert "error:" in out
     assert culprit in out
+
+
+def test_readme_config_example_holds_every_config_key(tmp_path):
+    """README's config.json example loads, and it uses every key the loader
+    declares, so the documented keys and the accepted keys cannot drift."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"`config.json`[^`]*```json\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "config.json").write_text(example)
+    config = load_project_config(tmp_path / "config.json")
+    assert config.comparisons and config.imputation_overrides
+    doc = json.loads(example)
+    assert set(doc) == set(CONFIG_KEYS)
+    assert set(doc["flags"]) == set(FLAG_KEYS)
+    assert set(doc["imputation"]) == set(IMPUTATION_KEYS)
+    assert set(doc["comparisons"][0]) == set(COMPARISON_KEYS)
 
 
 class TestErrorBoundary:

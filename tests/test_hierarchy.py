@@ -3,6 +3,7 @@ import pytest
 from regio.errors import (
     DanglingParent,
     DuplicateCode,
+    HierarchyError,
     ParentLevelMismatch,
     TargetCoarserThanSource,
     TargetFinerThanSource,
@@ -153,3 +154,12 @@ class TestInvariants:
     def test_constructed_hierarchy_validates(self):
         with pytest.raises(DanglingParent):
             RegionHierarchy([RegionNode("DE1", SpatialLevel.NUTS1, None, "DE")])
+
+    @pytest.mark.parametrize("nodes", [
+        [RegionNode("DE", SpatialLevel.NUTS0, None, "DE"),
+         RegionNode("", SpatialLevel.NUTS1, "DE", "DE")],
+        [RegionNode("", SpatialLevel.NUTS0, None, "")],  # passes every other check
+    ], ids=["child", "root"])
+    def test_empty_code_rejected(self, nodes):
+        with pytest.raises(HierarchyError, match="empty region code"):
+            RegionHierarchy(nodes)
