@@ -29,10 +29,11 @@ from .config import (
     read_reference_csv,
 )
 from .disaggregation import (
-    TaskSpec, check_dependencies, childless_sources, load_pipeline_config, run_pipeline,
+    ALLOCATE, TaskSpec, check_dependencies, childless_sources, load_pipeline_config,
+    run_pipeline,
 )
 from .errors import ConfigError, RegioError
-from .formulas import load_proxy_assignments
+from .formulas import load_proxy_assignments, variables
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
 from .imputation import impute_series
 from .series import (
@@ -40,6 +41,7 @@ from .series import (
     VariableStore,
     aggregate,
     atomic_writer,
+    missing_report,
     read_series_csv,
     write_series_csv,
 )
@@ -107,6 +109,32 @@ def _read_reference(config: ProjectConfig, spec: ComparisonSpec, hierarchy: Regi
     return read_reference_csv(path, hierarchy, spec.level)
 
 
+def _series_findings(project: LoadedProject) -> list[str]:
+    """One message per loaded sub-national series with no observed value,
+    which ``impute`` cannot fill, and per LAU series that an allocate formula
+    references and that holds a negative value, each naming the file."""
+    proxies = {
+        name for spec in project.specs or () if spec.mode == ALLOCATE
+        for name in variables(spec.formula)
+    }
+    found = []
+    for entry in project.registry:
+        vid, level = entry.meta.variable_id, entry.meta.level
+        if not project.store.has(vid, level):  # it did not load: a finding already
+            continue
+        series = project.store.get(vid, level)
+        path = project.config.series_dir / entry.filename
+        report = missing_report(series)
+        if level != SpatialLevel.NUTS0 and report.total and report.missing == report.total:
+            found.append(f"{path}: {vid} has no observed value to impute from")
+        if level == SpatialLevel.LAU and vid in proxies:
+            negative = series.data < 0
+            if negative.any():
+                found.append(f"{path}: {vid}: negative proxy value at "
+                             f"{series.codes[negative.argmax()]!r}")
+    return found
+
+
 def _print_errors(findings: list[str]) -> None:
     for finding in findings:
         print(f"error: {finding}")
@@ -117,6 +145,8 @@ def cmd_check(project: LoadedProject) -> int:
     targets and references; print every finding."""
     config = project.config
     findings = list(project.findings)
+    if project.store is not None:
+        findings.extend(_series_findings(project))
     if project.store is not None and project.specs:
         _collect(findings, check_dependencies, project.specs, project.store)
         findings.extend(childless_sources(project.specs, project.store, project.hierarchy))

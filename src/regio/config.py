@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -55,15 +55,15 @@ class ProjectConfig:
     registry_path: Path
     pipeline_path: Path
     output_dir: Path
-    proxy_assignments_path: Path | None = None
-    reference_dir: Path | None = None
-    comparisons: list[ComparisonSpec] = field(default_factory=list)
-    seed: int = 0
-    weights_on_raw: bool = False
-    normalize_scope: str = "country"
-    imputation_overrides: dict = field(default_factory=dict)
+    proxy_assignments_path: Path | None
+    reference_dir: Path | None
+    comparisons: list[ComparisonSpec]
+    seed: int
+    weights_on_raw: bool
+    normalize_scope: str
+    imputation_overrides: dict
 
-    def imputation_config(self, seed: int | None = None) -> ImputationConfig:
+    def imputation_config(self, seed: int) -> ImputationConfig:
         over = self.imputation_overrides
         grid = GridSpec(
             n_estimators=tuple(over.get("n_estimators", GridSpec.n_estimators)),
@@ -71,9 +71,9 @@ class ProjectConfig:
             max_depths=tuple(over.get("max_depths", GridSpec.max_depths)),
         )
         return ImputationConfig(
-            thresholds=tuple(over.get("thresholds", (0.1, 0.5))),
+            thresholds=tuple(over.get("thresholds", ImputationConfig.thresholds)),
             grid=grid,
-            seed=self.seed if seed is None else seed,
+            seed=seed,
         )
 
 
@@ -188,6 +188,10 @@ def load_project_config(path: str | Path) -> ProjectConfig:
         key: value if value.is_absolute() else (path.parent / value).resolve()
         for key, value in doc.items() if isinstance(value, Path)
     }
+    out = paths["output_dir"].resolve()
+    for key in ("series_dir", "reference_dir"):  # the folders regio writes into
+        if key in paths and paths[key].resolve() in (out, out / "imputed", out / "validation"):
+            raise ConfigError(f"{path}: output_dir would overwrite the {key} ({paths[key]})")
     comparisons: list[ComparisonSpec] = []
     first: dict[str, int] = {}  # target -> its comparison's number
     for i, entry in enumerate(doc.get("comparisons", [])):

@@ -1,11 +1,11 @@
 """Proportional allocation of coarse series to finer levels, in stages.
 
 Each task takes one source series (NUTS3, NUTS2 or NUTS0) and splits every
-source region's value over its output-level descendants, one run of children
-per source region, in proportion to an evaluated proxy expression. Both
+source region's value over its LAU descendants, one run of children per
+source region, in proportion to an evaluated proxy expression. Both
 normalization scopes are one path: the proxy's variables are max-normalized
-per segment, where a segment is every output region of a country (default)
-or one run of children (``normalize_scope="parent"``, for sensitivity runs).
+per segment, where a segment is every LAU region of a country (default) or
+one run of children (``normalize_scope="parent"``, for sensitivity runs).
 A parent whose proxy weights sum to zero falls back to a uniform split so no
 mass is dropped; its children are flagged and graded VERY_LOW.
 
@@ -68,16 +68,10 @@ class DisaggregationTask:
     formula: ProxyExpr | None
     assignment_confidence: ConfidenceLevel
     mode: str = ALLOCATE
-    output_level: SpatialLevel = SpatialLevel.LAU
 
     def __post_init__(self):
         _check_task(self.target_id, self.source_series.level, self.mode, self.formula,
                     self.assignment_confidence)
-        if not self.output_level.is_finer_than(self.source_series.level):
-            raise ConfigError(
-                f"{self.target_id}: output level {self.output_level.name} must be "
-                f"finer than source level {self.source_series.level.name}"
-            )
 
 
 def _check_task(where, source_level, mode, formula, confidence) -> None:
@@ -181,7 +175,8 @@ def disaggregate(
             f"{task.target_id}: source series has missing values "
             f"({', '.join(source.missing_regions()[:5])} ...)"
         )
-    out, codes = task.output_level, hierarchy._codes[task.output_level]
+    out = SpatialLevel.LAU
+    codes = hierarchy._codes[out]
     # Source regions in allocation order (by country, then by code), and
     # one run of output regions below each.
     where = hierarchy.positions(source.level, source.codes)
@@ -296,28 +291,22 @@ def load_pipeline_config(
     return sorted(specs, key=lambda s: (s.stage, s.target_id))
 
 
-def check_dependencies(
-    specs: list[TaskSpec],
-    store: VariableStore,
-    output_level: SpatialLevel = SpatialLevel.LAU,
-) -> None:
-    """Every formula variable must resolve to an output-level series already
-    in the store or produced by a strictly earlier stage."""
-    available = set(store.series_at(output_level))
+def check_dependencies(specs: list[TaskSpec], store: VariableStore) -> None:
+    """Every formula variable must resolve to a LAU series already in the
+    store or produced by a strictly earlier stage."""
+    available = set(store.series_at(SpatialLevel.LAU))
     for stage, stage_specs in _by_stage(specs):
         for spec in stage_specs:
             if spec.target_id in available:
                 raise DuplicateVariable(
-                    f"stage {stage}: {spec.target_id!r} already exists at "
-                    f"{output_level.name}"
+                    f"stage {stage}: {spec.target_id!r} already exists at LAU"
                 )
             if spec.mode == ALLOCATE:
                 for name in variables(spec.formula):
                     if name not in available:
                         raise UnresolvedDependency(
                             f"stage {stage}: task {spec.target_id!r} references "
-                            f"{name!r}, which is not available at {output_level.name} "
-                            "before this stage"
+                            f"{name!r}, which is not available at LAU before this stage"
                         )
         available.update(spec.target_id for spec in stage_specs)
 
@@ -388,7 +377,6 @@ def run_pipeline(
     store: VariableStore,
     normalize_scope: str = "country",
     weights_on_raw: bool = False,
-    output_level: SpatialLevel = SpatialLevel.LAU,
     jobs: int = 1,
 ) -> PipelineRun:
     """Execute stages in order, registering each stage's outputs as proxies.
@@ -397,11 +385,11 @@ def run_pipeline(
     source regions, are skipped (entirely or per-region) and recorded in the
     run report; everything else is a hard error.
     """
-    check_dependencies(specs, store, output_level)
+    check_dependencies(specs, store)
     results: dict[str, AllocationResult] = {}
     reports: list[TaskReport] = []
     for _, stage_specs in _by_stage(specs):
-        env = store.series_at(output_level)
+        env = store.series_at(SpatialLevel.LAU)
 
         def execute(spec: TaskSpec):
             try:
@@ -423,21 +411,9 @@ def run_pipeline(
                     reason="source series has no observed values",
                     skipped_source_regions=skipped_regions,
                 )
-            task = DisaggregationTask(
-                target_id=spec.target_id,
-                source_series=restricted,
-                formula=spec.formula,
-                assignment_confidence=spec.assignment_confidence,
-                mode=spec.mode,
-                output_level=output_level,
-            )
-            result = disaggregate(
-                task,
-                hierarchy,
-                env,
-                normalize_scope=normalize_scope,
-                weights_on_raw=weights_on_raw,
-            )
+            task = DisaggregationTask(spec.target_id, restricted, spec.formula,
+                                      spec.assignment_confidence, spec.mode)
+            result = disaggregate(task, hierarchy, env, normalize_scope, weights_on_raw)
             report = TaskReport(
                 spec.target_id, spec.stage, spec.mode, "ok",
                 source_regions=len(restricted.codes),

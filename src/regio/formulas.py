@@ -162,19 +162,19 @@ class _Parser:
         self.fail(f"unexpected token {value!r}")
 
 
-def _check_structure(expr: ProxyExpr, top: bool = True) -> None:
+def _check_structure(expr: ProxyExpr) -> None:
     # Scalar weights must multiply a variable: Const is only legal inside Prod.
     if isinstance(expr, Const):
         raise FormulaSyntaxError("a number must multiply a variable", 0)
     if isinstance(expr, Sum):
         for term in expr.terms:
-            _check_structure(term, top=False)
+            _check_structure(term)
     elif isinstance(expr, Prod):
         if all(isinstance(f, Const) for f in expr.factors):
             raise FormulaSyntaxError("a weight needs a variable to multiply", 0)
         for factor in expr.factors:
             if not isinstance(factor, Const):
-                _check_structure(factor, top=False)
+                _check_structure(factor)
 
 
 def parse(text: str) -> ProxyExpr:
@@ -251,10 +251,10 @@ def evaluate(
     env: Mapping[str, VariableSeries],
     scope: Sequence[str],
     weights_on_raw: bool = False,
-    result_id: str = "composite_proxy",
     lengths: Sequence[int] | None = None,
 ) -> VariableSeries:
-    """Evaluate a proxy expression element-wise over the scope regions.
+    """Evaluate a proxy expression element-wise over the scope regions, as
+    the series ``composite_proxy``.
 
     ``lengths`` splits ``scope`` into non-empty runs (one run by default),
     each normalized on its own, as if evaluated by a call of its own. Result
@@ -271,7 +271,7 @@ def evaluate(
         expr, env, lambda s: s._rows(scope), scope.__getitem__, weights_on_raw, lengths
     )
     return VariableSeries(
-        result_id, format_expr(expr), "dimensionless", first.level,
+        "composite_proxy", format_expr(expr), "dimensionless", first.level,
         first.country_scope, scope, values, grades,
     )
 

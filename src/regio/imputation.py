@@ -133,13 +133,11 @@ def select_predictors(
     return [cid for _, cid in scored]
 
 
-def split_holdout(
-    n_rows: int, fraction: float = 0.1, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded shuffle; ceil(fraction*n) rows go to validation."""
+def split_holdout(n_rows: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded shuffle; a 10% holdout, ceil(0.1 * n_rows) rows, goes to validation."""
     if n_rows < 10:
         raise InsufficientData(f"holdout split needs >= 10 rows, got {n_rows}")
-    n_val = math.ceil(fraction * n_rows)
+    n_val = math.ceil(0.1 * n_rows)
     perm = np.random.default_rng(seed).permutation(n_rows)
     val = np.sort(perm[:n_val])
     train = np.sort(perm[n_val:])
@@ -283,8 +281,6 @@ class ImputationConfig:
     thresholds: tuple[float, ...] = (0.1, 0.5)
     grid: GridSpec = GridSpec()
     seed: int = 0
-    holdout_fraction: float = 0.1
-    cv_folds: int = 5
 
 
 @dataclass
@@ -360,7 +356,8 @@ def impute_series(
 
     Candidates must be complete over the target's regions. Observed values
     are untouched at VERY_HIGH; imputed values carry the confidence grade of
-    the winning setup's validation R² (or LOW on the mean-fallback path).
+    the winning setup's validation R² (or LOW on the mean-fallback path). A
+    target with no observed value raises InsufficientData.
     ``jobs`` is the number of processes each grid search may fit in.
     """
     missing = target.missing_regions()
@@ -368,11 +365,11 @@ def impute_series(
         return target, _report(target, None, ENSEMBLE, ConfidenceLevel.VERY_HIGH)
 
     present = target.present_regions()
+    if not present:
+        raise InsufficientData(f"{target.variable_id}: no observed value to impute from")
     seed = derive_seed(config.seed, target.variable_id)
     try:
-        train_idx, val_idx = split_holdout(
-            len(present), config.holdout_fraction, derive_seed(seed, "holdout")
-        )
+        train_idx, val_idx = split_holdout(len(present), derive_seed(seed, "holdout"))
     except InsufficientData:
         return _mean_fallback(target, None)
 
@@ -386,14 +383,8 @@ def impute_series(
             continue
         X = np.column_stack([by_id[p].values(present) for p in predictors])
         try:
-            hp, _ = grid_search_cv(
-                X[train_idx],
-                y[train_idx],
-                config.grid.expand(),
-                config.cv_folds,
-                derive_seed(seed, "cv", repr(threshold)),
-                jobs,
-            )
+            hp, _ = grid_search_cv(X[train_idx], y[train_idx], config.grid.expand(),
+                                   seed=derive_seed(seed, "cv", repr(threshold)), jobs=jobs)
         except InsufficientData:
             continue
         model = fit_gbrt(X[train_idx], y[train_idx], hp, predictors)
@@ -439,14 +430,13 @@ def cross_country_predict(
     model: TrainedEnsemble,
     features: Mapping[str, VariableSeries],
     scope: Sequence[str],
-    result_id: str = "cross_country_prediction",
-    confidence: ConfidenceLevel = ConfidenceLevel.VERY_LOW,
 ) -> VariableSeries:
-    """Apply a trained model to another region set's feature table.
+    """Apply a trained model to another region set's feature table, as the
+    series ``cross_country_prediction``.
 
-    Raw predictions only; a meaningful confidence can be assigned after the
-    caller compares aggregates against an external reference, so the default
-    grade is conservative.
+    Raw predictions only, graded VERY_LOW: a meaningful confidence can be
+    assigned after the caller compares aggregates against an external
+    reference.
     """
     columns = []
     level = None
@@ -460,5 +450,6 @@ def cross_country_predict(
         raise MissingFeature("model has no feature columns")
     predicted = model.predict(np.column_stack(columns))
     return VariableSeries(
-        result_id, "", "", level, "ALL", scope, predicted, np.full(len(predicted), confidence)
+        "cross_country_prediction", "", "", level, "ALL", scope, predicted,
+        np.full(len(predicted), ConfidenceLevel.VERY_LOW),
     )

@@ -106,9 +106,9 @@ class VariableSeries:
     unit: str
     level: SpatialLevel
     country_scope: str
-    codes: tuple[str, ...] = ()
-    data: np.ndarray = ()
-    grades: np.ndarray = ()
+    codes: tuple[str, ...]
+    data: np.ndarray
+    grades: np.ndarray
 
     def __post_init__(self):
         codes = tuple(self.codes)
@@ -194,10 +194,6 @@ class VariableSeries:
         """Values for the given regions, in order; raises on missing."""
         return self.data[self._index(regions)]
 
-    def confidences(self, regions: Iterable[str]) -> np.ndarray:
-        """Grades (int8) for the given regions, in order; raises on missing."""
-        return self.grades[self._index(regions)]
-
     @classmethod
     def from_values(
         cls,
@@ -233,13 +229,12 @@ class MissingReport:
 
     @property
     def pct_display(self) -> float:
-        return round_half_up(self.pct, 2)
+        return round_half_up(self.pct)
 
 
-def round_half_up(x: float, places: int = 2) -> float:
-    """Decimal half-up rounding for display (ties away from zero)."""
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(x: float) -> float:
+    """Decimal half-up rounding to 2 places for display (ties away from zero)."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def _parse_value(raw: str, path: Path, lineno: int) -> float | None:

@@ -29,11 +29,11 @@ class DeviationRow:
 
     @property
     def pct_display(self) -> float:
-        return round_half_up(self.pct_deviation, 2)
+        return round_half_up(self.pct_deviation)
 
     @property
     def difference_display(self) -> float:
-        return round_half_up(self.difference, 2)
+        return round_half_up(self.difference)
 
 
 def deviation(reported: float, disaggregated: float, label: str = "") -> DeviationRow:
@@ -123,8 +123,8 @@ def markdown_table(rows: Sequence[DeviationRow], value_unit: str = "") -> str:
     ]
     for row in rows:
         lines.append(
-            f"| {row.label} | {round_half_up(row.reported, 2)} | "
-            f"{round_half_up(row.disaggregated, 2)} | {row.difference_display} | "
+            f"| {row.label} | {round_half_up(row.reported)} | "
+            f"{round_half_up(row.disaggregated)} | {row.difference_display} | "
             f"{row.pct_display} |"
         )
     return "\n".join(lines) + "\n"

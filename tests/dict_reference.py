@@ -26,6 +26,7 @@ from regio.errors import (
     UnresolvedVariable,
 )
 from regio.formulas import Const, Sum, Var, variables
+from regio.hierarchy import SpatialLevel
 from regio.series import ConfidenceLevel
 
 
@@ -148,10 +149,10 @@ def disaggregate(task, source, hierarchy, env, normalize_scope="country", weight
     for country in sorted(by_country):
         country_proxy = None
         if task.mode == "allocate" and normalize_scope == "country":
-            scope = hierarchy.regions_at(task.output_level, country)
+            scope = hierarchy.regions_at(SpatialLevel.LAU, country)
             country_proxy = evaluate(task.formula, env, scope, weights_on_raw)
         for parent in by_country[country]:
-            children = hierarchy.descendants(parent, task.output_level)
+            children = hierarchy.descendants(parent, SpatialLevel.LAU)
             parent_value = source.value(parent)
             if task.mode == "replicate":
                 conf = min(task.assignment_confidence, source.confidence(parent))

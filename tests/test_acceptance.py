@@ -261,7 +261,7 @@ def test_criterion_09_imputation_quality():
     # split and score the winning predictors' rows with plain numpy
     present = target.present_regions()
     var_seed = derive_seed(config.seed, "y")
-    _, val_idx = split_holdout(len(present), 0.1, derive_seed(var_seed, "holdout"))
+    _, val_idx = split_holdout(len(present), derive_seed(var_seed, "holdout"))
     by_id = {c.variable_id: c for c in candidates}
     X_val = np.column_stack(
         [by_id[p].values(present)[val_idx] for p in rep.selected_predictors]

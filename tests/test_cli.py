@@ -90,6 +90,11 @@ def toy_text(name: str, line: str) -> str:
 
 
 REFERENCE = "reference/transport_fec_nuts2.csv"
+# the toy industrial_area series with every value cell empty
+ALL_MISSING = "".join(
+    f"{line.split(',')[0]},\n" if i else f"{line}\n"
+    for i, line in enumerate((TOY_PROJECT / "series/industrial_area.csv").read_text().split())
+)
 # validate reads the disaggregated output before the reference file
 HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
 
@@ -409,6 +414,40 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "config.json: comparison #1: target 'transport_fec' is already compared by "
             "comparison #0", id="comparison-target-twice",
         ),
+        # outputs must not replace input files
+        pytest.param(
+            "run", {"config.json": {"output_dir": "series"}},
+            "config.json: output_dir would overwrite the series_dir",
+            id="output-dir-is-series-dir",
+        ),
+        pytest.param(
+            "check", {"config.json": {"output_dir": "reference/"}},
+            "config.json: output_dir would overwrite the reference_dir",
+            id="output-dir-is-reference-dir",
+        ),
+        pytest.param(
+            "check", {"config.json": {"series_dir": "output/imputed"}},
+            "config.json: output_dir would overwrite the series_dir",
+            id="series-dir-is-imputed-dir",
+        ),
+        # impute has nothing to fill a series with no observed value from
+        pytest.param(
+            "run", {"series/industrial_area.csv": ALL_MISSING},
+            "industrial_area.csv: industrial_area has no observed value to impute from",
+            id="series-all-missing",
+        ),
+        pytest.param(
+            "impute", {"series/industrial_area.csv": ALL_MISSING},
+            "error: industrial_area: no observed value to impute from",
+            id="impute-series-all-missing",
+        ),
+        pytest.param(
+            "check",
+            {"series/road_network.csv": (TOY_PROJECT / "series/road_network.csv").read_text()
+             .replace("AA_0005,15", "AA_0005,-5")},
+            "road_network.csv: road_network: negative proxy value at 'AA_0005'",
+            id="proxy-negative",
+        ),
     ],
 )
 def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
@@ -666,7 +705,7 @@ class TestValidateAgainstCityInventory:
 
             by_label = {r["label"]: r for r in csvmod.DictReader(fh)}
         for _, label, _, _, expected in self.CITIES:
-            got = round_half_up(float(by_label[label]["pct_deviation"]), 2)
+            got = round_half_up(float(by_label[label]["pct_deviation"]))
             assert got == pytest.approx(expected, abs=0.01)
 
 

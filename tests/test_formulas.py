@@ -153,6 +153,12 @@ class TestNormalize:
 
 
 class TestEvaluate:
+    def test_result_is_the_composite_proxy(self):
+        out = evaluate(parse("2 * x"), {"x": series({"A": 1.0, "B": 2.0})}, ["A", "B"])
+        assert (out.variable_id, out.description, out.unit) == (
+            "composite_proxy", "2 * x", "dimensionless"
+        )
+
     def test_var_equals_normalize(self):
         s = series({"A": 3.0, "B": 6.0})
         out = evaluate(Var("x"), {"x": s}, ["A", "B"])

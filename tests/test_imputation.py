@@ -133,23 +133,23 @@ class TestSelectPredictors:
 
 class TestSplitHoldout:
     def test_sizes(self):
-        train, val = split_holdout(100, 0.1, seed=1)
+        train, val = split_holdout(100, seed=1)
         assert len(val) == 10 and len(train) == 90
         assert sorted(set(train) | set(val)) == list(range(100))
         assert not set(train) & set(val)
 
     def test_ceil_fraction(self):
-        train, val = split_holdout(11, 0.1, seed=1)
+        train, val = split_holdout(11, seed=1)
         assert len(val) == 2  # ceil(1.1)
 
     def test_determinism(self):
-        assert [a.tolist() for a in split_holdout(50, 0.1, seed=9)] == [
-            a.tolist() for a in split_holdout(50, 0.1, seed=9)
+        assert [a.tolist() for a in split_holdout(50, seed=9)] == [
+            a.tolist() for a in split_holdout(50, seed=9)
         ]
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientData):
-            split_holdout(5, 0.1, seed=0)
+            split_holdout(5, seed=0)
 
 
 class TestGridSearch:
@@ -332,6 +332,15 @@ class TestImputeSeries:
         assert report.confidence == ConfidenceLevel.VERY_HIGH
         assert report.r2_val is None
 
+    def test_no_observed_value_raises(self):
+        # there is no mean to fall back on, so nothing is filled with NaN
+        target = series_with_missing({}, [f"R{i}" for i in range(12)], vid="y")
+        cand = series({f"R{i}": float(i) for i in range(12)}, vid="x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData, match="^y: no observed value"):
+                impute_series(target, [cand], FAST)
+
     def test_linear_signal_imputed_high(self):
         rng = np.random.default_rng(42)
         regions = [f"R{i:04d}" for i in range(100)]
@@ -382,7 +391,7 @@ class TestImputeSeries:
         regions = [f"R{i:04d}" for i in range(100)]
         x = np.linspace(-1, 1, 100)
         var_seed = derive_seed(cfg.seed, "y")
-        train_idx, val_idx = split_holdout(100, 0.1, derive_seed(var_seed, "holdout"))
+        train_idx, val_idx = split_holdout(100, derive_seed(var_seed, "holdout"))
         y = x.copy()
         y[val_idx] = -x[val_idx] * 5.0
         present = {r: float(v) for r, v in zip(regions, y)}
@@ -449,6 +458,15 @@ class TestCrossCountryPredict:
         out = cross_country_predict(model, env, scope)
         assert np.allclose(out.values(scope), model.predict(X))
         assert out.confidence(scope[0]) == ConfidenceLevel.VERY_LOW
+
+    def test_result_is_the_cross_country_prediction(self):
+        model, X = self.make_model()
+        scope = [f"R{i:03d}" for i in range(50)]
+        env = {f"f{j + 1}": series(dict(zip(scope, map(float, X[:, j]))), vid=f"f{j + 1}")
+               for j in range(2)}
+        out = cross_country_predict(model, env, scope)
+        assert out.variable_id == "cross_country_prediction"
+        assert out.grades.tolist() == [ConfidenceLevel.VERY_LOW] * 50
 
     def test_missing_feature_column(self):
         model, X = self.make_model()

@@ -294,10 +294,10 @@ class TestVariableStore:
 
 class TestRounding:
     def test_half_up(self):
-        assert round_half_up(1.005, 2) == 1.01
-        assert round_half_up(1.004999, 2) == 1.0
-        assert round_half_up(-1.145, 2) == -1.15
+        assert round_half_up(1.005) == 1.01
+        assert round_half_up(1.004999) == 1.0
+        assert round_half_up(-1.145) == -1.15
 
     def test_display_is_presentation_only(self):
         row = MissingReport("x", 8043, 348)
-        assert round_half_up(row.pct, 2) == row.pct_display
+        assert round_half_up(row.pct) == row.pct_display

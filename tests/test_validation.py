@@ -88,7 +88,7 @@ class TestDeviation:
         # exact fields reproduce the rounded value on demand
         from regio.series import round_half_up
 
-        assert round_half_up(100 * row.difference / row.reported, 2) == row.pct_display
+        assert round_half_up(100 * row.difference / row.reported) == row.pct_display
         assert row.pct_deviation == pytest.approx(200.0 / 3.0, rel=1e-15)
 
 
