@@ -29,8 +29,8 @@ from .config import (
     read_reference_csv,
 )
 from .disaggregation import (
-    ALLOCATE, TaskSpec, check_dependencies, childless_sources, load_pipeline_config,
-    run_pipeline,
+    ALLOCATE, TaskSpec, check_dependencies, load_pipeline_config, run_pipeline,
+    source_findings,
 )
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments, variables
@@ -149,7 +149,7 @@ def cmd_check(project: LoadedProject) -> int:
         findings.extend(_series_findings(project))
     if project.store is not None and project.specs:
         _collect(findings, check_dependencies, project.specs, project.store)
-        findings.extend(childless_sources(project.specs, project.store, project.hierarchy))
+        findings.extend(source_findings(project.specs, project.store, project.hierarchy))
     if project.specs is not None:
         targets = {spec.target_id for spec in project.specs}
         findings.extend(

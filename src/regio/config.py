@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NonNumericValue, RegioError
+from .errors import ConfigError, RegioError
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
@@ -284,21 +284,12 @@ def read_reference_csv(
     path = Path(path)
     meta = SeriesMeta("reference", "", "", level)
     fast = _fast_columns(path, REFERENCE_HEADERS, hierarchy._codes[level])
-    if fast is not None and not np.isnan(fast[1]).any():  # every value given
-        regions, values, columns = fast
-        grades = np.full(len(regions), int(ConfidenceLevel.VERY_HIGH))
-        labels = zip(regions, map(str.strip, columns[2])) if len(columns) > 2 else ()
-        return (
-            _sorted_series(meta, hierarchy, regions, values, grades),
-            {region: label for region, label in labels if label},
-        )
-    scope = set(hierarchy.regions_at(level))
-    labels: dict[str, str] = {}
-    values: dict[str, float] = {}
-    for lineno, region, value, row in _region_rows(path, REFERENCE_HEADERS, meta, scope):
-        if value is None:
-            raise NonNumericValue(f"{path}:{lineno}: empty value for {region!r}")
-        values[region] = value
-        if len(row) > 2 and row[2].strip():
-            labels[region] = row[2].strip()
-    return VariableSeries.from_values("reference", level, values), labels
+    if fast is None or np.isnan(fast[1]).any():  # a failed check, or a value not given
+        _region_rows(path, REFERENCE_HEADERS, meta, hierarchy._codes[level], required=True)
+    regions, values, columns = fast
+    grades = np.full(len(regions), int(ConfidenceLevel.VERY_HIGH))
+    labels = zip(regions, columns[2]) if len(columns) > 2 else ()
+    return (
+        _sorted_series(meta, hierarchy, regions, values, grades),
+        {region: label for region, label in labels if label},
+    )

@@ -46,7 +46,7 @@ from .formulas import (
     variables,
 )
 from .hierarchy import RegionHierarchy, SpatialLevel
-from .series import ConfidenceLevel, VariableSeries, VariableStore, _run_sums
+from .series import ALL_COUNTRIES, ConfidenceLevel, VariableSeries, VariableStore, _run_sums
 
 ALLOCATE = "allocate"
 REPLICATE = "replicate"
@@ -311,28 +311,37 @@ def check_dependencies(specs: list[TaskSpec], store: VariableStore) -> None:
         available.update(spec.target_id for spec in stage_specs)
 
 
-def childless_sources(
+def source_findings(
     specs: list[TaskSpec], store: VariableStore, hierarchy: RegionHierarchy
 ) -> list[str]:
-    """One message per task whose source series holds a region with no LAU
-    region below it, which ``disaggregate`` rejects. At NUTS0 only regions
-    with a value count, as a missing national value skips the task; missing
-    values at other levels are imputed first."""
-    childless = {}
-    for level in {spec.source_level for spec in specs}:
-        counts = np.bincount(hierarchy.owners(SpatialLevel.LAU, level),
-                             minlength=len(hierarchy._codes[level]))
-        childless[level] = set(compress(hierarchy._codes[level], counts == 0))
+    """One message per task whose source regions ``disaggregate`` rejects:
+    a region with no LAU region below it, or one outside the country scope
+    of a registry series its formula reads (a scope other than ALL covers
+    one country). At NUTS0 only regions with a value count, as a missing
+    national value skips the task; missing values at other levels are
+    imputed first."""
     found = []
     for spec in specs:
-        if not childless[spec.source_level] or not store.has(spec.target_id, spec.source_level):
+        if not store.has(spec.target_id, spec.source_level):
             continue
         source = store.get(spec.target_id, spec.source_level)
         held = source.present_regions() if source.level == SpatialLevel.NUTS0 else source.codes
-        regions = sorted(childless[spec.source_level].intersection(held))
-        if regions:
+        where = hierarchy.positions(source.level, held)
+        below = np.bincount(hierarchy.owners(SpatialLevel.LAU, source.level),
+                            minlength=len(hierarchy._codes[source.level]))  # LAU regions
+        childless = below[where] == 0
+        if childless.any():
             found.append(f"task {spec.target_id!r}: no LAU region below source region(s) "
-                         f"{', '.join(regions)}")
+                         f"{', '.join(sorted(compress(held, childless)))}")
+        owners = hierarchy.owners(source.level, SpatialLevel.NUTS0)[where].tolist()
+        countries = sorted(set(map(hierarchy._codes[SpatialLevel.NUTS0].__getitem__, owners)))
+        for name in sorted(variables(spec.formula)) if spec.mode == ALLOCATE else ():
+            if not store.has(name, SpatialLevel.LAU):  # an earlier task's output
+                continue
+            scope = store.get(name, SpatialLevel.LAU).country_scope
+            if scope != ALL_COUNTRIES and any(country != scope for country in countries):
+                found.append(f"task {spec.target_id!r}: proxy {name!r} has country scope "
+                             f"{scope}, but the source regions lie in {', '.join(countries)}")
     return found
 
 

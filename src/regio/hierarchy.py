@@ -6,11 +6,14 @@ expected to be pre-namespaced by the hierarchy author (``<country>_<lau>``)
 so that the region code is the sole key.
 
 The hierarchy is immutable after loading and safe for concurrent reads.
+``_csv_columns`` is regio's one CSV tokenizer; ``_csv_rows`` walks the rows
+of a CSV file only to report an error with its ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
@@ -275,31 +278,45 @@ class RegionHierarchy:
         return self._codes[target][self._lift(self._position[code], node.level, target)]
 
 
+# ASCII text without a quote, a line end but \n, other whitespace or NUL (an
+# error for csv.reader before Python 3.11) is read alike by csv.reader and by
+# splitting on newlines and commas, and str.strip changes none of its cells.
+_NOT_PLAIN = '"\r\0\t\x0b\x0c\x1c\x1d\x1e\x1f '
+
+
 def _csv_columns(path: Path, headers: Sequence[list[str]]) -> list[list[str]] | None:
-    """The cells of a CSV file by column, header row left out, when splitting
-    on newlines and commas reads it exactly as ``csv.reader`` would: no
-    ``"``, no ``\r``, a first line that is exactly one of ``headers`` and
-    every other line exactly as wide (so a blank line fails). None
-    otherwise; the caller then reads the file row by row."""
+    """The stripped cells of a CSV file by column, as ``csv.reader`` reads
+    them, with the header row and blank rows left out. None for bytes that
+    are not UTF-8, a row ``csv.reader`` cannot read, a header (stripped) not
+    in ``headers`` or a row of another width; the caller then walks the rows
+    to report the error. Plain text, with every row as wide as the header
+    and a first cell in each, is split on newlines and commas instead."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
-    if '"' in text or "\r" in text:
+    if text.isascii() and not any(map(text.__contains__, _NOT_PLAIN)):
+        header, *lines = text.split("\n")
+        if lines[-1:] == [""]:  # the newline that ends the last line
+            lines.pop()
+        width = header.count(",") + 1
+        if header.split(",") in headers and all(
+            map((width - 1).__eq__, map(str.count, lines, repeat(",")))
+        ):
+            cells = ",".join(lines).split(",") if lines else []
+            columns = [cells[i::width] for i in range(width)]
+            if "" not in columns[0]:  # else a blank row, which csv.reader skips
+                return columns
+    try:
+        rows = [list(map(str.strip, row)) for row in csv.reader(io.StringIO(text, newline=""))]
+    except csv.Error:
         return None
-    lines = text.split("\n")
-    del text
-    if lines[-1] == "":  # the newline that ends the last line
-        lines.pop()
-    if not lines or lines[0].split(",") not in headers:
-        return None
-    width = lines[0].count(",") + 1
-    del lines[0]
-    if not all(map((width - 1).__eq__, map(str.count, lines, repeat(",")))):
-        return None
-    cells = ",".join(lines).split(",") if lines else []
-    return [cells[i::width] for i in range(width)]
+    header, *rows = rows or [None]
+    rows = [row for row in rows if any(row)]  # blank rows left out
+    if header in headers and all(len(row) == len(header) for row in rows):
+        return [[row[i] for row in rows] for i in range(len(header))]
+    return None
 
 
 def _csv_rows(path: Path, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
@@ -316,27 +333,31 @@ def _csv_rows(path: Path, error: type[Exception]) -> Iterator[tuple[int, list[st
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:  # here exc.start is an offset in the file
-            lineno = data.count(b"\n", 0, exc.start) + 1
+            # \r\n, \r and \n each end a line, as they do for csv.reader
+            lineno = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise error(f"{path}:{lineno}: not UTF-8 text") from None
     except csv.Error as exc:
         raise error(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def _hierarchy_columns(path: Path):
-    """``load_hierarchy``'s columns (code, level, parent, country) read in
-    bulk, or None when some row needs the row reader's checks: a quoted,
-    blank or unparsable row, an empty code or an unknown level token."""
+    """``load_hierarchy``'s columns (code, level, parent, country), or None
+    when a check of ``_csv_columns`` fails, a code is empty or a level token
+    unknown. The token strings are freed on return."""
     columns = _csv_columns(path, (HIERARCHY_HEADER,))
     if columns is None:
         return None
-    codes, tokens, parents, countries = (list(map(str.strip, cells)) for cells in columns)
+    codes, tokens, parents, countries = columns
     if "" in codes or not _LEVELS.keys() >= set(tokens):
         return None
     return codes, list(map(_LEVELS.__getitem__, tokens)), [p or None for p in parents], countries
 
 
 def load_hierarchy(path: str | Path) -> RegionHierarchy:
-    """Load and validate a hierarchy CSV (header ``code,level,parent,country``)."""
+    """Load and validate a hierarchy CSV (header ``code,level,parent,country``).
+
+    The columns are checked in bulk; when a check fails, the rows are walked
+    to raise the first row's error, naming ``path:line``."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"hierarchy file not found: {path}")
@@ -347,23 +368,14 @@ def load_hierarchy(path: str | Path) -> RegionHierarchy:
     _, header = next(rows, (1, None))
     if header is None:
         raise UnknownLevel(f"{path}: empty hierarchy file")
-    if header != HIERARCHY_HEADER:
+    if [cell.strip() for cell in header] != HIERARCHY_HEADER:
         raise UnknownLevel(f"{path}: bad header {header!r}; expected {HIERARCHY_HEADER!r}")
-    nodes = []
     for lineno, row in rows:
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():  # blank line or only blank cells
             continue
         if len(row) != 4:
             raise UnknownLevel(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        code, level_token, parent, country = (cell.strip() for cell in row)
-        if not code:
+        if not row[0].strip():
             raise HierarchyError(f"{path}:{lineno}: empty region code")
-        nodes.append(
-            RegionNode(
-                code=code,
-                level=SpatialLevel.from_token(level_token),
-                parent=parent or None,
-                country=country,
-            )
-        )
-    return RegionHierarchy(nodes)
+        SpatialLevel.from_token(row[1].strip())
+    raise AssertionError(f"{path}: a bulk check failed on rows that pass the row checks")

@@ -8,7 +8,8 @@ graded VERY_HIGH; lower grades appear only through imputation and
 disaggregation.
 
 Series are immutable: the arrays are read-only, and a changed series is a
-new object (``dataclasses.replace``).
+new object (``dataclasses.replace``). The CSV readers build each series from
+whole columns; the row walker ``_region_rows`` only reports errors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import IntEnum
 from itertools import compress, islice, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -259,21 +260,22 @@ def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> tuple[str, ...]:
 
 
 def _region_rows(
-    path: Path, headers: tuple[list[str], ...], meta: SeriesMeta, scope: set[str]
-) -> Iterator[tuple[int, str, float | None, list[str]]]:
-    """Yield ``(line number, region, value, row)`` for each data row of a
-    region CSV.
-
-    The header must be one of ``headers`` and every non-blank row must have
-    as many cells; the region must lie in ``scope`` and appear once. The value
-    is parsed by ``_parse_value`` (None for an empty cell).
-    """
+    path: Path, headers: tuple[list[str], ...], meta: SeriesMeta, scope: Iterable[str],
+    required: bool = False,
+) -> NoReturn:
+    """Raise the first error of a region CSV, naming ``path:line``; the
+    readers call it when a bulk check fails. The header must be one of
+    ``headers`` and every non-blank row as wide; the region must lie in
+    ``scope`` and appear once; the value must be finite (``_parse_value``),
+    and not empty when ``required``; and a present value's ``confidence``
+    cell, if the header has one, a grade name."""
     rows = _csv_rows(path, NonNumericValue)
     _, header = next(rows, (1, None))
-    if header is None or [c.strip() for c in header] not in headers:
+    names = [cell.strip() for cell in header or ()]
+    if names not in headers:
         expected = " or ".join(",".join(h) for h in headers)
         raise NonNumericValue(f"{path}: bad header {header!r}; expected {expected}")
-    width = len(header)
+    width, graded, scope = len(header), names == OUTPUT_HEADER, set(scope)
     seen: set[str] = set()
     for lineno, row in rows:
         if not "".join(row).strip():  # blank line or only blank cells
@@ -289,7 +291,15 @@ def _region_rows(
         if region in seen:
             raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
         seen.add(region)
-        yield lineno, region, _parse_value(row[1], path, lineno), row
+        value = _parse_value(row[1], path, lineno)
+        if value is None and required:
+            raise NonNumericValue(f"{path}:{lineno}: empty value for {region!r}")
+        if value is not None and graded:
+            try:
+                ConfidenceLevel.from_token(row[2].strip())
+            except NonNumericValue as exc:
+                raise NonNumericValue(f"{path}:{lineno}: {exc}") from None
+    raise AssertionError(f"{path}: a bulk check failed on rows that pass the row checks")
 
 
 _EMPTY_AS_NAN = {"": "nan"}
@@ -299,16 +309,14 @@ def _fast_columns(
     path: Path, headers: tuple[list[str], ...], scope: tuple[str, ...]
 ) -> tuple[tuple[str, ...], np.ndarray, list[list[str]]] | None:
     """``(regions, values, columns)`` of a region CSV whose rows all pass the
-    checks of ``_region_rows``, checked in bulk: ``values`` holds the value
-    column as float64 (NaN for an empty cell) and ``columns`` every column
-    as cells. None when a check fails or the file needs the csv module; the
-    caller then reads it with ``_region_rows``, which reports the error."""
+    checks of ``_region_rows`` but the grade and the required-value checks,
+    checked in bulk: ``values`` holds the value column as float64 (NaN for
+    an empty cell) and ``columns`` every column as cells. None when a check
+    fails; the caller then calls ``_region_rows``, which reports the error."""
     columns = _csv_columns(path, headers)
     if columns is None:
         return None
     regions, cells = tuple(columns[0]), columns[1]
-    if "" in regions:  # an all-blank row, which the row reader skips
-        return None
     if regions != scope and (
         len(set(regions)) != len(regions) or not set(scope).issuperset(regions)
     ):
@@ -355,26 +363,18 @@ def ingest_series(
     path = Path(path)
     scope = _scope(meta, hierarchy)
     fast = _fast_columns(path, (SERIES_HEADER,), scope)
-    if fast is not None:
-        regions, values, _ = fast
-        if regions != scope:  # place the values at their regions
-            position = hierarchy._position
-            if scope is not hierarchy._codes[meta.level]:  # one country's regions
-                position = dict(zip(scope, range(len(scope))))
-            placed = np.full(len(scope), np.nan)
-            placed[np.fromiter(map(position.__getitem__, regions), np.intp, len(regions))] = values
-            values = placed
-        grades = np.where(np.isnan(values), -1, int(ConfidenceLevel.VERY_HIGH))
-        return _sorted_series(meta, hierarchy, scope, values, grades)
-    seen = {
-        region: value
-        for _, region, value, _ in _region_rows(path, (SERIES_HEADER,), meta, set(scope))
-    }
-    values = {region: seen.get(region) for region in scope}
-    return VariableSeries.from_values(
-        meta.variable_id, meta.level, values, ConfidenceLevel.VERY_HIGH,
-        meta.unit, meta.description, meta.country_scope,
-    )
+    if fast is None:
+        _region_rows(path, (SERIES_HEADER,), meta, scope)
+    regions, values, _ = fast
+    if regions != scope:  # place the values at their regions
+        position = hierarchy._position
+        if scope is not hierarchy._codes[meta.level]:  # one country's regions
+            position = dict(zip(scope, range(len(scope))))
+        placed = np.full(len(scope), np.nan)
+        placed[np.fromiter(map(position.__getitem__, regions), np.intp, len(regions))] = values
+        values = placed
+    grades = np.where(np.isnan(values), -1, int(ConfidenceLevel.VERY_HIGH))
+    return _sorted_series(meta, hierarchy, scope, values, grades)
 
 
 def read_series_csv(
@@ -390,21 +390,7 @@ def read_series_csv(
         present = ~np.isnan(values)
         if (grades[present] >= 0).all():  # a present value needs a known grade
             return _sorted_series(meta, hierarchy, regions, values, np.where(present, grades, -1))
-    scope = set(scope)
-    values: dict[str, float | None] = {}
-    grades: dict[str, ConfidenceLevel] = {}
-    for lineno, region, value, row in _region_rows(path, (OUTPUT_HEADER,), meta, scope):
-        values[region] = value
-        if value is None:
-            continue
-        try:
-            grades[region] = ConfidenceLevel.from_token(row[2].strip())
-        except NonNumericValue as exc:
-            raise NonNumericValue(f"{path}:{lineno}: {exc}") from None
-    return VariableSeries.from_values(
-        meta.variable_id, meta.level, values, grades,
-        meta.unit, meta.description, meta.country_scope,
-    )
+    _region_rows(path, (OUTPUT_HEADER,), meta, scope)
 
 
 @contextmanager

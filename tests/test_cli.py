@@ -290,6 +290,12 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             {"series/industrial_area.csv": b"region,value\nAA_0001,1.0\nAA_0002,\xe92.0\n"},
             "industrial_area.csv:3: not UTF-8 text", id="series-not-utf8",
         ),
+        pytest.param(  # a lone \r ends a line too
+            "check",
+            {"series/industrial_area.csv": b"region,value\rAA_0001,1.0\rAA_0002,2.0\r"
+                                           b"AA_0003,3.0\rAA_0004,\xe94.0\r"},
+            "industrial_area.csv:5: not UTF-8 text", id="series-not-utf8-cr-only",
+        ),
         pytest.param(
             "check", {"hierarchy.csv": b"code,level,parent,country\nAA,NUTS0,,AA\n\xe9\n"},
             "hierarchy.csv:3: not UTF-8 text", id="hierarchy-not-utf8",
@@ -447,6 +453,17 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
              .replace("AA_0005,15", "AA_0005,-5")},
             "road_network.csv: road_network: negative proxy value at 'AA_0005'",
             id="proxy-negative",
+        ),
+        # a proxy narrowed to one country cannot weight another country's regions
+        pytest.param(
+            "check",
+            {"variables.json": toy_json("variables.json", lambda doc: doc["variables"][0].update(
+                country_scope="AA")),
+             "series/population.csv": "".join(
+                 line + "\n" for line in (TOY_PROJECT / "series/population.csv").read_text()
+                 .split() if not line.startswith("BB"))},
+            "task 'households_ghg': proxy 'population' has country scope AA, but the source "
+            "regions lie in AA, BB", id="proxy-narrowed-scope",
         ),
     ],
 )

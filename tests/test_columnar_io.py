@@ -1,14 +1,15 @@
 """Column-wise CSV reading and writing against the row readers.
 
 ``ingest_series``, ``read_series_csv``, ``read_reference_csv`` and
-``load_hierarchy`` read a file as whole columns when splitting on newlines
-and commas parses it as ``csv`` would and every bulk check passes; otherwise
-they read it row by row, and the row reader reports every error.
-``write_series_csv`` joins formatted lines unless a code needs quoting. The
-properties below generate files (and series) with the defects each bulk
-check must catch, and require the result, or the error, of the row path.
+``load_hierarchy`` build every result from whole columns: plain text is
+split on newlines and commas, any other text is read by ``csv.reader``, and
+the row walker only reports errors. ``write_series_csv`` joins formatted
+lines unless a code needs quoting. The properties below generate files (and
+series) with the defects each bulk check must catch, and require the result,
+or the error, of the row readers regio had before (``row_reference``).
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -20,11 +21,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import row_reference
 from conftest import build_country
-from regio import config, series as series_module
+from regio import config, hierarchy as hierarchy_module, series as series_module
 from regio.cli import main as cli_main
 from regio.config import read_reference_csv
-from regio.hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
+from regio.hierarchy import RegionHierarchy, SpatialLevel, _csv_columns, load_hierarchy
 from regio.series import (
     ConfidenceLevel,
     SeriesMeta,
@@ -59,10 +61,12 @@ ODD_VALUES = st.sampled_from(
 GRADES = st.sampled_from([level.name for level in ConfidenceLevel])
 ODD_GRADES = st.sampled_from(["", "BEST", " HIGH", "high"])
 LABELS = st.sampled_from(["", "Alpha", " Beta ", "two words", "  "])
+# whitespace str.strip removes: ASCII (space, tab, file separator) and not
+PADDING = st.sampled_from([" ", " ", "\t", "\x1f", "\xa0"])
 # the defects a row can get; the ones the bulk checks catch alone come more often
 DEFECTS = [
-    "pad", "quote", "drop", "drop", "add", "blank", "value", "value", "value", "tail", "tail",
-    "repeat",
+    "pad", "pad", "quote", "drop", "drop", "add", "blank", "blank", "value", "value", "value",
+    "tail", "tail", "repeat",
 ]
 
 
@@ -103,7 +107,8 @@ def csv_text(draw, header, rows, odd_tail=None):
             continue
         cell = draw(st.integers(0, len(row) - 1))
         if kind == "pad":
-            row[cell] = f" {row[cell]} "
+            space = draw(PADDING)
+            row[cell] = f"{space}{row[cell]}{space}"
         elif kind == "quote":
             row[cell] = f'"{row[cell]}"'
         elif kind == "drop":
@@ -111,7 +116,7 @@ def csv_text(draw, header, rows, odd_tail=None):
         elif kind == "add":
             row.append(draw(st.sampled_from(["", "x", "1"])))
         elif kind == "blank":
-            rows.insert(at, draw(st.sampled_from([[], [" "], ["", ""]])))
+            rows.insert(at, draw(st.sampled_from([[], [" "], [""] * len(row)])))
         elif kind == "value" and len(row) > 1:
             row[1] = draw(ODD_VALUES)
         elif kind == "tail" and odd_tail is not None and len(row) > 2:
@@ -137,7 +142,7 @@ def region_rows(draw, tail):
     scope = HIERARCHY.regions_at(level, country)
     regions = draw(st.sampled_from([
         st.just(scope), st.just(scope), st.permutations(scope), st.permutations(scope),
-        st.lists(st.sampled_from(CODES), max_size=25),
+        st.lists(st.sampled_from(CODES + [""]), max_size=25),
     ]).flatmap(lambda regions: regions))
     rows = [[region, draw(VALUES)] for region in regions]
     if tail is not None:
@@ -157,10 +162,9 @@ def write(tmp_path: Path, text: str) -> Path:
 def test_ingest_series_matches_row_reader(tmp_path, data):
     meta, rows = data.draw(region_rows(None))
     path = write(tmp_path, data.draw(csv_text(["region", "value"], rows)))
-    fast = outcome(ingest_series, path, meta, HIERARCHY)
-    with mock.patch.object(series_module, "_fast_columns", lambda *args: None):
-        slow = outcome(ingest_series, path, meta, HIERARCHY)
-    assert fast == slow
+    assert outcome(ingest_series, path, meta, HIERARCHY) == outcome(
+        row_reference.ingest_series, path, meta, HIERARCHY
+    )
 
 
 @PROPERTY
@@ -168,10 +172,9 @@ def test_ingest_series_matches_row_reader(tmp_path, data):
 def test_read_series_csv_matches_row_reader(tmp_path, data):
     meta, rows = data.draw(region_rows(GRADES))
     path = write(tmp_path, data.draw(csv_text(["region", "value", "confidence"], rows, ODD_GRADES)))
-    fast = outcome(read_series_csv, path, meta, HIERARCHY)
-    with mock.patch.object(series_module, "_fast_columns", lambda *args: None):
-        slow = outcome(read_series_csv, path, meta, HIERARCHY)
-    assert fast == slow
+    assert outcome(read_series_csv, path, meta, HIERARCHY) == outcome(
+        row_reference.read_series_csv, path, meta, HIERARCHY
+    )
 
 
 @PROPERTY
@@ -180,25 +183,9 @@ def test_read_reference_csv_matches_row_reader(tmp_path, data, labelled):
     meta, rows = data.draw(region_rows(LABELS if labelled else None))
     header = ["region", "value", "label"] if labelled else ["region", "value"]
     path = write(tmp_path, data.draw(csv_text(header, rows, LABELS)))
-    fast = outcome(read_reference_csv, path, HIERARCHY, meta.level)
-    with mock.patch.object(config, "_fast_columns", lambda *args: None):
-        slow = outcome(read_reference_csv, path, HIERARCHY, meta.level)
-    assert fast == slow
-
-
-def test_clean_files_need_no_row_reader(tmp_path):
-    """A canonical file is read without the row reader, and a file that
-    lists the whole level in order shares the hierarchy's code tuple."""
-    laus = HIERARCHY.regions_at(SpatialLevel.LAU)
-    meta = SeriesMeta("x", "d", "u", SpatialLevel.LAU)
-    plain = write(tmp_path, "region,value\n" + "".join(f"{r},{i}\n" for i, r in enumerate(laus)))
-    out = tmp_path / "out.csv"
-    with mock.patch.object(series_module, "_region_rows", side_effect=AssertionError):
-        ingested = ingest_series(plain, meta, HIERARCHY)
-        write_series_csv(ingested, out)
-        read_back = read_series_csv(out, meta, HIERARCHY)
-    assert list(ingested.codes) == laus
-    assert read_back.codes is ingested.codes
+    assert outcome(read_reference_csv, path, HIERARCHY, meta.level) == outcome(
+        row_reference.read_reference_csv, path, HIERARCHY, meta.level
+    )
 
 
 # -- hierarchy.csv -------------------------------------------------------------
@@ -231,9 +218,9 @@ def hierarchy_rows(draw):
     return rows
 
 
-def hierarchy_outcome(path):
+def hierarchy_outcome(path, load=load_hierarchy):
     try:
-        h = load_hierarchy(path)
+        h = load(path)
     except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
         return type(exc), str(exc)
     parents = {level: index.tolist() for level, index in h._parent.items()}
@@ -256,11 +243,135 @@ def test_load_hierarchy_matches_row_reader_and_node_checks(tmp_path, data):
     text = data.draw(csv_text(["code", "level", "parent", "country"], data.draw(hierarchy_rows())))
     path = write(tmp_path, text)
     fast = hierarchy_outcome(path)
-    with mock.patch("regio.hierarchy._hierarchy_columns", lambda path: None), mock.patch.object(
-        RegionHierarchy, "_build", walk_first(RegionHierarchy._build)
-    ):
-        slow = hierarchy_outcome(path)
+    with mock.patch.object(RegionHierarchy, "_build", walk_first(RegionHierarchy._build)):
+        slow = hierarchy_outcome(path, row_reference.load_hierarchy)
     assert fast == slow
+
+
+# -- every spelling csv.reader reads -------------------------------------------
+
+def csv_reader_columns(path: Path, headers):
+    """``_csv_columns``'s contract, from ``csv.reader`` alone."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if not rows or rows[0] not in headers:
+        return None
+    body = [row for row in rows[1:] if any(row)]
+    if any(len(row) != len(rows[0]) for row in body):
+        return None
+    return [[row[i] for row in body] for i in range(len(rows[0]))]
+
+
+# characters that split and csv.reader, or str.strip, may treat otherwise
+ODD = '"\r \t\x0b\x0c\x1c\x1f\x00\x7f\x85\xa0\u2028\xe9'
+
+
+@st.composite
+def csv_body(draw):
+    """Rows of two cells (now and then one or three), the cells drawn from
+    plain characters and one odd one; or any text of these characters."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(st.sampled_from(list("ab1,,\n\n") + list(ODD))))
+    odd, plain = st.sampled_from(["", "", draw(st.sampled_from(ODD))]), st.text("ab1", max_size=2)
+    cell = st.tuples(odd, plain, odd, plain, odd).map("".join)
+    width = st.sampled_from([2] * 8 + [1, 3])
+    rows = draw(st.lists(width.flatmap(lambda n: st.lists(cell, min_size=n, max_size=n))))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("odd", ["", *ODD])
+def test_csv_columns_read_each_odd_character_as_csv_reader(tmp_path, odd):
+    """Each odd character at the edge of a cell, inside one, in the header
+    and in a blank row (with ``odd`` empty, a plain blank row ``,``)."""
+    for template in [
+        "a,b\n{0}x,1\n", "a,b\nx{0},1\n", "a,b\nx{0}y,1{0}\n", "a{0},b\nx,1\n",
+        "a,b\n{0},{0}\nx,1\n", "a,b\n{0}\nx,1\n", "a,b\ny,2\n{0}x,1\n",
+    ]:
+        path = write(tmp_path, template.format(odd))
+        assert _csv_columns(path, (["a", "b"],)) == csv_reader_columns(path, (["a", "b"],))
+
+
+@PROPERTY
+@given(header=st.sampled_from(["a,b\n"] * 4 + ["a , b\n", '"a",b\r\n', "a,c\n", ""]), body=csv_body())
+def test_csv_columns_match_csv_reader(tmp_path, header, body):
+    """Plain text is split on newlines and commas; whatever the text, the
+    cells are the ones csv.reader reads, stripped, without blank rows."""
+    path = write(tmp_path, header + body)
+    assert _csv_columns(path, (["a", "b"],)) == csv_reader_columns(path, (["a", "b"],))
+
+
+def crlf(text: str) -> str:
+    return text.replace("\n", "\r\n")
+
+
+def quoted(text: str) -> str:
+    return "".join(
+        ",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines()
+    )
+
+
+def blank_lines(text: str) -> str:
+    return text.replace("\n", "\n\n")
+
+
+def padded(text: str) -> str:
+    return "".join(
+        ",".join(f" {cell}\t" for cell in line.split(",")) + "\n" for line in text.splitlines()
+    )
+
+
+def test_clean_files_need_no_row_reader(tmp_path):
+    """A valid file is read from columns alone, whichever way csv.reader
+    can read it is spelled: with the row walkers made to raise, every
+    spelling of a series, an engine output, a labelled reference and a
+    hierarchy gives what the plain file gives, float.hex for float.hex. A
+    file that lists the whole level in order shares the hierarchy's code
+    tuple."""
+    laus = HIERARCHY.regions_at(SpatialLevel.LAU)
+    meta = SeriesMeta("x", "d", "u", SpatialLevel.LAU)
+    lines = "".join(f"{r},{i / 7!r}\n" if i % 3 else f"{r},\n" for i, r in enumerate(laus))
+    nuts3 = HIERARCHY.regions_at(SpatialLevel.NUTS3)
+    texts = {
+        "series.csv": "region,value\n" + lines,
+        "reference.csv": "region,value,label\n"
+        + "".join(f"{r},{i / 3!r},{'' if i % 2 else f'{r} region'}\n" for i, r in enumerate(nuts3)),
+        "hierarchy.csv": "code,level,parent,country\n"
+        + "".join(",".join(row) + "\n" for row in SMALL_ROWS),
+    }
+
+    def read_all(spelling):
+        folder = tmp_path / spelling.__name__
+        folder.mkdir()
+        for name, text in texts.items():
+            (folder / name).write_bytes(spelling(text).encode("utf-8"))
+        ingested = ingest_series(folder / "series.csv", meta, HIERARCHY)
+        write_series_csv(ingested, folder / "out.csv")
+        (folder / "output.csv").write_bytes(spelling((folder / "out.csv").read_text()).encode())
+        read_back = read_series_csv(folder / "output.csv", meta, HIERARCHY)
+        return (
+            ingested, read_back, outcome(read_reference_csv, folder / "reference.csv",
+                                         HIERARCHY, SpatialLevel.NUTS3),
+            hierarchy_outcome(folder / "hierarchy.csv"),
+        )
+
+    walkers = [(series_module, "_region_rows"), (config, "_region_rows"),
+               (hierarchy_module, "_csv_rows")]
+    with contextlib.ExitStack() as stack:
+        for module, name in walkers:
+            stack.enter_context(mock.patch.object(module, name, side_effect=AssertionError))
+        ingested, read_back, reference, hierarchy = read_all(lambda text: text)
+        assert len(reference[1]) == (len(nuts3) + 1) // 2
+        for spelling in (crlf, quoted, blank_lines, padded):
+            spelled = read_all(spelling)
+            assert (summary(spelled[0]), summary(spelled[1])) == (
+                summary(ingested), summary(read_back)
+            ), spelling.__name__
+            assert spelled[2:] == (reference, hierarchy), spelling.__name__
+    assert list(ingested.codes) == laus and np.isnan(ingested.data).any()
+    assert read_back.codes is ingested.codes
 
 
 # -- writer --------------------------------------------------------------------
@@ -309,20 +420,6 @@ def test_write_series_csv_matches_csv_writer(tmp_path, rows, plain):
 
 
 # -- whole projects --------------------------------------------------------------
-
-def crlf(text: str) -> str:
-    return text.replace("\n", "\r\n")
-
-
-def quoted(text: str) -> str:
-    return "".join(
-        ",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines()
-    )
-
-
-def blank_lines(text: str) -> str:
-    return text.replace("\n", "\n\n")
-
 
 def output_digests(config_path: Path) -> dict[str, str]:
     root = config_path.parent / "output"
