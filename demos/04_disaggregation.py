@@ -16,6 +16,7 @@ from regio import (
     TaskSpec,
     VariableSeries,
     VariableStore,
+    parse,
     run_pipeline,
 )
 
@@ -61,10 +62,10 @@ store.add(
 specs = [
     # intensive quantity: same value for every child region
     TaskSpec(1, "heating_degree_days", SpatialLevel.NUTS3, REPLICATE, None, ConfidenceLevel.MEDIUM),
-    TaskSpec(1, "freight", SpatialLevel.NUTS3, ALLOCATE, "road_km", ConfidenceLevel.LOW),
+    TaskSpec(1, "freight", SpatialLevel.NUTS3, ALLOCATE, parse("road_km"), ConfidenceLevel.LOW),
     # the national total uses a stage-1 output inside its formula
     TaskSpec(3, "households_fec", SpatialLevel.NUTS0, ALLOCATE,
-             "population * heating_degree_days", ConfidenceLevel.HIGH),
+             parse("population * heating_degree_days"), ConfidenceLevel.HIGH),
 ]
 
 run = run_pipeline(specs, hierarchy, store)

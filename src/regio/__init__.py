@@ -21,7 +21,6 @@ from .disaggregation import (
     ALLOCATE,
     REPLICATE,
     AllocationResult,
-    DisaggregationTask,
     PipelineRun,
     Provenance,
     TaskSpec,

@@ -1,8 +1,11 @@
 """Proportional allocation of coarse series to finer levels, in stages.
 
-Each task takes one source series (NUTS3, NUTS2 or NUTS0) and splits every
-source region's value over its LAU descendants, one run of children per
-source region, in proportion to an evaluated proxy expression. Both
+A task is one ``TaskSpec`` from the pipeline JSON to the allocation; the
+loader parses its formula once. ``disaggregate(task, source, ...)`` takes
+it with one source series at the task's source level (NUTS3, NUTS2 or
+NUTS0) and splits every source region's value over its LAU descendants,
+one run of children per source region, in proportion to an evaluated
+proxy expression. Both
 normalization scopes are one path: the proxy's variables are max-normalized
 per segment, where a segment is every LAU region of a country (default) or
 one run of children (``normalize_scope="parent"``, for sensitivity runs).
@@ -42,8 +45,7 @@ from .errors import (
     UnresolvedDependency,
 )
 from .formulas import (
-    ASSIGNMENT_CONFIDENCES, ProxyAssignment, ProxyExpr, _confidence, _formula, combine, parse,
-    variables,
+    ASSIGNMENT_CONFIDENCES, ProxyAssignment, ProxyExpr, _confidence, _formula, combine, variables,
 )
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .series import ALL_COUNTRIES, ConfidenceLevel, VariableSeries, VariableStore, _run_sums
@@ -62,20 +64,17 @@ class Provenance:
 
 
 @dataclass(frozen=True)
-class DisaggregationTask:
+class TaskSpec:
+    stage: int
     target_id: str
-    source_series: VariableSeries
+    source_level: SpatialLevel
+    mode: str
     formula: ProxyExpr | None
     assignment_confidence: ConfidenceLevel
-    mode: str = ALLOCATE
-
-    def __post_init__(self):
-        _check_task(self.target_id, self.source_series.level, self.mode, self.formula,
-                    self.assignment_confidence)
 
 
 def _check_task(where, source_level, mode, formula, confidence) -> None:
-    """Checks shared by the pipeline loader and DisaggregationTask."""
+    """Checks shared by the pipeline loader and ``disaggregate``."""
     if source_level not in SOURCE_LEVELS:
         raise ConfigError(f"{where}: source level {source_level.name} is not NUTS0|NUTS2|NUTS3")
     if mode not in (ALLOCATE, REPLICATE):
@@ -91,15 +90,17 @@ class AllocationResult:
     """A task's output series and, per output region, where its value came
     from, in allocation order: one run of output regions per source region,
     ``lengths`` long. ``positions`` holds each output region's position in
-    ``level_codes`` (the hierarchy's code tuple of the output level) and
-    ``parents`` each run's source region; ``values``, ``shares`` (NaN in
-    replicate mode) and ``fallback`` are aligned with ``positions``. The
-    code tuples ``children`` and ``sources`` are built on first read."""
+    ``level_codes`` (the hierarchy's code tuple of the output level),
+    ``parents`` each run's source region and ``parent_values`` its value;
+    ``values``, ``shares`` (NaN in replicate mode) and ``fallback`` are
+    aligned with ``positions``. The code tuples ``children`` and ``sources``
+    are built on first read."""
 
     series: VariableSeries
     level_codes: tuple[str, ...]
     positions: np.ndarray
     parents: tuple[str, ...]
+    parent_values: np.ndarray
     values: np.ndarray
     shares: np.ndarray
     fallback: np.ndarray
@@ -128,9 +129,9 @@ class AllocationResult:
     def fallback_count(self) -> int:
         return int(self.fallback.sum())
 
-    def conservation_residuals(self, source: VariableSeries) -> dict[str, float]:
+    def conservation_residuals(self) -> dict[str, float]:
         """Per source region: relative |sum(children) - value| (absolute at 0)."""
-        value = source.values(self.parents)
+        value = self.parent_values
         gap = np.abs(_run_sums(self.values, self.lengths) - value)
         return dict(zip(self.parents, (gap / np.where(value == 0.0, 1.0, np.abs(value))).tolist()))
 
@@ -162,14 +163,20 @@ def allocate(
 
 
 def disaggregate(
-    task: DisaggregationTask,
+    task: TaskSpec,
+    source: VariableSeries,
     hierarchy: RegionHierarchy,
     env: dict[str, VariableSeries],
     normalize_scope: str = "country",
     weights_on_raw: bool = False,
 ) -> AllocationResult:
-    """Run one task over every source region; see module docstring for rules."""
-    source = task.source_series
+    """Run one task over every region of ``source``, a series at the task's
+    source level; see module docstring for rules. ``stage`` is not read."""
+    _check_task(task.target_id, task.source_level, task.mode, task.formula,
+                task.assignment_confidence)
+    if source.level != task.source_level:
+        raise ConfigError(f"{task.target_id}: source series is at {source.level.name}, "
+                          f"not at the task's source level {task.source_level.name}")
     if not source.is_complete:
         raise MissingValue(
             f"{task.target_id}: source series has missing values "
@@ -188,8 +195,9 @@ def disaggregate(
             f"{task.target_id}: source region {source.codes[order[lengths.argmin()]]!r} "
             f"has no {out.name} descendants"
         )
+    parent_values = source.data[order]
     if task.mode == REPLICATE:
-        values = np.repeat(source.data[order], lengths)
+        values = np.repeat(parent_values, lengths)
         grades = np.repeat(np.minimum(task.assignment_confidence, source.grades[order]), lengths)
         shares, fallback = np.full(values.size, np.nan), np.zeros(values.size, dtype=bool)
     else:
@@ -209,7 +217,7 @@ def disaggregate(
             at = np.empty(len(codes), np.intp)
             at[scope] = np.arange(scope.size)
             weights, proxy_grades = weights[at[children]], proxy_grades[at[children]]
-        values, totals = allocate(source.data[order], weights, lengths)
+        values, totals = allocate(parent_values, weights, lengths)
         fallback = totals == 0.0
         grades = np.where(fallback, ConfidenceLevel.VERY_LOW,
                           np.minimum(task.assignment_confidence, proxy_grades))
@@ -226,24 +234,12 @@ def disaggregate(
         out_codes, values[in_code_order], grades[in_code_order],
     )
     parents = tuple(map(source.codes.__getitem__, order.tolist()))
-    return AllocationResult(series, codes, children, parents, values, shares, fallback, lengths)
+    return AllocationResult(
+        series, codes, children, parents, parent_values, values, shares, fallback, lengths
+    )
 
 
 # -- pipeline configuration ---------------------------------------------------
-
-@dataclass(frozen=True)
-class TaskSpec:
-    stage: int
-    target_id: str
-    source_level: SpatialLevel
-    mode: str
-    formula_text: str | None
-    assignment_confidence: ConfidenceLevel
-
-    @cached_property
-    def formula(self) -> ProxyExpr | None:
-        return None if self.formula_text is None else parse(self.formula_text)
-
 
 STAGE_KEYS = {"stage": _check(lambda v: _is_int(v) and 1 <= v <= 3, "1, 2 or 3"), "tasks": _list}
 TASK_KEYS = {
@@ -282,8 +278,7 @@ def load_pipeline_config(
                 raise ConfigError(f"{where}: no assignment_confidence")
             spec = TaskSpec(stage["stage"], target_id, source_level, fields.get("mode", ALLOCATE),
                             fields.get("formula"), fields["assignment_confidence"])
-            _check_task(where, source_level, spec.mode, spec.formula_text,
-                        spec.assignment_confidence)
+            _check_task(where, source_level, spec.mode, spec.formula, spec.assignment_confidence)
             if target_id in seen_targets:
                 raise ConfigError(f"{where}: duplicate task for target {target_id!r}")
             seen_targets.add(target_id)
@@ -404,7 +399,7 @@ def run_pipeline(
             try:
                 source = store.get(spec.target_id, spec.source_level)
             except UnknownVariable:
-                return spec, None, None, TaskReport(
+                return spec, None, TaskReport(
                     spec.target_id, spec.stage, spec.mode, "skipped",
                     reason=f"no source series at {spec.source_level.name}",
                 )
@@ -415,14 +410,12 @@ def run_pipeline(
             )
             skipped_regions = source.missing_regions()
             if not restricted.codes:
-                return spec, None, None, TaskReport(
+                return spec, None, TaskReport(
                     spec.target_id, spec.stage, spec.mode, "skipped",
                     reason="source series has no observed values",
                     skipped_source_regions=skipped_regions,
                 )
-            task = DisaggregationTask(spec.target_id, restricted, spec.formula,
-                                      spec.assignment_confidence, spec.mode)
-            result = disaggregate(task, hierarchy, env, normalize_scope, weights_on_raw)
+            result = disaggregate(spec, restricted, hierarchy, env, normalize_scope, weights_on_raw)
             report = TaskReport(
                 spec.target_id, spec.stage, spec.mode, "ok",
                 source_regions=len(restricted.codes),
@@ -431,9 +424,9 @@ def run_pipeline(
                 skipped_source_regions=skipped_regions,
             )
             if spec.mode == ALLOCATE:
-                residuals = result.conservation_residuals(restricted)
+                residuals = result.conservation_residuals()
                 report.max_conservation_residual = max(residuals.values(), default=0.0)
-            return spec, result, restricted, report
+            return spec, result, report
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -441,7 +434,7 @@ def run_pipeline(
         else:
             outcomes = [execute(spec) for spec in stage_specs]
 
-        for spec, result, _, report in outcomes:
+        for spec, result, report in outcomes:
             reports.append(report)
             if result is not None:
                 results[spec.target_id] = result

@@ -426,21 +426,16 @@ ASSIGNMENT_CONFIDENCES = (
 class ProxyAssignment:
     target_id: str
     source_level: SpatialLevel
-    formula: str
+    formula: ProxyExpr
     assignment_confidence: ConfidenceLevel
 
-    @property
-    def expr(self) -> ProxyExpr:
-        return parse(self.formula)
 
-
-def _formula(text, where: str) -> str:
-    """``text`` if it is a formula, else an error naming ``where``."""
+def _formula(text, where: str) -> ProxyExpr:
+    """The parsed formula ``text``, or an error naming ``where``."""
     try:
-        parse(_string(text, where))
+        return parse(_string(text, where))
     except FormulaSyntaxError as exc:
         raise FormulaSyntaxError(f"{where}: {exc.message}", exc.position) from None
-    return text
 
 
 _confidence = _token({level.name: level for level in ASSIGNMENT_CONFIDENCES})

@@ -20,6 +20,7 @@ index, exactly as a per-node stable sort would, so the trees are the ones
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -186,11 +187,18 @@ class TrainedEnsemble:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """base_prediction + learning_rate * sum of tree outputs, exactly."""
+        *_, out = self._stages(X)
+        return out
+
+    def _stages(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """The prediction of the first 0, 1, ..., len(trees) trees, in one
+        array that each step updates in place."""
         X = np.asarray(X, dtype=float)
         out = np.full(X.shape[0], self.base_prediction, dtype=float)
+        yield out
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
-        return out
+            yield out
 
 
 def fit_gbrt(

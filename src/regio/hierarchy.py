@@ -289,8 +289,9 @@ def _csv_columns(path: Path, headers: Sequence[list[str]]) -> list[list[str]] | 
     them, with the header row and blank rows left out. None for bytes that
     are not UTF-8, a row ``csv.reader`` cannot read, a header (stripped) not
     in ``headers`` or a row of another width; the caller then walks the rows
-    to report the error. Plain text, with every row as wide as the header
-    and a first cell in each, is split on newlines and commas instead."""
+    to report the error. Plain text, with every row as wide as the header,
+    a first cell in each and no line longer than ``csv.field_size_limit()``,
+    is split on newlines and commas instead."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             text = fh.read()
@@ -301,9 +302,10 @@ def _csv_columns(path: Path, headers: Sequence[list[str]]) -> list[list[str]] | 
         if lines[-1:] == [""]:  # the newline that ends the last line
             lines.pop()
         width = header.count(",") + 1
+        limit = csv.field_size_limit()  # a longer line may hold a cell csv.reader rejects
         if header.split(",") in headers and all(
             map((width - 1).__eq__, map(str.count, lines, repeat(",")))
-        ):
+        ) and (len(text) <= limit or max(map(len, lines), default=0) <= limit):
             cells = ",".join(lines).split(",") if lines else []
             columns = [cells[i::width] for i in range(width)]
             if "" not in columns[0]:  # else a blank row, which csv.reader skips

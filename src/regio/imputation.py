@@ -174,15 +174,9 @@ def _staged_fold_rmse(X, y, folds, unit) -> list[float]:
     fold = folds[fold_index]
     mask = np.ones(y.shape[0], dtype=bool)
     mask[fold] = False
-    X_fold, y_fold = X[fold], y[fold]
+    y_fold = y[fold]
     model = fit_gbrt(X[mask], y[mask], HyperParams(n_max, lr, depth))
-    # Same arithmetic, in the same order, as TrainedEnsemble.predict.
-    out = np.full(X_fold.shape[0], model.base_prediction, dtype=float)
-    staged = [rmse(out, y_fold)]
-    for tree in model.trees:
-        out += model.learning_rate * tree.predict(X_fold)
-        staged.append(rmse(out, y_fold))
-    return staged
+    return [rmse(out, y_fold) for out in model._stages(X[fold])]
 
 
 # Set only in pool workers, by the initializer: (X, y, folds) of the

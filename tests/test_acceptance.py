@@ -13,7 +13,7 @@ from conftest import random_hierarchy
 from test_gbrt import brute_force_stump_sse, ensemble_sse
 
 from regio.cli import main as cli_main
-from regio.disaggregation import DisaggregationTask, disaggregate
+from regio.disaggregation import ALLOCATE, TaskSpec, disaggregate
 from regio.formulas import (
     EMISSION_STANDARD_CAPS,
     euro_weight_table,
@@ -153,11 +153,9 @@ def test_criterion_06_mass_conservation_property():
                 source_level,
                 dict(zip(parents, map(float, rng.uniform(0, 1e6, len(parents))))),
             )
-            task = DisaggregationTask(
-                "out", source, parse("x"), ConfidenceLevel.HIGH
-            )
-            result = disaggregate(task, hierarchy, env)
-            residuals = result.conservation_residuals(source)
+            task = TaskSpec(1, "out", source_level, ALLOCATE, parse("x"), ConfidenceLevel.HIGH)
+            result = disaggregate(task, source, hierarchy, env)
+            residuals = result.conservation_residuals()
             assert max(residuals.values()) <= 1e-9
             cases += len(residuals)
             fallback_cases += len(set(zeroed))
@@ -189,10 +187,11 @@ def test_criterion_07_proxy_scale_invariance():
         "src", SpatialLevel.NUTS3,
         dict(zip(parents, map(float, rng.uniform(1, 1000, len(parents))))),
     )
-    task = DisaggregationTask(
-        "out", source, parse("3.83 * u + v * w + 0.5 * v"), ConfidenceLevel.HIGH
+    task = TaskSpec(
+        1, "out", SpatialLevel.NUTS3, ALLOCATE, parse("3.83 * u + v * w + 0.5 * v"),
+        ConfidenceLevel.HIGH,
     )
-    baseline = disaggregate(task, hierarchy, env)
+    baseline = disaggregate(task, source, hierarchy, env)
     checks = 0
     for vid in ("u", "v", "w"):
         for _ in range(4):
@@ -203,7 +202,7 @@ def test_criterion_07_proxy_scale_invariance():
                 SpatialLevel.LAU,
                 {r: k * x for r, x in series[vid].items()},
             )
-            scaled = disaggregate(task, hierarchy, scaled_env)
+            scaled = disaggregate(task, source, hierarchy, scaled_env)
             for lau in laus:
                 a = baseline.series.value(lau)
                 b = scaled.series.value(lau)
@@ -327,14 +326,16 @@ def test_criterion_11_confidence_propagation(mini_hierarchy):
     source = VariableSeries.from_values("src", SpatialLevel.NUTS3, {"AA000": 100.0})
 
     low_assignment = disaggregate(
-        DisaggregationTask("out", source, parse("x"), ConfidenceLevel.LOW),
+        TaskSpec(1, "out", SpatialLevel.NUTS3, ALLOCATE, parse("x"), ConfidenceLevel.LOW),
+        source,
         mini_hierarchy,
         {"x": proxy},
     )
     assert low_assignment.series.confidence(imputed_region) == ConfidenceLevel.LOW
 
     high_assignment = disaggregate(
-        DisaggregationTask("out", source, parse("x"), ConfidenceLevel.HIGH),
+        TaskSpec(1, "out", SpatialLevel.NUTS3, ALLOCATE, parse("x"), ConfidenceLevel.HIGH),
+        source,
         mini_hierarchy,
         {"x": proxy},
     )

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TOY_PROJECT
-from regio import cli
+from regio import cli, formulas
 from regio.cli import _dump_json, main
 from regio.config import (
     COMPARISON_KEYS,
@@ -75,6 +75,26 @@ class TestCheck:
         registry.write_text(json.dumps(doc))
         assert run_cli("check", "--config", toy_project) == 2
         assert "snake_case" in capsys.readouterr().out
+
+
+def test_each_formula_cell_is_parsed_once(toy_project, monkeypatch, capsys):
+    """``regio run`` loads the project once and parses each formula cell of
+    its JSON files there; every later step reads the parsed expression."""
+    assignments = json.loads((toy_project.parent / "proxy_assignments.json").read_text())
+    pipeline = json.loads((toy_project.parent / "pipeline.json").read_text())
+    tasks = [task for stage in pipeline["stages"] for task in stage["tasks"]]
+    cells = sorted(e["formula"] for e in assignments["assignments"] + tasks if "formula" in e)
+    assert len(cells) == 4
+    parsed = []
+    parse = formulas._Parser.parse  # called once by each formulas.parse
+
+    def counted(parser):
+        parsed.append(parser.text)
+        return parse(parser)
+
+    monkeypatch.setattr(formulas._Parser, "parse", counted)
+    assert run_cli("run", "--config", toy_project) == 0
+    assert sorted(parsed) == cells
 
 
 def toy_json(name: str, edit) -> str:
@@ -318,6 +338,19 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             {"hierarchy.csv": 'code,level,parent,country\nAA,NUTS0,,AA\n'
                               f'"{"A" * 140_000}",NUTS1,AA,AA\n'},
             "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell",
+        ),
+        # oversized cells in plain files, which are split rather than read by
+        # csv.reader: a file reads the same in every spelling
+        pytest.param(
+            "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'0' * 140_000}\n"},
+            "industrial_area.csv:2: field larger than field limit",
+            id="series-oversized-cell-plain",
+        ),
+        pytest.param(
+            "check",
+            {"hierarchy.csv": "code,level,parent,country\nAA,NUTS0,,AA\n"
+                              f"{'A' * 140_000},NUTS1,AA,AA\n"},
+            "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell-plain",
         ),
         pytest.param(
             "check", {"config.json": {"hierarchy": "a\u0000b.csv"}},

@@ -11,7 +11,7 @@ import pytest
 
 import dict_reference as ref
 from conftest import random_hierarchy
-from regio.disaggregation import ALLOCATE, REPLICATE, DisaggregationTask, disaggregate
+from regio.disaggregation import ALLOCATE, REPLICATE, TaskSpec, disaggregate
 from regio.errors import DuplicateRegion, MissingValue, NegativeProxyValue
 from regio.formulas import evaluate, parse
 from regio.hierarchy import RegionHierarchy, RegionNode, SpatialLevel
@@ -118,14 +118,14 @@ def compare_disaggregate(rng, hierarchy):
         regions = hierarchy.regions_at(level)
         for mode, formula in [(REPLICATE, None)] + [(ALLOCATE, f) for f in FORMULAS]:
             source = make_series(rng, "src", regions, level, negative=True)
-            task = DisaggregationTask(
-                "out", source, None if formula is None else parse(formula),
-                ASSIGNMENT[int(rng.integers(3))], mode,
+            task = TaskSpec(
+                1, "out", level, mode, None if formula is None else parse(formula),
+                ASSIGNMENT[int(rng.integers(3))],
             )
             ref_source = ref.DictSeries.of(source)
             for scope in ("country", "parent"):
                 for raw in (False, True):
-                    got = disaggregate(task, hierarchy, env, scope, raw)
+                    got = disaggregate(task, source, hierarchy, env, scope, raw)
                     obs, prov = ref.disaggregate(
                         task, ref_source, hierarchy, ref_env, scope, raw
                     )
@@ -135,7 +135,7 @@ def compare_disaggregate(rng, hierarchy):
                     assert got.fallback_count() == sum(f for _, _, f in prov.values())
                     residuals = ref.conservation_residuals(obs, prov, ref_source)
                     assert {
-                        p: exact(v) for p, v in got.conservation_residuals(source).items()
+                        p: exact(v) for p, v in got.conservation_residuals().items()
                     } == {p: exact(v) for p, v in residuals.items()}
 
 
@@ -166,8 +166,8 @@ def mixed_env(rng, hierarchy):
         ("part", hierarchy.regions_at(SpatialLevel.NUTS3, home), "home * c + a"),
     ):
         source = make_series(rng, vid, regions, SpatialLevel.NUTS3)
-        stage = DisaggregationTask(vid, source, parse(formula), ConfidenceLevel.HIGH)
-        env[vid] = disaggregate(stage, hierarchy, env).series
+        stage = TaskSpec(1, vid, SpatialLevel.NUTS3, ALLOCATE, parse(formula), ConfidenceLevel.HIGH)
+        env[vid] = disaggregate(stage, source, hierarchy, env).series
     assert env["whole"].codes is level
     assert env["part"].codes == tuple(env["home"].codes)
     return env
@@ -187,11 +187,11 @@ def compare_mixed(rng, hierarchy):
         for formula in MIXED + MIXED_HOME:
             regions = hierarchy.regions_at(level, home if formula in MIXED_HOME else None)
             source = make_series(rng, "src", regions, level, negative=True)
-            task = DisaggregationTask("out", source, parse(formula), ConfidenceLevel.MEDIUM)
+            task = TaskSpec(1, "out", level, ALLOCATE, parse(formula), ConfidenceLevel.MEDIUM)
             ref_source = ref.DictSeries.of(source)
             for scope in ("country", "parent"):
                 for raw in (False, True):
-                    got = disaggregate(task, hierarchy, env, scope, raw)
+                    got = disaggregate(task, source, hierarchy, env, scope, raw)
                     obs, prov = ref.disaggregate(
                         task, ref_source, hierarchy, ref_env, scope, raw
                     )
@@ -229,8 +229,8 @@ class TestColumnarMatchesDictReference:
         env = proxies(rng, hierarchy)
         source = make_series(rng, "src", hierarchy.regions_at(SpatialLevel.NUTS3),
                              SpatialLevel.NUTS3)
-        task = DisaggregationTask("out", source, parse("a"), ConfidenceLevel.HIGH)
-        assert disaggregate(task, hierarchy, env, "parent").fallback.any()
+        task = TaskSpec(1, "out", SpatialLevel.NUTS3, ALLOCATE, parse("a"), ConfidenceLevel.HIGH)
+        assert disaggregate(task, source, hierarchy, env, "parent").fallback.any()
 
     def test_missing_source_regions(self):
         rng = np.random.default_rng(5)
@@ -239,9 +239,10 @@ class TestColumnarMatchesDictReference:
         ref_env = {vid: ref.DictSeries.of(s) for vid, s in env.items()}
         regions = hierarchy.regions_at(SpatialLevel.NUTS3)
         source = make_series(rng, "src", regions, SpatialLevel.NUTS3, missing=0.3)
-        task = DisaggregationTask("out", source, parse("a + b"), ConfidenceLevel.MEDIUM)
+        task = TaskSpec(1, "out", SpatialLevel.NUTS3, ALLOCATE, parse("a + b"),
+                        ConfidenceLevel.MEDIUM)
         with pytest.raises(MissingValue):
-            disaggregate(task, hierarchy, env)
+            disaggregate(task, source, hierarchy, env)
         with pytest.raises(MissingValue):
             ref.disaggregate(task, ref.DictSeries.of(source), hierarchy, ref_env)
         present = VariableSeries.from_values(
@@ -249,9 +250,8 @@ class TestColumnarMatchesDictReference:
             {r: source.value(r) for r in source.present_regions()},
             {r: source.confidence(r) for r in source.present_regions()},
         )
-        task = DisaggregationTask("out", present, parse("a + b"), ConfidenceLevel.MEDIUM)
         obs, _ = ref.disaggregate(task, ref.DictSeries.of(present), hierarchy, ref_env)
-        assert observed(disaggregate(task, hierarchy, env).series) == expected(obs)
+        assert observed(disaggregate(task, present, hierarchy, env).series) == expected(obs)
 
     @pytest.mark.parametrize("formula", FORMULAS)
     def test_evaluate(self, formula):
@@ -361,13 +361,13 @@ def test_bad_proxy_value_raises_on_both_paths(case, shared, scope):
     source = VariableSeries.from_values(
         "src", SpatialLevel.NUTS3, {r: 1.0 for r in hierarchy.regions_at(SpatialLevel.NUTS3)}
     )
-    task = DisaggregationTask("out", source, parse("a + b"), ConfidenceLevel.HIGH)
+    task = TaskSpec(1, "out", SpatialLevel.NUTS3, ALLOCATE, parse("a + b"), ConfidenceLevel.HIGH)
     error, message = (
         (NegativeProxyValue, f"b: negative proxy value at {bad!r}") if case == "negative"
         else (MissingValue, f"b: value for {bad!r} is missing")
     )
     with pytest.raises(error) as caught:
-        disaggregate(task, hierarchy, env, scope)
+        disaggregate(task, source, hierarchy, env, scope)
     assert str(caught.value) == message
     with pytest.raises(error) as caught:
         evaluate(task.formula, env, level)

@@ -6,7 +6,6 @@ import pytest
 from regio.disaggregation import (
     ALLOCATE,
     REPLICATE,
-    DisaggregationTask,
     TaskSpec,
     allocate,
     check_dependencies,
@@ -84,30 +83,34 @@ class TestAllocate:
 
 
 def make_task(source, formula, confidence=ConfidenceLevel.HIGH, mode=ALLOCATE):
-    return DisaggregationTask(
-        target_id="out",
-        source_series=source,
-        formula=None if formula is None else parse(formula),
-        assignment_confidence=confidence,
-        mode=mode,
-    )
+    """A task named "out" at the level of ``source``."""
+    return TaskSpec(1, "out", source.level, mode, None if formula is None else parse(formula),
+                    confidence)
 
 
 class TestTaskValidation:
     def test_source_level_restricted(self, mini_hierarchy):
         src = series({"AA0": 10.0}, SpatialLevel.NUTS1)
         with pytest.raises(ConfigError):
-            make_task(src, "x")
+            disaggregate(make_task(src, "x"), src, mini_hierarchy, {})
 
     def test_very_high_assignment_rejected(self, mini_hierarchy):
         src = series({"AA000": 10.0}, SpatialLevel.NUTS3)
         with pytest.raises(ConfigError):
-            make_task(src, "x", confidence=ConfidenceLevel.VERY_HIGH)
+            disaggregate(make_task(src, "x", confidence=ConfidenceLevel.VERY_HIGH), src,
+                         mini_hierarchy, {})
 
-    def test_allocate_requires_formula(self):
+    def test_allocate_requires_formula(self, mini_hierarchy):
         src = series({"AA000": 10.0}, SpatialLevel.NUTS3)
         with pytest.raises(ConfigError):
-            make_task(src, None)
+            disaggregate(make_task(src, None), src, mini_hierarchy, {})
+
+    def test_source_series_at_another_level_rejected(self, mini_hierarchy):
+        src = series({"AA00": 10.0}, SpatialLevel.NUTS2)
+        task = make_task(series({"AA000": 10.0}, SpatialLevel.NUTS3), "x")
+        with pytest.raises(ConfigError, match="out: source series is at NUTS2, not at the "
+                                              "task's source level NUTS3"):
+            disaggregate(task, src, mini_hierarchy, {})
 
 
 class TestDisaggregate:
@@ -120,7 +123,7 @@ class TestDisaggregate:
     def test_replicate_copies_value(self, mini_hierarchy):
         src = series({"AA000": 3000.0, "AA001": 2800.0}, SpatialLevel.NUTS3)
         task = make_task(src, None, confidence=ConfidenceLevel.MEDIUM, mode=REPLICATE)
-        result = disaggregate(task, mini_hierarchy, {})
+        result = disaggregate(task, src, mini_hierarchy, {})
         for child in mini_hierarchy.descendants("AA000", SpatialLevel.LAU):
             assert result.series.value(child) == 3000.0
             assert result.series.confidence(child) == ConfidenceLevel.MEDIUM
@@ -132,7 +135,7 @@ class TestDisaggregate:
             {"AA000": 3000.0}, SpatialLevel.NUTS3, confidence=ConfidenceLevel.LOW
         )
         task = make_task(src, None, confidence=ConfidenceLevel.MEDIUM, mode=REPLICATE)
-        result = disaggregate(task, mini_hierarchy, {})
+        result = disaggregate(task, src, mini_hierarchy, {})
         child = mini_hierarchy.descendants("AA000", SpatialLevel.LAU)[0]
         assert result.series.confidence(child) == ConfidenceLevel.LOW
 
@@ -142,7 +145,7 @@ class TestDisaggregate:
             mini_hierarchy,
             {r: 4.0 for r in mini_hierarchy.regions_at(SpatialLevel.LAU)},
         )
-        result = disaggregate(make_task(src, "x"), mini_hierarchy, env)
+        result = disaggregate(make_task(src, "x"), src, mini_hierarchy, env)
         for child in mini_hierarchy.descendants("AA000", SpatialLevel.LAU):
             assert result.series.value(child) == pytest.approx(30.0)
 
@@ -152,7 +155,7 @@ class TestDisaggregate:
             values[child] = 0.0
         src = series({"AA000": 30.0, "AA001": 30.0}, SpatialLevel.NUTS3)
         result = disaggregate(
-            make_task(src, "x"), mini_hierarchy, self.lau_env(mini_hierarchy, values)
+            make_task(src, "x"), src, mini_hierarchy, self.lau_env(mini_hierarchy, values)
         )
         for child in mini_hierarchy.descendants("AA001", SpatialLevel.LAU):
             assert result.series.value(child) == pytest.approx(10.0)
@@ -176,11 +179,11 @@ class TestDisaggregate:
         }
         src = series({"AA000": 10.0}, SpatialLevel.NUTS3)
         low = disaggregate(
-            make_task(src, "x", confidence=ConfidenceLevel.LOW), mini_hierarchy, env
+            make_task(src, "x", confidence=ConfidenceLevel.LOW), src, mini_hierarchy, env
         )
         assert low.series.confidence(imputed_child) == ConfidenceLevel.LOW
         high = disaggregate(
-            make_task(src, "x", confidence=ConfidenceLevel.HIGH), mini_hierarchy, env
+            make_task(src, "x", confidence=ConfidenceLevel.HIGH), src, mini_hierarchy, env
         )
         assert high.series.confidence(imputed_child) == ConfidenceLevel.MEDIUM
         other = mini_hierarchy.descendants("AA000", SpatialLevel.LAU)[1]
@@ -189,7 +192,7 @@ class TestDisaggregate:
     def test_confidence_ceiling(self, mini_hierarchy):
         src = series({"AA000": 10.0, "AA001": 5.0}, SpatialLevel.NUTS3)
         result = disaggregate(
-            make_task(src, "x", confidence=ConfidenceLevel.LOW),
+            make_task(src, "x", confidence=ConfidenceLevel.LOW), src,
             mini_hierarchy,
             self.lau_env(mini_hierarchy),
         )
@@ -202,7 +205,8 @@ class TestDisaggregate:
         children = mini_hierarchy.descendants("AA000", SpatialLevel.LAU)
         env = {"x": series(dict(zip(children, [1e16, 1.0, 1.0])), SpatialLevel.LAU, vid="x")}
         src = series({"AA000": 1.0}, SpatialLevel.NUTS3)
-        result = disaggregate(make_task(src, "x"), mini_hierarchy, env, normalize_scope="parent")
+        result = disaggregate(make_task(src, "x"), src, mini_hierarchy, env,
+                              normalize_scope="parent")
         assert result.provenance[children[0]].share == 1.0
         for child in children:
             assert result.provenance[child].share == result.series.value(child)
@@ -210,14 +214,14 @@ class TestDisaggregate:
     def test_missing_source_value_rejected(self, mini_hierarchy):
         src = series({"AA000": 10.0, "AA001": None}, SpatialLevel.NUTS3)
         with pytest.raises(MissingValue):
-            disaggregate(make_task(src, "x"), mini_hierarchy, self.lau_env(mini_hierarchy))
+            disaggregate(make_task(src, "x"), src, mini_hierarchy, self.lau_env(mini_hierarchy))
 
     def test_unknown_formula_variable(self, mini_hierarchy):
         src = series({"AA000": 10.0}, SpatialLevel.NUTS3)
         from regio.errors import UnresolvedVariable
 
         with pytest.raises(UnresolvedVariable):
-            disaggregate(make_task(src, "ghost"), mini_hierarchy, {})
+            disaggregate(make_task(src, "ghost"), src, mini_hierarchy, {})
 
     def test_mass_conservation(self, mini_hierarchy):
         rng = np.random.default_rng(8)
@@ -229,8 +233,8 @@ class TestDisaggregate:
             {"AA000": 123.0, "AA001": 45.6, "BB000": 7.0, "BB001": 0.0},
             SpatialLevel.NUTS3,
         )
-        result = disaggregate(make_task(src, "x"), mini_hierarchy, env)
-        residuals = result.conservation_residuals(src)
+        result = disaggregate(make_task(src, "x"), src, mini_hierarchy, env)
+        residuals = result.conservation_residuals()
         assert max(residuals.values()) <= 1e-9
 
     def test_share_permutation_invariance(self, mini_hierarchy):
@@ -242,10 +246,10 @@ class TestDisaggregate:
         values_a = dict(base, **dict(zip(children, w)))
         values_b = dict(base, **dict(zip(children, w[::-1])))
         res_a = disaggregate(
-            make_task(src, "x"), mini_hierarchy, self.lau_env(mini_hierarchy, values_a)
+            make_task(src, "x"), src, mini_hierarchy, self.lau_env(mini_hierarchy, values_a)
         )
         res_b = disaggregate(
-            make_task(src, "x"), mini_hierarchy, self.lau_env(mini_hierarchy, values_b)
+            make_task(src, "x"), src, mini_hierarchy, self.lau_env(mini_hierarchy, values_b)
         )
         got_a = [res_a.series.value(c) for c in children]
         got_b = [res_b.series.value(c) for c in children]
@@ -258,7 +262,7 @@ class TestDisaggregate:
             mini_hierarchy, {r: float(v) for r, v in zip(laus, rng.uniform(0, 5, 12))}
         )
         src = series({"AA000": 50.0, "AA001": 0.0}, SpatialLevel.NUTS3)
-        result = disaggregate(make_task(src, "x"), mini_hierarchy, env)
+        result = disaggregate(make_task(src, "x"), src, mini_hierarchy, env)
         assert all(o.value >= 0 for o in result.series.observations.values())
 
     def test_parent_normalization_scope_flag(self, mini_hierarchy):
@@ -269,9 +273,9 @@ class TestDisaggregate:
             mini_hierarchy, {r: float(v) for r, v in zip(laus, rng.uniform(1, 9, 12))}
         )
         src = series({"AA000": 77.0, "AA001": 33.0}, SpatialLevel.NUTS3)
-        country = disaggregate(make_task(src, "x"), mini_hierarchy, env)
+        country = disaggregate(make_task(src, "x"), src, mini_hierarchy, env)
         per_parent = disaggregate(
-            make_task(src, "x"), mini_hierarchy, env, normalize_scope="parent"
+            make_task(src, "x"), src, mini_hierarchy, env, normalize_scope="parent"
         )
         for lau in mini_hierarchy.regions_at(SpatialLevel.LAU, "AA"):
             assert per_parent.series.value(lau) == pytest.approx(
@@ -285,8 +289,8 @@ class TestDisaggregate:
             vid="y",
         )
         for scope in ("country", "parent"):
-            res = disaggregate(composite, mini_hierarchy, env, normalize_scope=scope)
-            assert max(res.conservation_residuals(src).values()) <= 1e-9
+            res = disaggregate(composite, src, mini_hierarchy, env, normalize_scope=scope)
+            assert max(res.conservation_residuals().values()) <= 1e-9
 
 
 def pipeline_store(mini_hierarchy):
@@ -301,8 +305,8 @@ def pipeline_store(mini_hierarchy):
 class TestPipeline:
     def specs(self):
         return [
-            TaskSpec(1, "jobs", SpatialLevel.NUTS3, ALLOCATE, "pop", ConfidenceLevel.MEDIUM),
-            TaskSpec(3, "fec_total", SpatialLevel.NUTS0, ALLOCATE, "jobs + pop", ConfidenceLevel.HIGH),
+            TaskSpec(1, "jobs", SpatialLevel.NUTS3, ALLOCATE, parse("pop"), ConfidenceLevel.MEDIUM),
+            TaskSpec(3, "fec_total", SpatialLevel.NUTS0, ALLOCATE, parse("jobs + pop"), ConfidenceLevel.HIGH),
         ]
 
     def test_stage_outputs_feed_later_stages(self, mini_hierarchy):
@@ -321,22 +325,22 @@ class TestPipeline:
 
     def test_unresolved_dependency(self, mini_hierarchy):
         specs = [
-            TaskSpec(2, "early", SpatialLevel.NUTS2, ALLOCATE, "late_output", ConfidenceLevel.LOW),
-            TaskSpec(3, "late_output", SpatialLevel.NUTS0, ALLOCATE, "pop", ConfidenceLevel.LOW),
+            TaskSpec(2, "early", SpatialLevel.NUTS2, ALLOCATE, parse("late_output"), ConfidenceLevel.LOW),
+            TaskSpec(3, "late_output", SpatialLevel.NUTS0, ALLOCATE, parse("pop"), ConfidenceLevel.LOW),
         ]
         with pytest.raises(UnresolvedDependency):
             run_pipeline(specs, mini_hierarchy, pipeline_store(mini_hierarchy))
 
     def test_same_stage_reference_unresolved(self, mini_hierarchy):
         specs = [
-            TaskSpec(1, "a_first", SpatialLevel.NUTS3, ALLOCATE, "pop", ConfidenceLevel.LOW),
-            TaskSpec(1, "b_second", SpatialLevel.NUTS3, ALLOCATE, "a_first", ConfidenceLevel.LOW),
+            TaskSpec(1, "a_first", SpatialLevel.NUTS3, ALLOCATE, parse("pop"), ConfidenceLevel.LOW),
+            TaskSpec(1, "b_second", SpatialLevel.NUTS3, ALLOCATE, parse("a_first"), ConfidenceLevel.LOW),
         ]
         with pytest.raises(UnresolvedDependency):
             check_dependencies(specs, pipeline_store(mini_hierarchy))
 
     def test_duplicate_lau_target_rejected(self, mini_hierarchy):
-        specs = [TaskSpec(1, "pop", SpatialLevel.NUTS3, ALLOCATE, "pop", ConfidenceLevel.LOW)]
+        specs = [TaskSpec(1, "pop", SpatialLevel.NUTS3, ALLOCATE, parse("pop"), ConfidenceLevel.LOW)]
         with pytest.raises(DuplicateVariable):
             check_dependencies(specs, pipeline_store(mini_hierarchy))
 
@@ -356,7 +360,7 @@ class TestPipeline:
 
     def test_absent_source_series_skips_task(self, mini_hierarchy):
         specs = self.specs() + [
-            TaskSpec(3, "ghost_total", SpatialLevel.NUTS0, ALLOCATE, "pop", ConfidenceLevel.LOW)
+            TaskSpec(3, "ghost_total", SpatialLevel.NUTS0, ALLOCATE, parse("pop"), ConfidenceLevel.LOW)
         ]
         run = run_pipeline(specs, mini_hierarchy, pipeline_store(mini_hierarchy))
         skipped = run.skipped()
@@ -390,14 +394,15 @@ class TestPipelineConfigLoader:
         from regio.formulas import ProxyAssignment
 
         assignments = {
-            "fec": ProxyAssignment("fec", SpatialLevel.NUTS0, "pop + jobs", ConfidenceLevel.HIGH)
+            "fec": ProxyAssignment("fec", SpatialLevel.NUTS0, parse("pop + jobs"),
+                                   ConfidenceLevel.HIGH)
         }
         path = self.write(
             tmp_path,
             {"stages": [{"stage": 3, "tasks": [{"target_id": "fec", "source_level": "NUTS0"}]}]},
         )
         (spec,) = load_pipeline_config(path, assignments)
-        assert spec.formula_text == "pop + jobs"
+        assert spec.formula == parse("pop + jobs")
         assert spec.assignment_confidence == ConfidenceLevel.HIGH
 
     def test_inline_values_win(self, tmp_path):
@@ -405,7 +410,7 @@ class TestPipelineConfigLoader:
         from regio.formulas import ProxyAssignment
 
         assignments = {
-            "fec": ProxyAssignment("fec", SpatialLevel.NUTS0, "pop", ConfidenceLevel.HIGH)
+            "fec": ProxyAssignment("fec", SpatialLevel.NUTS0, parse("pop"), ConfidenceLevel.HIGH)
         }
         path = self.write(
             tmp_path,
@@ -426,7 +431,7 @@ class TestPipelineConfigLoader:
             },
         )
         (spec,) = load_pipeline_config(path, assignments)
-        assert spec.formula_text == "jobs"
+        assert spec.formula == parse("jobs")
         assert spec.assignment_confidence == ConfidenceLevel.LOW
 
     def test_allocate_without_formula_rejected(self, tmp_path):

@@ -256,7 +256,7 @@ class TestProxyAssignments:
         loaded = load_proxy_assignments(self.write(tmp_path, [self.entry()]))
         assignment = loaded["transport_fec"]
         assert assignment.assignment_confidence == ConfidenceLevel.HIGH
-        assert assignment.expr == parse("3.83 * euro_1 + 1.78 * euro_2")
+        assert assignment.formula == parse("3.83 * euro_1 + 1.78 * euro_2")
 
     def test_duplicate_target_rejected(self, tmp_path):
         from regio.errors import ConfigError
