@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -286,10 +286,14 @@ def load_pipeline_config(
     return sorted(specs, key=lambda s: (s.stage, s.target_id))
 
 
-def check_dependencies(specs: list[TaskSpec], store: VariableStore) -> None:
+def check_dependencies(
+    specs: list[TaskSpec], store: VariableStore, unloaded: Iterable[str] = ()
+) -> None:
     """Every formula variable must resolve to a LAU series already in the
-    store or produced by a strictly earlier stage."""
-    available = set(store.series_at(SpatialLevel.LAU))
+    store or produced by a strictly earlier stage. ``unloaded`` names
+    registry LAU series that failed to load: they count as available, as
+    their failure is reported on its own."""
+    available = set(store.series_at(SpatialLevel.LAU)) | set(unloaded)
     for stage, stage_specs in _by_stage(specs):
         for spec in stage_specs:
             if spec.target_id in available:

@@ -22,6 +22,7 @@ values and max-normalizes the composite result, for sensitivity runs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -146,8 +147,11 @@ class _Parser:
             self.fail("unexpected end of formula")
         kind, value, position = token
         if kind == "number":
+            number = float(value)
+            if not math.isfinite(number):  # a long run of digits
+                self.fail("number is too large")
             self.take()
-            return Const(float(value))
+            return Const(number)
         if kind == "ident":
             self.take()
             return Var(value)

@@ -15,12 +15,27 @@ inherits its parent's order through a boolean mask, so no node sorts again.
 Restricting a global stable sort to a node's rows orders tied values by row
 index, exactly as a per-node stable sort would, so the trees are the ones
 ``best_split`` on every node would build.
+
+``staged_holdout_rmse`` scores many small cross-validation fits without
+building their trees. It grows tree t of every fit together, one tree level
+per step, so each step makes one set of numpy calls for all nodes of all
+fits at that level. Per feature, every node's rows are gathered into one
+row of a padded 2-D array. ``cumsum(axis=1)`` adds sequentially along each
+row, and the pad columns come after the node's rows, so every prefix sum
+equals the per-node ``cumsum`` bit for bit. Each node's sum, sum of squares
+and SSE are still taken by ``.sum()`` over its own contiguous rows in row
+order, as the per-node grower takes them, because pairwise summation
+depends on the order and grouping of its terms. The held-out rows follow
+the same splits. So the staged RMSEs equal those of ``fit_gbrt`` models
+scored tree by tree. The kernel only pays off while per-node numpy calls
+dominate the element work; ``imputation`` uses it for fits of up to
+``imputation.LOCKSTEP_MAX_ROWS`` training rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -228,3 +243,181 @@ def fit_gbrt(
         predictions += hp.learning_rate * fitted  # fitted == tree.predict(X)
         trees.append(tree)
     return TrainedEnsemble(base, trees, hp.learning_rate, list(feature_ids or []))
+
+
+def _scan_level(columns, r, orders, starts, sizes, totals, totals_sq):
+    """``_scan_splits`` of many nodes at once: (found, children SSE,
+    feature, threshold), one entry per node.
+
+    Node ``m`` owns ``orders[j][starts[m]:starts[m] + sizes[m]]`` of every
+    feature ``j``. Its rows are gathered into row ``m`` of a 2-D array whose
+    pad columns come after them, so ``cumsum(axis=1)``, which adds
+    sequentially along each row, gives every node the prefix sums of its
+    own ``cumsum``. The pad columns' SSEs (which may divide by zero) are
+    masked out before ``argmin(axis=1)`` takes the first minimum.
+    """
+    m = sizes.shape[0]
+    cols = np.arange(int(sizes.max()))
+    pos = np.minimum(starts[:, None] + cols, orders[0].shape[0] - 1)
+    n_left = cols[1:].astype(float)
+    n_right = sizes[:, None] - n_left
+    outside = cols[1:] >= sizes[:, None]  # a split after column i needs i + 1 < size
+    total, total_sq = totals[:, None], totals_sq[:, None]
+    nodes = np.arange(m)
+    found = np.zeros(m, dtype=bool)
+    best = np.full(m, np.inf)
+    feature = np.zeros(m, dtype=np.intp)
+    threshold = np.zeros(m)
+    for j, order in enumerate(orders):
+        xs = columns[j][order][pos]
+        rs = r[order][pos[:, :-1]]
+        no_split = (xs[:, 1:] == xs[:, :-1]) | outside
+        s_left = rs.cumsum(axis=1)
+        q_left = (rs * rs).cumsum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # pad columns
+            sse = (q_left - s_left**2 / n_left) + (
+                (total_sq - q_left) - (total - s_left) ** 2 / n_right
+            )
+        sse[no_split] = np.inf
+        k = sse.argmin(axis=1)  # first minimum -> lowest threshold
+        candidate = sse[nodes, k]
+        has = ~no_split.all(axis=1)
+        better = has & (~found | (candidate < best))  # the first feature wins ties
+        best[better] = candidate[better]
+        feature[better] = j
+        threshold[better] = ((xs[nodes, k] + xs[nodes, k + 1]) / 2.0)[better]
+        found |= has
+    return found, best, feature, threshold
+
+
+def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
+    """Grow one tree per fit, all fits one level per step; returns what the
+    trees predict for the training rows and for the held rows.
+
+    Fit ``i`` owns the ``sizes[i]`` training rows after those of fits
+    ``< i`` (and likewise its held rows). ``orders[j]`` holds each fit's
+    training rows sorted by feature ``j``, fit after fit. Every level keeps
+    each node's rows contiguous: ``rows`` in ascending order, ``orders`` by
+    feature, ``held`` as routed. Node sums are taken by ``.sum()`` over the
+    node's own rows in row order, as ``_grow`` takes them.
+    """
+    n = r.shape[0]
+    fitted = np.empty(n)
+    predicted = np.empty(held_columns.shape[1])
+    rows = np.arange(n)
+    held = np.arange(predicted.shape[0])
+    child_of = np.empty(n, dtype=np.intp)
+    add = np.add.reduce  # what ndarray.sum runs
+    while True:
+        m = sizes.shape[0]
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        node_of = np.repeat(np.arange(m), sizes)
+        held_node = np.repeat(np.arange(m), held_sizes)
+        r_rows = r[rows]
+        bounds = list(zip(starts.tolist(), ends.tolist()))
+        totals = np.array([add(r_rows[a:b]) for a, b in bounds])
+        means = totals / sizes
+        split = np.zeros(m, dtype=bool)
+        feature = np.zeros(m, dtype=np.intp)
+        threshold = np.zeros(m)
+        scan = ((depths > 0) & (sizes >= 2)).nonzero()[0]
+        if scan.size:
+            squares = r_rows * r_rows
+            totals_sq = np.array([add(squares[slice(*bounds[i])]) for i in scan.tolist()])
+            found, best, feature[scan], threshold[scan] = _scan_level(
+                columns, r, orders, starts[scan], sizes[scan], totals[scan], totals_sq
+            )
+            candidates = scan[found]
+            deviations = (r_rows - means[node_of]) ** 2
+            node_sse = np.array([add(deviations[slice(*bounds[i])]) for i in candidates.tolist()])
+            # split only on a strict improvement of the node's own SSE
+            split[candidates] = best[found] < node_sse
+        leaf = ~split[node_of]
+        fitted[rows[leaf]] = means[node_of[leaf]]
+        held_leaf = ~split[held_node]
+        predicted[held[held_leaf]] = means[held_node[held_leaf]]
+        if not split.any():
+            return fitted, predicted
+        # left child of the k-th splitting node is node 2k, right is 2k + 1
+        first_child = 2 * (split.cumsum() - 1)
+        kept = ~leaf
+        parent = node_of[kept]
+        rows = rows[kept]
+        child = first_child[parent] + ~(columns[feature[parent], rows] <= threshold[parent])
+        child_of.fill(-1)
+        child_of[rows] = child
+        held_parent = held_node[~held_leaf]
+        held = held[~held_leaf]
+        held_child = first_child[held_parent] + ~(
+            held_columns[feature[held_parent], held] <= threshold[held_parent]
+        )
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        held_sizes = np.bincount(held_child, minlength=sizes.shape[0])
+        depths = np.repeat(depths[split] - 1, 2)
+        # stable sorts by child; the rows of leaves (child -1) sort first
+        dropped = node_of.shape[0] - rows.shape[0]
+        orders = [order[child_of[order].argsort(kind="stable")[dropped:]] for order in orders]
+        rows = rows[child.argsort(kind="stable")]
+        held = held[held_child.argsort(kind="stable")]
+
+
+def staged_holdout_rmse(
+    X: np.ndarray,
+    y: np.ndarray,
+    fits: Sequence[tuple[np.ndarray, np.ndarray, HyperParams]],
+) -> list[list[float]]:
+    """Held-out RMSE of each fit after each of its trees, all fits grown in
+    lockstep.
+
+    A fit is ``(train, held, hp)``: ``fit_gbrt(X[train], y[train], hp)``
+    with ``train`` ascending, scored on ``X[held]`` against ``y[held]``.
+    Element ``i`` of a fit's result is the RMSE of its first ``i`` trees,
+    equal to the staged predictions of that model scored by
+    ``imputation.rmse``. Tree ``t`` of every fit grows in one pass,
+    a level per step, so each step makes one set of numpy calls for all
+    nodes of all fits at that level; no ``TreeNode`` is built.
+    """
+    if not fits:
+        return []
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    # Most trees first, so the fits still growing at tree t are a prefix.
+    rank = sorted(range(len(fits)), key=lambda i: -fits[i][2].n_estimators)
+    train = [np.asarray(fits[i][0]) for i in rank]
+    held = [np.asarray(fits[i][1]) for i in rank]
+    hps = [fits[i][2] for i in rank]
+    sizes = np.array([t.shape[0] for t in train])
+    held_sizes = np.array([h.shape[0] for h in held])
+    ends, held_ends = sizes.cumsum(), held_sizes.cumsum()
+    pool, held_pool = np.concatenate(train), np.concatenate(held)
+    columns = np.ascontiguousarray(X[pool].T)
+    held_columns = np.ascontiguousarray(X[held_pool].T)
+    y_train, y_held = y[pool], y[held_pool]
+    fit_of = np.repeat(np.arange(len(fits)), sizes)
+    # each fit's rows by feature value, ties in row order: fit_gbrt's argsort
+    orders = [np.lexsort((column, fit_of)) for column in columns]
+    bases = np.array([y_train[e - s:e].mean() for s, e in zip(sizes.tolist(), ends.tolist())])
+    predictions = np.repeat(bases, sizes)
+    held_predictions = np.repeat(bases, held_sizes)
+    rates = np.array([hp.learning_rate for hp in hps])
+    rate, held_rate = np.repeat(rates, sizes), np.repeat(rates, held_sizes)
+    depths = np.array([hp.max_depth for hp in hps])
+    n_trees = [hp.n_estimators for hp in hps]
+    errors = np.empty((max(n_trees, default=0) + 1, held_pool.shape[0]))
+    errors[0] = (held_predictions - y_held) ** 2
+    for t in range(errors.shape[0] - 1):
+        k = sum(n > t for n in n_trees)
+        n, h = int(ends[k - 1]), int(held_ends[k - 1])
+        fitted, predicted = _grow_lockstep(
+            columns[:, :n], held_columns[:, :h], y_train[:n] - predictions[:n],
+            [order[:n] for order in orders], sizes[:k], held_sizes[:k], depths[:k],
+        )
+        predictions[:n] += rate[:n] * fitted
+        held_predictions[:h] += held_rate[:h] * predicted
+        errors[t + 1, :h] = (held_predictions[:h] - y_held[:h]) ** 2
+    out: list[list[float]] = [[]] * len(fits)
+    for i, s, e, trees in zip(rank, held_sizes.tolist(), held_ends.tolist(), n_trees):
+        # one 1-D mean per stage, as imputation.rmse takes it
+        out[i] = np.sqrt([stage.mean() for stage in errors[: trees + 1, e - s:e]]).tolist()
+    return out

@@ -9,6 +9,14 @@ setups (0.1 and 0.5) run side by side and the one with the higher validation
 R² wins. A model that cannot beat the mean (validation R² <= 0), or a
 variable with no usable predictors or too few rows, falls back to mean
 imputation graded LOW.
+
+The grid search's cross-validation fits take one of two growers, chosen by
+how many rows each fit trains on. Up to ``LOCKSTEP_MAX_ROWS`` rows, a fit
+is bound by per-node numpy calls: the fits are dealt round-robin into one
+batch per worker, and ``gbrt.staged_holdout_rmse`` grows each batch in
+lockstep, one tree level per step. Larger fits are bound by element work,
+which the per-node grower of ``fit_gbrt`` does only once, so each of them
+is fit on its own. Both growers give the same staged RMSEs, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .errors import (
     NoPredictors,
     UndefinedR2,
 )
-from .gbrt import HyperParams, TrainedEnsemble, fit_gbrt
+from .gbrt import HyperParams, TrainedEnsemble, fit_gbrt, staged_holdout_rmse
 from .series import ConfidenceLevel, VariableSeries, pearson
 
 ENSEMBLE = "ENSEMBLE"
@@ -179,6 +187,27 @@ def _staged_fold_rmse(X, y, folds, unit) -> list[float]:
     return [rmse(out, y_fold) for out in model._stages(X[fold])]
 
 
+# The most rows a CV fit may train on to grow in a lockstep batch.
+LOCKSTEP_MAX_ROWS = 512
+
+
+def _lockstep(y, folds) -> bool:
+    """Whether every CV fit trains on at most ``LOCKSTEP_MAX_ROWS`` rows."""
+    return y.shape[0] - min(len(fold) for fold in folds) <= LOCKSTEP_MAX_ROWS
+
+
+def _staged_batch(X, y, folds, batch) -> list[list[float]]:
+    """``_staged_fold_rmse`` of every unit in ``batch``."""
+    if not _lockstep(y, folds):
+        return [_staged_fold_rmse(X, y, folds, unit) for unit in batch]
+    fits = []
+    for fold_index, depth, lr, n_max in batch:
+        mask = np.ones(y.shape[0], dtype=bool)
+        mask[folds[fold_index]] = False
+        fits.append((mask.nonzero()[0], folds[fold_index], HyperParams(n_max, lr, depth)))
+    return staged_holdout_rmse(X, y, fits)
+
+
 # Set only in pool workers, by the initializer: (X, y, folds) of the
 # grid_search_cv call that forked them.
 _worker_data: tuple = ()
@@ -189,8 +218,8 @@ def _init_worker(X, y, folds) -> None:
     _worker_data = (X, y, folds)
 
 
-def _staged_fold_rmse_in_worker(unit) -> list[float]:
-    return _staged_fold_rmse(*_worker_data, unit)
+def _staged_batch_in_worker(batch) -> list[list[float]]:
+    return _staged_batch(*_worker_data, batch)
 
 
 def _cv_workers(jobs: int, n_units: int) -> int:
@@ -199,15 +228,14 @@ def _cv_workers(jobs: int, n_units: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, n_units))
 
 
-def _map_units(X, y, folds, units, jobs: int) -> list[list[float]]:
-    """``_staged_fold_rmse`` of every unit, in the order of ``units``.
+def _map_batches(X, y, folds, batches, workers: int) -> list[list[list[float]]]:
+    """``_staged_batch`` of every batch, in order.
 
-    With more than one worker the units go to a pool of forked processes,
+    With more than one worker the batches go to a pool of forked processes,
     which inherit the arrays instead of receiving pickled copies. Forking
     is unsafe while other threads run, so the fits stay in this process
     then, and where ``fork`` does not exist.
     """
-    workers = _cv_workers(jobs, len(units))
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
@@ -216,8 +244,23 @@ def _map_units(X, y, folds, units, jobs: int) -> list[list[float]]:
             with ProcessPoolExecutor(
                 workers, multiprocessing.get_context("fork"), _init_worker, (X, y, folds)
             ) as pool:
-                return list(pool.map(_staged_fold_rmse_in_worker, units))
-    return list(map(functools.partial(_staged_fold_rmse, X, y, folds), units))
+                return list(pool.map(_staged_batch_in_worker, batches))
+    return list(map(functools.partial(_staged_batch, X, y, folds), batches))
+
+
+def _map_units(X, y, folds, units, jobs: int) -> list[list[float]]:
+    """``_staged_fold_rmse`` of every unit, in the order of ``units``.
+
+    Lockstep units are dealt round-robin into one batch per worker, so each
+    batch holds the same mix of depths; any other unit is a batch of its own.
+    """
+    workers = _cv_workers(jobs, len(units))
+    stride = workers if _lockstep(y, folds) else len(units)
+    batches = [units[i::stride] for i in range(stride)]
+    staged: list[list[float]] = [[] for _ in units]
+    for i, batch_scores in enumerate(_map_batches(X, y, folds, batches, workers)):
+        staged[i::stride] = batch_scores
+    return staged
 
 
 def grid_search_cv(

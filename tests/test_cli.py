@@ -117,6 +117,52 @@ ALL_MISSING = "".join(
 )
 # validate reads the disaggregated output before the reference file
 HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
+# the toy proxy assignments with the weight 1.78 spelled as 1 and 400 zeros
+HUGE_CONSTANT = toy_json("proxy_assignments.json", lambda doc: doc["assignments"][0].update(
+    formula=doc["assignments"][0]["formula"].replace("1.78", "1" + "0" * 400)))
+
+
+def malformed_output(toy_project, capsys, command, files) -> str:
+    """What ``command`` prints on the toy project with ``files`` replaced (a
+    dict is merged into the JSON file); it must exit 2."""
+    for name, content in files.items():
+        path = toy_project.parent / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, dict):
+            content = json.dumps({**json.loads(path.read_text()), **content})
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    assert run_cli(command, "--config", toy_project) == 2
+    return capsys.readouterr().out
+
+
+# A registry series that fails to load: bytes that are not UTF-8, and cells
+# too large for the csv module (oversized cells in plain files are split
+# rather than read by csv.reader, and a file reads the same in every spelling)
+SERIES_LOAD_FAILURES = [
+    pytest.param(
+        "check",
+        {"series/industrial_area.csv": b"region,value\nAA_0001,1.0\nAA_0002,\xe92.0\n"},
+        "industrial_area.csv:3: not UTF-8 text", id="series-not-utf8",
+    ),
+    pytest.param(  # a lone \r ends a line too
+        "check",
+        {"series/industrial_area.csv": b"region,value\rAA_0001,1.0\rAA_0002,2.0\r"
+                                       b"AA_0003,3.0\rAA_0004,\xe94.0\r"},
+        "industrial_area.csv:5: not UTF-8 text", id="series-not-utf8-cr-only",
+    ),
+    pytest.param(
+        "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'1' * 140_000}\n"},
+        "industrial_area.csv:2: field larger than field limit", id="series-oversized-cell",
+    ),
+    pytest.param(
+        "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'0' * 140_000}\n"},
+        "industrial_area.csv:2: field larger than field limit",
+        id="series-oversized-cell-plain",
+    ),
+]
 
 
 @pytest.mark.parametrize(
@@ -305,17 +351,7 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             id="seed-bool",
         ),
         # bytes that are not UTF-8, and cells too large for the csv module
-        pytest.param(
-            "check",
-            {"series/industrial_area.csv": b"region,value\nAA_0001,1.0\nAA_0002,\xe92.0\n"},
-            "industrial_area.csv:3: not UTF-8 text", id="series-not-utf8",
-        ),
-        pytest.param(  # a lone \r ends a line too
-            "check",
-            {"series/industrial_area.csv": b"region,value\rAA_0001,1.0\rAA_0002,2.0\r"
-                                           b"AA_0003,3.0\rAA_0004,\xe94.0\r"},
-            "industrial_area.csv:5: not UTF-8 text", id="series-not-utf8-cr-only",
-        ),
+        *SERIES_LOAD_FAILURES,
         pytest.param(
             "check", {"hierarchy.csv": b"code,level,parent,country\nAA,NUTS0,,AA\n\xe9\n"},
             "hierarchy.csv:3: not UTF-8 text", id="hierarchy-not-utf8",
@@ -330,22 +366,13 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "industrial_area.csv:2: not UTF-8 text", id="imputed-not-utf8",
         ),
         pytest.param(
-            "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'1' * 140_000}\n"},
-            "industrial_area.csv:2: field larger than field limit", id="series-oversized-cell",
-        ),
-        pytest.param(
             "check",
             {"hierarchy.csv": 'code,level,parent,country\nAA,NUTS0,,AA\n'
                               f'"{"A" * 140_000}",NUTS1,AA,AA\n'},
             "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell",
         ),
-        # oversized cells in plain files, which are split rather than read by
+        # an oversized cell in a plain file, which is split rather than read by
         # csv.reader: a file reads the same in every spelling
-        pytest.param(
-            "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'0' * 140_000}\n"},
-            "industrial_area.csv:2: field larger than field limit",
-            id="series-oversized-cell-plain",
-        ),
         pytest.param(
             "check",
             {"hierarchy.csv": "code,level,parent,country\nAA,NUTS0,,AA\n"
@@ -435,6 +462,15 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
             "proxy_assignments.json: assignment #0: formula: expected ')'",
             id="assignment-formula-syntax",
         ),
+        # a run of digits too long for a finite float
+        *(
+            pytest.param(
+                command, {"proxy_assignments.json": HUGE_CONSTANT},
+                "proxy_assignments.json: assignment #0: formula: number is too large (position 0)",
+                id=f"assignment-formula-constant-not-finite-{command}",
+            )
+            for command in ("check", "disaggregate")
+        ),
         pytest.param(
             "check", {"hierarchy.csv": toy_text("hierarchy.csv", ",LAU,AA111,AA")},
             "hierarchy.csv:24: empty region code", id="hierarchy-empty-code",
@@ -501,18 +537,16 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
     ],
 )
 def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
-    for name, content in files.items():
-        path = toy_project.parent / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, dict):
-            content = json.dumps({**json.loads(path.read_text()), **content})
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
-    assert run_cli(command, "--config", toy_project) == 2
-    out = capsys.readouterr().out
+    out = malformed_output(toy_project, capsys, command, files)
     assert "error:" in out
+    assert culprit in out
+
+
+@pytest.mark.parametrize("command,files,culprit", SERIES_LOAD_FAILURES)
+def test_series_that_fails_to_load_is_one_error(toy_project, capsys, command, files, culprit):
+    """Not also a missing dependency of the task whose formula reads it."""
+    out = malformed_output(toy_project, capsys, command, files)
+    assert out.count("error:") == 1
     assert culprit in out
 
 

@@ -20,6 +20,7 @@ from regio.gbrt import HyperParams, fit_gbrt
 from regio.hierarchy import SpatialLevel
 from regio.imputation import (
     ENSEMBLE,
+    LOCKSTEP_MAX_ROWS,
     MEAN_FALLBACK,
     GridSpec,
     ImputationConfig,
@@ -240,6 +241,18 @@ class TestStagedGridSearchMatchesReference:
         grid = GridSpec((0, 10, 10), (0.1, 0.3), (2, 4)).expand()
         expected = reference_grid_search(X, y, grid, 5, 1)
         assert grid_search_cv(X, y, grid, 5, 1, self.jobs) == expected
+
+    def test_fits_above_the_lockstep_cutoff(self):
+        # the cases above train on 16-30 rows, so they grow in lockstep; these
+        # fits train on more rows than the cutoff and take the per-node grower
+        n = LOCKSTEP_MAX_ROWS * 5 // 4 + 10
+        assert n - n // 5 > LOCKSTEP_MAX_ROWS
+        rng = np.random.default_rng(8)
+        X = np.round(rng.uniform(size=(n, 2)), 2)
+        y = X[:, 0] - X[:, 1] + rng.normal(scale=0.2, size=n)
+        grid = GridSpec((1, 3), (0.3,), (1, 2)).expand()
+        expected = reference_grid_search(X, y, grid, 5, 2)
+        assert grid_search_cv(X, y, grid, 5, 2, self.jobs) == expected
 
 
 class TestPooledGridSearchMatchesReference(TestStagedGridSearchMatchesReference):
