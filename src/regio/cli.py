@@ -148,12 +148,9 @@ def cmd_check(project: LoadedProject) -> int:
     if project.store is not None:
         findings.extend(_series_findings(project))
     if project.store is not None and project.specs:
-        unloaded = [
-            entry.meta.variable_id for entry in project.registry
-            if entry.meta.level == SpatialLevel.LAU
-            and not project.store.has(entry.meta.variable_id, SpatialLevel.LAU)
-        ]
-        _collect(findings, check_dependencies, project.specs, project.store, unloaded)
+        registered = [entry.meta.variable_id for entry in project.registry
+                      if entry.meta.level == SpatialLevel.LAU]
+        _collect(findings, check_dependencies, project.specs, project.store, registered)
         findings.extend(source_findings(project.specs, project.store, project.hierarchy))
     if project.specs is not None:
         targets = {spec.target_id for spec in project.specs}

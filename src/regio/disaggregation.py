@@ -287,13 +287,12 @@ def load_pipeline_config(
 
 
 def check_dependencies(
-    specs: list[TaskSpec], store: VariableStore, unloaded: Iterable[str] = ()
+    specs: list[TaskSpec], store: VariableStore, registered: Iterable[str] = ()
 ) -> None:
     """Every formula variable must resolve to a LAU series already in the
-    store or produced by a strictly earlier stage. ``unloaded`` names
-    registry LAU series that failed to load: they count as available, as
-    their failure is reported on its own."""
-    available = set(store.series_at(SpatialLevel.LAU)) | set(unloaded)
+    store, named in ``registered``, or produced by a strictly earlier
+    stage."""
+    available = set(store.series_at(SpatialLevel.LAU)) | set(registered)
     for stage, stage_specs in _by_stage(specs):
         for spec in stage_specs:
             if spec.target_id in available:

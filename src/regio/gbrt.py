@@ -28,7 +28,9 @@ order, as the per-node grower takes them, because pairwise summation
 depends on the order and grouping of its terms. The held-out rows follow
 the same splits. So the staged RMSEs equal those of ``fit_gbrt`` models
 scored tree by tree. The kernel only pays off while per-node numpy calls
-dominate the element work; ``imputation`` uses it for fits of up to
+dominate the element work and a level holds enough nodes to share them;
+``imputation`` uses it for batches of at least
+``imputation.LOCKSTEP_MIN_FITS`` fits of up to
 ``imputation.LOCKSTEP_MAX_ROWS`` training rows.
 """
 

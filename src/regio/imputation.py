@@ -10,13 +10,16 @@ R² wins. A model that cannot beat the mean (validation R² <= 0), or a
 variable with no usable predictors or too few rows, falls back to mean
 imputation graded LOW.
 
-The grid search's cross-validation fits take one of two growers, chosen by
-how many rows each fit trains on. Up to ``LOCKSTEP_MAX_ROWS`` rows, a fit
-is bound by per-node numpy calls: the fits are dealt round-robin into one
-batch per worker, and ``gbrt.staged_holdout_rmse`` grows each batch in
-lockstep, one tree level per step. Larger fits are bound by element work,
-which the per-node grower of ``fit_gbrt`` does only once, so each of them
-is fit on its own. Both growers give the same staged RMSEs, bit for bit.
+The grid search's cross-validation fits take one of two growers. They are
+dealt round-robin into one batch per worker. While each fit trains on at
+most ``LOCKSTEP_MAX_ROWS`` rows, it is bound by per-node numpy calls, and
+``gbrt.staged_holdout_rmse`` grows a batch of at least
+``LOCKSTEP_MIN_FITS`` fits in lockstep, one tree level per step, spreading
+each step's calls over all the batch's nodes. Larger fits are bound by
+element work, which the per-node grower of ``fit_gbrt`` does only once, and
+smaller batches have too few nodes per call to pay for the padding, so
+those fits are grown one by one. Both growers give the same staged RMSEs,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -171,41 +174,45 @@ class GridSpec:
         ]
 
 
+def _cv_fit(y, folds, unit) -> tuple[np.ndarray, np.ndarray, HyperParams]:
+    """``(training rows, held rows, hyperparameters)`` of one CV unit,
+    ``(fold index, max_depth, learning_rate, n_estimators)``."""
+    fold_index, depth, lr, n_max = unit
+    mask = np.ones(y.shape[0], dtype=bool)
+    mask[folds[fold_index]] = False
+    return mask.nonzero()[0], folds[fold_index], HyperParams(n_max, lr, depth)
+
+
 def _staged_fold_rmse(X, y, folds, unit) -> list[float]:
     """Fit one CV unit and score its held fold after every tree.
 
-    ``unit`` is ``(fold index, max_depth, learning_rate, n_estimators)``;
-    element ``i`` of the result is the held-fold RMSE of the first ``i``
+    Element ``i`` of the result is the held-fold RMSE of the first ``i``
     trees.
     """
-    fold_index, depth, lr, n_max = unit
-    fold = folds[fold_index]
-    mask = np.ones(y.shape[0], dtype=bool)
-    mask[fold] = False
-    y_fold = y[fold]
-    model = fit_gbrt(X[mask], y[mask], HyperParams(n_max, lr, depth))
-    return [rmse(out, y_fold) for out in model._stages(X[fold])]
+    train, held, hp = _cv_fit(y, folds, unit)
+    model = fit_gbrt(X[train], y[train], hp)
+    return [rmse(out, y[held]) for out in model._stages(X[held])]
 
 
-# The most rows a CV fit may train on to grow in a lockstep batch.
+# A lockstep batch beats fitting its fits one by one only while each fit
+# trains on at most LOCKSTEP_MAX_ROWS rows and the batch holds at least
+# LOCKSTEP_MIN_FITS fits (the sweeps are in ROADMAP, Parked).
 LOCKSTEP_MAX_ROWS = 512
+LOCKSTEP_MIN_FITS = 4
 
 
-def _lockstep(y, folds) -> bool:
-    """Whether every CV fit trains on at most ``LOCKSTEP_MAX_ROWS`` rows."""
-    return y.shape[0] - min(len(fold) for fold in folds) <= LOCKSTEP_MAX_ROWS
+def _lockstep(n_train: int, n_fits: int) -> bool:
+    """Whether batches of at least ``n_fits`` CV fits, each training on at
+    most ``n_train`` rows, grow in lockstep."""
+    return n_train <= LOCKSTEP_MAX_ROWS and n_fits >= LOCKSTEP_MIN_FITS
 
 
-def _staged_batch(X, y, folds, batch) -> list[list[float]]:
-    """``_staged_fold_rmse`` of every unit in ``batch``."""
-    if not _lockstep(y, folds):
-        return [_staged_fold_rmse(X, y, folds, unit) for unit in batch]
-    fits = []
-    for fold_index, depth, lr, n_max in batch:
-        mask = np.ones(y.shape[0], dtype=bool)
-        mask[folds[fold_index]] = False
-        fits.append((mask.nonzero()[0], folds[fold_index], HyperParams(n_max, lr, depth)))
-    return staged_holdout_rmse(X, y, fits)
+def _staged_batch(X, y, folds, lockstep: bool, batch) -> list[list[float]]:
+    """``_staged_fold_rmse`` of every unit in ``batch``; with ``lockstep``
+    the units grow together."""
+    if lockstep:
+        return staged_holdout_rmse(X, y, [_cv_fit(y, folds, unit) for unit in batch])
+    return [_staged_fold_rmse(X, y, folds, unit) for unit in batch]
 
 
 # Set only in pool workers, by the initializer: (X, y, folds) of the
@@ -218,8 +225,8 @@ def _init_worker(X, y, folds) -> None:
     _worker_data = (X, y, folds)
 
 
-def _staged_batch_in_worker(batch) -> list[list[float]]:
-    return _staged_batch(*_worker_data, batch)
+def _staged_batch_in_worker(task) -> list[list[float]]:
+    return _staged_batch(*_worker_data, *task)
 
 
 def _cv_workers(jobs: int, n_units: int) -> int:
@@ -228,8 +235,8 @@ def _cv_workers(jobs: int, n_units: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, n_units))
 
 
-def _map_batches(X, y, folds, batches, workers: int) -> list[list[list[float]]]:
-    """``_staged_batch`` of every batch, in order.
+def _map_batches(X, y, folds, tasks, workers: int) -> list[list[list[float]]]:
+    """``_staged_batch`` of every ``(lockstep, batch)`` task, in order.
 
     With more than one worker the batches go to a pool of forked processes,
     which inherit the arrays instead of receiving pickled copies. Forking
@@ -244,21 +251,24 @@ def _map_batches(X, y, folds, batches, workers: int) -> list[list[list[float]]]:
             with ProcessPoolExecutor(
                 workers, multiprocessing.get_context("fork"), _init_worker, (X, y, folds)
             ) as pool:
-                return list(pool.map(_staged_batch_in_worker, batches))
-    return list(map(functools.partial(_staged_batch, X, y, folds), batches))
+                return list(pool.map(_staged_batch_in_worker, tasks))
+    return list(itertools.starmap(functools.partial(_staged_batch, X, y, folds), tasks))
 
 
 def _map_units(X, y, folds, units, jobs: int) -> list[list[float]]:
     """``_staged_fold_rmse`` of every unit, in the order of ``units``.
 
-    Lockstep units are dealt round-robin into one batch per worker, so each
-    batch holds the same mix of depths; any other unit is a batch of its own.
+    The units are dealt round-robin into one batch per worker, and the
+    batches grow in lockstep if ``_lockstep`` holds for the smallest of
+    them; otherwise every unit is a batch of its own.
     """
     workers = _cv_workers(jobs, len(units))
-    stride = workers if _lockstep(y, folds) else len(units)
-    batches = [units[i::stride] for i in range(stride)]
+    n_train = y.shape[0] - min(len(fold) for fold in folds)
+    lockstep = _lockstep(n_train, len(units) // workers)
+    stride = workers if lockstep else len(units)
+    tasks = [(lockstep, units[i::stride]) for i in range(stride)]
     staged: list[list[float]] = [[] for _ in units]
-    for i, batch_scores in enumerate(_map_batches(X, y, folds, batches, workers)):
+    for i, batch_scores in enumerate(_map_batches(X, y, folds, tasks, workers)):
         staged[i::stride] = batch_scores
     return staged
 

@@ -242,9 +242,14 @@ class TestStagedGridSearchMatchesReference:
         expected = reference_grid_search(X, y, grid, 5, 1)
         assert grid_search_cv(X, y, grid, 5, 1, self.jobs) == expected
 
-    def test_fits_above_the_lockstep_cutoff(self):
-        # the cases above train on 16-30 rows, so they grow in lockstep; these
-        # fits train on more rows than the cutoff and take the per-node grower
+    def test_fits_above_the_lockstep_cutoff(self, monkeypatch):
+        # the cases above train on 16-30 rows, so their batches of at least
+        # LOCKSTEP_MIN_FITS fits grow in lockstep; these fits train on more
+        # rows than the cutoff and take the per-node grower
+        def refuse(*args):
+            raise AssertionError("a fit above the cutoff reached the lockstep kernel")
+
+        monkeypatch.setattr("regio.imputation.staged_holdout_rmse", refuse)
         n = LOCKSTEP_MAX_ROWS * 5 // 4 + 10
         assert n - n // 5 > LOCKSTEP_MAX_ROWS
         rng = np.random.default_rng(8)

@@ -1,7 +1,7 @@
 """The lockstep CV kernel against the per-unit path.
 
-``_staged_batch`` grows the fits of a batch of small CV units together
-(``gbrt.staged_holdout_rmse``); every staged RMSE must equal, by
+``_staged_batch`` with ``lockstep`` grows the fits of a batch of CV units
+together (``gbrt.staged_holdout_rmse``); every staged RMSE must equal, by
 ``float.hex``, the one ``_staged_fold_rmse`` takes from ``fit_gbrt`` and
 ``TrainedEnsemble._stages`` for that unit alone.
 """
@@ -9,7 +9,15 @@
 import numpy as np
 import pytest
 
-from regio.imputation import LOCKSTEP_MAX_ROWS, _lockstep, _staged_batch, _staged_fold_rmse
+import regio.imputation
+from regio.imputation import (
+    LOCKSTEP_MAX_ROWS,
+    LOCKSTEP_MIN_FITS,
+    GridSpec,
+    _staged_batch,
+    _staged_fold_rmse,
+    grid_search_cv,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -59,26 +67,32 @@ def cv_cases(draw):
 @given(case=cv_cases())
 def test_lockstep_matches_per_unit(case):
     X, y, folds, units = case
-    assert _lockstep(y, folds)
-    assert hexes(_staged_batch(X, y, folds, units)) == hexes(
+    assert hexes(_staged_batch(X, y, folds, True, units)) == hexes(
         [_staged_fold_rmse(X, y, folds, unit) for unit in units]
     )
 
 
-def test_fits_above_the_cutoff_keep_the_per_node_grower(monkeypatch):
-    rng = np.random.default_rng(4)
-    n = LOCKSTEP_MAX_ROWS * 5 // 4 + 10
+@pytest.mark.parametrize(
+    "n_train, n_fits, lockstep",
+    [
+        (LOCKSTEP_MAX_ROWS, LOCKSTEP_MIN_FITS, True),
+        (LOCKSTEP_MAX_ROWS, LOCKSTEP_MIN_FITS - 1, False),
+    ],
+    ids=["enough-fits", "too-few-fits"],
+)
+def test_grid_search_picks_the_grower(monkeypatch, n_train, n_fits, lockstep):
+    # one grid point and n_fits folds make one batch of n_fits fits, each
+    # training on n_train rows; fits on more rows are in
+    # test_imputation.py::test_fits_above_the_lockstep_cutoff
+    n = n_train + n_train // (n_fits - 1)
+    assert n - len(np.array_split(np.arange(n), n_fits)[-1]) == n_train
+    rng = np.random.default_rng(5)
     X = np.round(rng.uniform(size=(n, 2)), 2)
     y = X[:, 0] + rng.normal(scale=0.1, size=n)
-    folds = np.array_split(rng.permutation(n), 5)
-    assert not _lockstep(y, folds)
-
-    def refuse(*args):
-        raise AssertionError("a fit above the cutoff reached the lockstep kernel")
-
-    monkeypatch.setattr("regio.imputation.staged_holdout_rmse", refuse)
-    units = [(0, 2, 0.3, 3), (4, 1, 0.1, 2)]
-    assert hexes(_staged_batch(X, y, folds, units)) == hexes(
-        [_staged_fold_rmse(X, y, folds, unit) for unit in units]
+    calls = []
+    kernel = regio.imputation.staged_holdout_rmse
+    monkeypatch.setattr(
+        regio.imputation, "staged_holdout_rmse", lambda *args: calls.append(1) or kernel(*args)
     )
-
+    grid_search_cv(X, y, GridSpec((2,), (0.3,), (2,)).expand(), n_fits, 1)
+    assert calls == ([1] if lockstep else [])
