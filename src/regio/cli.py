@@ -54,7 +54,7 @@ IO_ERROR = 3
 
 def _dump_json(obj, path: Path) -> None:
     with atomic_writer(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -62,9 +62,9 @@ def _dump_json(obj, path: Path) -> None:
 class LoadedProject:
     config: ProjectConfig
     hierarchy: RegionHierarchy | None
-    registry: list[RegistryEntry]
+    registry: list[RegistryEntry] | None
     store: VariableStore | None
-    specs: list[TaskSpec] | None  # None when the pipeline did not load
+    specs: list[TaskSpec] | None
     findings: list[str]
 
 
@@ -81,21 +81,21 @@ def _collect(findings: list[str], call, *args, default=None):
 def _load_project(config: ProjectConfig) -> LoadedProject:
     """Load every project input, collecting each RegioError as a finding.
 
-    An input that fails to load is replaced by an empty stand-in (no store
-    without a hierarchy), so the later inputs are still loaded and checked.
+    An input that fails to load is None in the project (and there is no
+    store without a hierarchy), so the later inputs are still loaded and
+    checked, and a check that reads a failed input skips it: the fault is
+    one finding.
     """
     findings: list[str] = []
     hierarchy = _collect(findings, load_hierarchy, config.hierarchy_path)
-    registry = _collect(findings, load_registry, config.registry_path, default=[])
+    registry = _collect(findings, load_registry, config.registry_path)
     store = None
     if hierarchy is not None:
-        store, errors = ingest_registry(config, hierarchy, registry)
+        store, errors = ingest_registry(config, hierarchy, registry or [])
         findings.extend(str(exc) for exc in errors)
     assignments = {}
     if config.proxy_assignments_path is not None:
-        assignments = _collect(
-            findings, load_proxy_assignments, config.proxy_assignments_path, default={}
-        )
+        assignments = _collect(findings, load_proxy_assignments, config.proxy_assignments_path)
     specs = _collect(findings, load_pipeline_config, config.pipeline_path, assignments)
     return LoadedProject(config, hierarchy, registry, store, specs, findings)
 
@@ -118,7 +118,7 @@ def _series_findings(project: LoadedProject) -> list[str]:
         for name in variables(spec.formula)
     }
     found = []
-    for entry in project.registry:
+    for entry in project.registry or ():
         vid, level = entry.meta.variable_id, entry.meta.level
         if not project.store.has(vid, level):  # it did not load: a finding already
             continue
@@ -148,9 +148,10 @@ def cmd_check(project: LoadedProject) -> int:
     if project.store is not None:
         findings.extend(_series_findings(project))
     if project.store is not None and project.specs:
-        registered = [entry.meta.variable_id for entry in project.registry
-                      if entry.meta.level == SpatialLevel.LAU]
-        _collect(findings, check_dependencies, project.specs, project.store, registered)
+        if project.registry is not None:
+            registered = [entry.meta.variable_id for entry in project.registry
+                          if entry.meta.level == SpatialLevel.LAU]
+            _collect(findings, check_dependencies, project.specs, project.store, registered)
         findings.extend(source_findings(project.specs, project.store, project.hierarchy))
     if project.specs is not None:
         targets = {spec.target_id for spec in project.specs}

@@ -15,19 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .errors import ConfigError, RegioError
 from .hierarchy import RegionHierarchy, SpatialLevel
 from .imputation import GridSpec, ImputationConfig
 from .series import (
     ALL_COUNTRIES,
-    ConfidenceLevel,
     SeriesMeta,
     VariableSeries,
     VariableStore,
-    _fast_columns,
-    _region_rows,
+    _region_columns,
     _sorted_series,
     ingest_series,
 )
@@ -283,11 +279,8 @@ def read_reference_csv(
     """
     path = Path(path)
     meta = SeriesMeta("reference", "", "", level)
-    fast = _fast_columns(path, REFERENCE_HEADERS, hierarchy._codes[level])
-    if fast is None or np.isnan(fast[1]).any():  # a failed check, or a value not given
-        _region_rows(path, REFERENCE_HEADERS, meta, hierarchy._codes[level], required=True)
-    regions, values, columns = fast
-    grades = np.full(len(regions), int(ConfidenceLevel.VERY_HIGH))
+    regions, values, grades, columns = _region_columns(
+        path, REFERENCE_HEADERS, meta, hierarchy._codes[level], required=True)
     labels = zip(regions, columns[2]) if len(columns) > 2 else ()
     return (
         _sorted_series(meta, hierarchy, regions, values, grades),

@@ -40,6 +40,7 @@ from .errors import (
     EmptyChildSet,
     MissingValue,
     NegativeProxyValue,
+    NonFiniteAllocation,
     NonFiniteValue,
     UnknownVariable,
     UnresolvedDependency,
@@ -70,7 +71,7 @@ class TaskSpec:
     source_level: SpatialLevel
     mode: str
     formula: ProxyExpr | None
-    assignment_confidence: ConfidenceLevel
+    assignment_confidence: ConfidenceLevel | None  # None: see load_pipeline_config
 
 
 def _check_task(where, source_level, mode, formula, confidence) -> None:
@@ -143,23 +144,28 @@ def allocate(
     their weights (runs back to back, ``lengths`` long; one run by default).
     Returns the children's values and each child's run total (``_run_sums``).
     A zero total degenerates to a uniform split (mass conservation is the
-    primary contract); callers detect that case by the returned total.
+    primary contract); callers detect that case by the returned total. A run
+    whose total or a value is not finite, as an inf or NaN weight or an
+    overflow makes it, raises NonFiniteAllocation.
     """
     weights = np.asarray(weights, dtype=np.float64)
     lengths = np.asarray([weights.size] if lengths is None else lengths, dtype=np.intp)
     if not lengths.all():
         raise EmptyChildSet("cannot allocate to an empty child set")
-    if not np.isfinite(weights).all():
-        bad = int(np.argmin(np.isfinite(weights)))
-        raise NonFiniteValue(f"weight {bad} of {weights.size} is not finite")
     if (weights < 0).any():
         bad = int(np.argmax(weights < 0))
         raise NegativeProxyValue(f"weight {bad} of {weights.size} is negative")
-    totals = np.repeat(_run_sums(weights, lengths), lengths)
-    parents = np.repeat(np.broadcast_to(parent_values, lengths.shape), lengths)
-    uniform = totals == 0.0
-    split = parents * weights / np.where(uniform, 1.0, totals)
-    return np.where(uniform, parents / np.repeat(lengths, lengths), split), totals
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        totals = np.repeat(_run_sums(weights, lengths), lengths)
+        parents = np.repeat(np.broadcast_to(parent_values, lengths.shape), lengths)
+        uniform = totals == 0.0
+        split = parents * weights / np.where(uniform, 1.0, totals)
+        values = np.where(uniform, parents / np.repeat(lengths, lengths), split)
+    finite = np.isfinite(totals) & np.isfinite(values)
+    if not finite.all():
+        run = np.searchsorted(np.cumsum(lengths), finite.argmin(), "right")
+        raise NonFiniteAllocation(int(run))
+    return values, totals
 
 
 def disaggregate(
@@ -208,16 +214,23 @@ def disaggregate(
             scope, runs = hierarchy.segments(out, SpatialLevel.NUTS0, countries)
         # A series that holds the level's code tuple is read at the scope's
         # positions; any other is first mapped onto the level's positions.
-        weights, proxy_grades, _ = combine(
-            task.formula, env,
-            lambda s: scope if s.codes is codes else hierarchy.rows(out, s.codes)[scope],
-            lambda i: codes[scope[i]], weights_on_raw, runs,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # allocate rejects what is not finite
+            weights, proxy_grades, _ = combine(
+                task.formula, env,
+                lambda s: scope if s.codes is codes else hierarchy.rows(out, s.codes)[scope],
+                lambda i: codes[scope[i]], weights_on_raw, runs,
+            )
         if scope is not children:  # take the children's rows out of the countries'
             at = np.empty(len(codes), np.intp)
             at[scope] = np.arange(scope.size)
             weights, proxy_grades = weights[at[children]], proxy_grades[at[children]]
-        values, totals = allocate(parent_values, weights, lengths)
+        try:
+            values, totals = allocate(parent_values, weights, lengths)
+        except NonFiniteAllocation as exc:
+            raise NonFiniteValue(
+                f"task {task.target_id!r}: the allocation of source region "
+                f"{source.codes[order[exc.run]]!r} is not finite"
+            ) from None
         fallback = totals == 0.0
         grades = np.where(fallback, ConfidenceLevel.VERY_LOW,
                           np.minimum(task.assignment_confidence, proxy_grades))
@@ -250,13 +263,17 @@ TASK_KEYS = {
 
 def load_pipeline_config(
     path: str | Path,
-    assignments: dict[str, ProxyAssignment] | None = None,
+    assignments: Mapping[str, ProxyAssignment] | None = MappingProxyType({}),
 ) -> list[TaskSpec]:
     """Parse the staged task list; tasks may inherit formula/confidence from
-    the proxy-assignment document by target_id (inline values win)."""
+    the proxy-assignment document by target_id (inline values win).
+
+    ``assignments`` is None when that document failed to load: a task then
+    keeps None for a value it does not give itself, and is not checked for
+    the values it would have inherited."""
     path = Path(path)
     doc = _fields(read_json(path, "pipeline config"), str(path), {"stages": _list}, ("stages",))
-    assignments = assignments or {}
+    unloaded, assignments = assignments is None, assignments or {}
     specs: list[TaskSpec] = []
     seen_targets: set[str] = set()
     for i, entry in enumerate(doc["stages"]):
@@ -274,11 +291,15 @@ def load_pipeline_config(
                     )
                 fields = {"formula": inherited.formula,
                           "assignment_confidence": inherited.assignment_confidence, **fields}
-            if "assignment_confidence" not in fields:
+            if "assignment_confidence" not in fields and not unloaded:
                 raise ConfigError(f"{where}: no assignment_confidence")
             spec = TaskSpec(stage["stage"], target_id, source_level, fields.get("mode", ALLOCATE),
-                            fields.get("formula"), fields["assignment_confidence"])
-            _check_task(where, source_level, spec.mode, spec.formula, spec.assignment_confidence)
+                            fields.get("formula"), fields.get("assignment_confidence"))
+            inherits = spec.assignment_confidence is None or (
+                spec.mode == ALLOCATE and spec.formula is None)
+            if not (unloaded and inherits):
+                _check_task(where, source_level, spec.mode, spec.formula,
+                            spec.assignment_confidence)
             if target_id in seen_targets:
                 raise ConfigError(f"{where}: duplicate task for target {target_id!r}")
             seen_targets.add(target_id)

@@ -147,6 +147,14 @@ class UnresolvedDependency(DisaggregationError):
     pass
 
 
+class NonFiniteAllocation(NonFiniteValue):
+    """Carries the 0-based index of the run whose total or a value is not finite."""
+
+    def __init__(self, run: int):
+        super().__init__(f"the total or a value of run {run} is not finite")
+        self.run = run
+
+
 # -- validation ----------------------------------------------------------------
 
 class ValidationError(RegioError):

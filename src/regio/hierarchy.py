@@ -6,8 +6,9 @@ expected to be pre-namespaced by the hierarchy author (``<country>_<lau>``)
 so that the region code is the sole key.
 
 The hierarchy is immutable after loading and safe for concurrent reads.
-``_csv_columns`` is regio's one CSV tokenizer; ``_csv_rows`` walks the rows
-of a CSV file only to report an error with its ``path:line``.
+``_csv_columns`` is regio's one CSV reader. Every input check runs in bulk
+over whole columns; when one fails, its mask over the rows names the first
+row or node that fails a check, and that row's error is the one raised.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import io
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,13 +47,6 @@ class SpatialLevel(IntEnum):
     NUTS2 = 2
     NUTS3 = 3
     LAU = 4
-
-    @classmethod
-    def from_token(cls, token: str) -> "SpatialLevel":
-        try:
-            return cls[token]
-        except (KeyError, TypeError):  # TypeError: an unhashable token from JSON
-            raise UnknownLevel(f"unknown spatial level {token!r}") from None
 
     def is_finer_than(self, other: "SpatialLevel") -> bool:
         return self > other
@@ -99,8 +92,9 @@ class RegionHierarchy:
         parents: list[str | None],
         countries: list[str],
     ) -> None:
-        """Check and index the nodes given as four columns, one entry per node."""
-        self._columns = (codes, levels, parents, countries)
+        """Check and index the nodes given as four columns, one entry per node.
+        A fault raises the error of the first node with an empty or repeated
+        code, else of the first node, in input order, whose parent is wrong."""
         n = len(codes)
         row = dict(zip(codes, range(n)))
         level = np.fromiter(levels, np.intp, n)
@@ -122,7 +116,11 @@ class RegionHierarchy:
             and (level[up] == level[child] - 1).all()
             and (country[up] == country[child]).all()
         ):
-            self._validate()
+            raise _first_fault([
+                (np.fromiter(map(operator.not_, codes), bool, n),
+                 lambda i: HierarchyError(f"empty region code at {levels[i].name}")),
+                (_repeats(codes), lambda i: DuplicateCode(f"duplicate region code {codes[i]!r}")),
+            ]) or _first_fault(_parent_faults(codes, levels, parents, countries, level, parent))
         self._codes: dict[SpatialLevel, tuple[str, ...]] = {}
         self._position: dict[str, int] = {}
         self._parent: dict[SpatialLevel, np.ndarray] = {}
@@ -134,53 +132,6 @@ class RegionHierarchy:
             position[rows] = np.arange(len(rows))
             self._parent[lvl] = position[parent[rows]] if lvl else np.full(len(rows), -1, np.intp)
 
-    @cached_property
-    def nodes(self) -> dict[str, RegionNode]:
-        """Code -> RegionNode, in input order; built on first use."""
-        return {node.code: node for node in map(RegionNode, *self._columns)}
-
-    def _validate(self) -> None:
-        """Raise the first error, one node at a time in input order. It runs
-        when a bulk check of ``_build`` fails, so its messages are the ones
-        users see."""
-        nodes: dict[str, RegionNode] = {}
-        for node in map(RegionNode, *self._columns):
-            if not node.code:
-                raise HierarchyError(f"empty region code at {node.level.name}")
-            if node.code in nodes:
-                raise DuplicateCode(f"duplicate region code {node.code!r}")
-            nodes[node.code] = node
-        # Parent-exists + one-step-coarser jointly rule out cycles: levels
-        # strictly decrease along parent edges down to a NUTS0 root.
-        for node in nodes.values():
-            if node.level == SpatialLevel.NUTS0:
-                if node.parent is not None:
-                    raise ParentLevelMismatch(
-                        f"NUTS0 region {node.code!r} must not have a parent"
-                    )
-                if node.code != node.country:
-                    raise ParentLevelMismatch(
-                        f"NUTS0 code {node.code!r} must equal its country {node.country!r}"
-                    )
-                continue
-            if node.parent is None:
-                raise DanglingParent(f"region {node.code!r} ({node.level.name}) has no parent")
-            parent = nodes.get(node.parent)
-            if parent is None:
-                raise DanglingParent(
-                    f"region {node.code!r} references unknown parent {node.parent!r}"
-                )
-            if parent.level != node.level - 1:
-                raise ParentLevelMismatch(
-                    f"parent of {node.code!r} ({node.level.name}) is {parent.code!r} "
-                    f"at {parent.level.name}; expected one level coarser"
-                )
-            if parent.country != node.country:
-                raise ParentLevelMismatch(
-                    f"region {node.code!r} is in {node.country!r} but its parent "
-                    f"{parent.code!r} is in {parent.country!r}"
-                )
-
     def __contains__(self, code: str) -> bool:
         return code in self._position
 
@@ -188,10 +139,14 @@ class RegionHierarchy:
         return len(self._position)
 
     def node(self, code: str) -> RegionNode:
-        try:
-            return self.nodes[code]
-        except KeyError:
-            raise UnknownRegion(f"unknown region {code!r}") from None
+        if code not in self._position:
+            raise UnknownRegion(f"unknown region {code!r}")
+        position = self._position[code]
+        level = next(lvl for lvl in SpatialLevel
+                     if self._codes[lvl][position:position + 1] == (code,))
+        parent = self._codes[level - 1][self._parent[level][position]] if level else None
+        country = self._codes[SpatialLevel.NUTS0][self._lift(position, level, SpatialLevel.NUTS0)]
+        return RegionNode(code, level, parent, country)
 
     def countries(self) -> list[str]:
         return list(self._codes[SpatialLevel.NUTS0])  # a NUTS0 code is its country
@@ -284,100 +239,136 @@ class RegionHierarchy:
 _NOT_PLAIN = '"\r\0\t\x0b\x0c\x1c\x1d\x1e\x1f '
 
 
-def _csv_columns(path: Path, headers: Sequence[list[str]]) -> list[list[str]] | None:
-    """The stripped cells of a CSV file by column, as ``csv.reader`` reads
-    them, with the header row and blank rows left out. None for bytes that
-    are not UTF-8, a row ``csv.reader`` cannot read, a header (stripped) not
-    in ``headers`` or a row of another width; the caller then walks the rows
-    to report the error. Plain text, with every row as wide as the header,
-    a first cell in each and no line longer than ``csv.field_size_limit()``,
-    is split on newlines and commas instead."""
+class _Table(NamedTuple):
+    """A CSV file as ``_csv_columns`` reads it."""
+
+    header: list[str] | None  # the first row as read; None for an empty file
+    lines: Sequence[int]  # each row's number, the header being row 1
+    columns: list[list[str]]  # the stripped cells by column
+    raw: list[list[str]]  # the cells as read; ``columns`` itself when none needs stripping
+    width_error: Exception | None  # the first row not as wide as the header, which ends the table
+
+
+def _csv_columns(path: Path, error: type[Exception]) -> _Table:
+    """The cells of a CSV file by column, as ``csv.reader`` reads them, with
+    the header row and blank rows left out. Bytes that are not UTF-8, or a
+    row ``csv.reader`` cannot read, raise ``error`` naming ``path:line``. The
+    columns end before the first row not as wide as the header, and that
+    row's ``error`` is returned for the caller to raise when the rows before
+    it pass its checks. Plain text, with every row as wide as the header, a
+    first cell in each and no line longer than ``csv.field_size_limit()``, is
+    split on newlines and commas instead."""
+    data = path.read_bytes()
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # exc.start is an offset in the file
+        # \r\n, \r and \n each end a line, as they do for csv.reader
+        line = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+    del data
     if text.isascii() and not any(map(text.__contains__, _NOT_PLAIN)):
         header, *lines = text.split("\n")
         if lines[-1:] == [""]:  # the newline that ends the last line
             lines.pop()
         width = header.count(",") + 1
         limit = csv.field_size_limit()  # a longer line may hold a cell csv.reader rejects
-        if header.split(",") in headers and all(
+        if header and all(
             map((width - 1).__eq__, map(str.count, lines, repeat(",")))
         ) and (len(text) <= limit or max(map(len, lines), default=0) <= limit):
             cells = ",".join(lines).split(",") if lines else []
             columns = [cells[i::width] for i in range(width)]
             if "" not in columns[0]:  # else a blank row, which csv.reader skips
-                return columns
+                return _Table(header.split(","), range(2, len(lines) + 2), columns, columns, None)
+    rows: list[list[str]] = []
     try:
-        rows = [list(map(str.strip, row)) for row in csv.reader(io.StringIO(text, newline=""))]
-    except csv.Error:
-        return None
-    header, *rows = rows or [None]
-    rows = [row for row in rows if any(row)]  # blank rows left out
-    if header in headers and all(len(row) == len(header) for row in rows):
-        return [[row[i] for row in rows] for i in range(len(header))]
-    return None
-
-
-def _csv_rows(path: Path, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
-    """``(row number, row)`` for each row of a CSV file, the header being
-    row 1. Bytes that are not UTF-8, or a row ``csv.reader`` cannot read,
-    raise ``error`` naming ``path:line``."""
-    lineno = 0
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                yield lineno, row
-    except UnicodeDecodeError:
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # here exc.start is an offset in the file
-            # \r\n, \r and \n each end a line, as they do for csv.reader
-            lineno = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+        rows.extend(csv.reader(io.StringIO(text, newline="")))  # keeps the rows before an error
     except csv.Error as exc:
-        raise error(f"{path}:{lineno + 1}: {exc}") from None
+        raise error(f"{path}:{len(rows) + 1}: {exc}") from None
+    header, *rows = rows or [None]
+    kept = [(line, row) for line, row in enumerate(rows, start=2) if "".join(row).strip()]
+    width_error = None
+    for at, (line, row) in enumerate(kept):
+        if len(row) != len(header):
+            width_error = error(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+            del kept[at:]
+            break
+    raw = [[row[i] for _, row in kept] for i in range(len(header or ()))]
+    columns = [list(map(str.strip, cells)) for cells in raw]
+    return _Table(header, [line for line, _ in kept], columns, raw, width_error)
 
 
-def _hierarchy_columns(path: Path):
-    """``load_hierarchy``'s columns (code, level, parent, country), or None
-    when a check of ``_csv_columns`` fails, a code is empty or a level token
-    unknown. The token strings are freed on return."""
-    columns = _csv_columns(path, (HIERARCHY_HEADER,))
-    if columns is None:
-        return None
-    codes, tokens, parents, countries = columns
-    if "" in codes or not _LEVELS.keys() >= set(tokens):
-        return None
-    return codes, list(map(_LEVELS.__getitem__, tokens)), [p or None for p in parents], countries
+def _first_fault(checks) -> Exception | None:
+    """The error of the first row that fails a check, None when every row
+    passes. ``checks`` holds, in the order the checks run within one row,
+    each check's mask over the rows and the error it makes for a row index."""
+    first = None
+    for mask, fault in checks:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.any() and (first is None or mask.argmax() < first[0]):
+            first = int(mask.argmax()), fault
+    return None if first is None else first[1](first[0])
+
+
+def _repeats(values: Sequence[str]) -> list[bool]:
+    """For each value, whether an earlier one equals it: a ``_first_fault`` mask."""
+    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))  # value -> first index
+    return [first[value] != i for i, value in enumerate(values)]
+
+
+def _parent_faults(codes, levels, parents, countries, level, parent):
+    """``_first_fault``'s checks of each node's parent, for distinct codes;
+    ``level`` and ``parent`` are ``_build``'s arrays. Parent-exists and
+    one-step-coarser jointly rule out cycles: levels strictly decrease along
+    parent edges down to a NUTS0 root."""
+    n = len(codes)
+    root = level == SpatialLevel.NUTS0
+    orphan = np.fromiter(map(operator.is_, parents, repeat(None)), bool, n)
+    known = parent >= 0  # else parent -1 reads the last node; the checks mask it
+    up_country = map(countries.__getitem__, parent.tolist())
+    return [
+        (root & ~orphan,
+         lambda i: ParentLevelMismatch(f"NUTS0 region {codes[i]!r} must not have a parent")),
+        (root & np.fromiter(map(operator.ne, codes, countries), bool, n),
+         lambda i: ParentLevelMismatch(
+             f"NUTS0 code {codes[i]!r} must equal its country {countries[i]!r}")),
+        (~root & orphan,
+         lambda i: DanglingParent(f"region {codes[i]!r} ({levels[i].name}) has no parent")),
+        (~root & ~orphan & ~known,
+         lambda i: DanglingParent(
+             f"region {codes[i]!r} references unknown parent {parents[i]!r}")),
+        (~root & known & (level[parent] != level - 1),
+         lambda i: ParentLevelMismatch(
+             f"parent of {codes[i]!r} ({levels[i].name}) is {parents[i]!r} "
+             f"at {levels[parent[i]].name}; expected one level coarser")),
+        (~root & known & np.fromiter(map(operator.ne, up_country, countries), bool, n),
+         lambda i: ParentLevelMismatch(
+             f"region {codes[i]!r} is in {countries[i]!r} but its parent "
+             f"{parents[i]!r} is in {countries[parent[i]]!r}")),
+    ]
 
 
 def load_hierarchy(path: str | Path) -> RegionHierarchy:
     """Load and validate a hierarchy CSV (header ``code,level,parent,country``).
 
-    The columns are checked in bulk; when a check fails, the rows are walked
-    to raise the first row's error, naming ``path:line``."""
+    A row that fails a check raises its error: the first row that is not as
+    wide as the header, has an empty code or an unknown level token, in that
+    order within a row. The node checks of ``RegionHierarchy`` follow."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"hierarchy file not found: {path}")
-    columns = _hierarchy_columns(path)
-    if columns is not None:
-        return RegionHierarchy._from_columns(*columns)
-    rows = _csv_rows(path, UnknownLevel)
-    _, header = next(rows, (1, None))
-    if header is None:
+    table = _csv_columns(path, UnknownLevel)
+    if table.header is None:
         raise UnknownLevel(f"{path}: empty hierarchy file")
-    if [cell.strip() for cell in header] != HIERARCHY_HEADER:
-        raise UnknownLevel(f"{path}: bad header {header!r}; expected {HIERARCHY_HEADER!r}")
-    for lineno, row in rows:
-        if not "".join(row).strip():  # blank line or only blank cells
-            continue
-        if len(row) != 4:
-            raise UnknownLevel(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        if not row[0].strip():
-            raise HierarchyError(f"{path}:{lineno}: empty region code")
-        SpatialLevel.from_token(row[1].strip())
-    raise AssertionError(f"{path}: a bulk check failed on rows that pass the row checks")
+    if [cell.strip() for cell in table.header] != HIERARCHY_HEADER:
+        raise UnknownLevel(f"{path}: bad header {table.header!r}; expected {HIERARCHY_HEADER!r}")
+    codes, tokens, parents, countries = table.columns
+    if table.width_error or "" in codes or not _LEVELS.keys() >= set(tokens):
+        raise _first_fault([
+            (list(map(operator.not_, codes)),
+             lambda i: HierarchyError(f"{path}:{table.lines[i]}: empty region code")),
+            ([token not in _LEVELS for token in tokens],
+             lambda i: UnknownLevel(f"unknown spatial level {tokens[i]!r}")),
+        ]) or table.width_error
+    levels, parents = list(map(_LEVELS.__getitem__, tokens)), [p or None for p in parents]
+    del table, tokens  # the token and parent strings go before the index is built
+    return RegionHierarchy._from_columns(codes, levels, parents, countries)

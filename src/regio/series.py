@@ -9,7 +9,8 @@ disaggregation.
 
 Series are immutable: the arrays are read-only, and a changed series is a
 new object (``dataclasses.replace``). The CSV readers build each series from
-whole columns; the row walker ``_region_rows`` only reports errors.
+whole columns and check them in bulk; a failed check names the first row
+that fails one, by ``path:line``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import IntEnum
 from itertools import compress, islice, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     UnknownRegion,
     UnknownVariable,
 )
-from .hierarchy import RegionHierarchy, SpatialLevel, _csv_columns, _csv_rows
+from .hierarchy import RegionHierarchy, SpatialLevel, _csv_columns, _first_fault, _repeats
 
 ALL_COUNTRIES = "ALL"
 
@@ -60,13 +61,6 @@ class ConfidenceLevel(IntEnum):
     MEDIUM = 2
     HIGH = 3
     VERY_HIGH = 4
-
-    @classmethod
-    def from_token(cls, token: str) -> "ConfidenceLevel":
-        try:
-            return cls[token]
-        except (KeyError, TypeError):  # TypeError: an unhashable token from JSON
-            raise NonNumericValue(f"unknown confidence token {token!r}") from None
 
 
 _GRADE_NAMES = {int(level): level.name for level in ConfidenceLevel}
@@ -238,19 +232,6 @@ def round_half_up(x: float) -> float:
     return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _parse_value(raw: str, path: Path, lineno: int) -> float | None:
-    text = raw.strip()
-    if text == "":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise NonNumericValue(f"{path}:{lineno}: non-numeric value {raw!r}") from None
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"{path}:{lineno}: non-finite value {raw!r}")
-    return value
-
-
 def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> tuple[str, ...]:
     """The sorted codes a series of ``meta`` may hold: the hierarchy's own
     code tuple of the level, or one country's part of it."""
@@ -259,77 +240,89 @@ def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> tuple[str, ...]:
     return tuple(hierarchy.regions_at(meta.level, meta.country_scope))
 
 
-def _region_rows(
-    path: Path, headers: tuple[list[str], ...], meta: SeriesMeta, scope: Iterable[str],
-    required: bool = False,
-) -> NoReturn:
-    """Raise the first error of a region CSV, naming ``path:line``; the
-    readers call it when a bulk check fails. The header must be one of
-    ``headers`` and every non-blank row as wide; the region must lie in
-    ``scope`` and appear once; the value must be finite (``_parse_value``),
-    and not empty when ``required``; and a present value's ``confidence``
-    cell, if the header has one, a grade name."""
-    rows = _csv_rows(path, NonNumericValue)
-    _, header = next(rows, (1, None))
-    names = [cell.strip() for cell in header or ()]
-    if names not in headers:
-        expected = " or ".join(",".join(h) for h in headers)
-        raise NonNumericValue(f"{path}: bad header {header!r}; expected {expected}")
-    width, graded, scope = len(header), names == OUTPUT_HEADER, set(scope)
-    seen: set[str] = set()
-    for lineno, row in rows:
-        if not "".join(row).strip():  # blank line or only blank cells
-            continue
-        if len(row) != width:
-            raise NonNumericValue(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        region = row[0].strip()
-        if region not in scope:
-            raise UnknownRegion(
-                f"{path}:{lineno}: region {region!r} is not a "
-                f"{meta.level.name} region of scope {meta.country_scope}"
-            )
-        if region in seen:
-            raise DuplicateRegion(f"{path}:{lineno}: duplicate region {region!r}")
-        seen.add(region)
-        value = _parse_value(row[1], path, lineno)
-        if value is None and required:
-            raise NonNumericValue(f"{path}:{lineno}: empty value for {region!r}")
-        if value is not None and graded:
-            try:
-                ConfidenceLevel.from_token(row[2].strip())
-            except NonNumericValue as exc:
-                raise NonNumericValue(f"{path}:{lineno}: {exc}") from None
-    raise AssertionError(f"{path}: a bulk check failed on rows that pass the row checks")
-
-
 _EMPTY_AS_NAN = {"": "nan"}
 
 
-def _fast_columns(
-    path: Path, headers: tuple[list[str], ...], scope: tuple[str, ...]
-) -> tuple[tuple[str, ...], np.ndarray, list[list[str]]] | None:
-    """``(regions, values, columns)`` of a region CSV whose rows all pass the
-    checks of ``_region_rows`` but the grade and the required-value checks,
-    checked in bulk: ``values`` holds the value column as float64 (NaN for
-    an empty cell) and ``columns`` every column as cells. None when a check
-    fails; the caller then calls ``_region_rows``, which reports the error."""
-    columns = _csv_columns(path, headers)
-    if columns is None:
+def _number(cell: str) -> float | None:
+    """``float(cell)``, NaN for an empty cell, None for a cell float() rejects."""
+    try:
+        return float(cell or "nan")
+    except ValueError:
         return None
+
+
+def _region_columns(
+    path: Path, headers: tuple[list[str], ...], meta: SeriesMeta, scope: tuple[str, ...],
+    required: bool = False,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, list[list[str]]]:
+    """``(regions, values, grades, columns)`` of a region CSV: the regions in
+    file order, their values as float64 (NaN for an empty cell) and grades
+    (-1 without a value), and every column as stripped cells.
+
+    The header must be one of ``headers`` and every non-blank row as wide;
+    the region must lie in ``scope`` and appear once; the value must be
+    empty or a finite number, and not empty when ``required``; and a present
+    value's ``confidence`` cell, if the header has one, a grade name (without
+    one a value is VERY_HIGH). The checks run in bulk; when one fails, the
+    first row that fails a check raises, naming ``path:line``, with the error
+    of the first check it fails in that order."""
+    table = _csv_columns(path, NonNumericValue)
+    names = [cell.strip() for cell in table.header or ()]
+    if names not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise NonNumericValue(f"{path}: bad header {table.header!r}; expected {expected}")
+    columns, graded = table.columns, names == OUTPUT_HEADER
     regions, cells = tuple(columns[0]), columns[1]
-    if regions != scope and (
-        len(set(regions)) != len(regions) or not set(scope).issuperset(regions)
-    ):
-        return None
     try:
         values = map(float, map(_EMPTY_AS_NAN.get, cells, cells))
         values = np.fromiter(values, np.float64, len(cells))
-    except ValueError:
-        return None
-    # an empty cell is the only way to a NaN; a nan or inf token is an error
-    if np.isnan(values).sum() != cells.count("") or np.isinf(values).any():
-        return None
-    return regions, values, columns
+    except ValueError:  # a cell that is not a number
+        values = None
+    if values is not None:
+        present = ~np.isnan(values)
+        grades = np.where(present, int(ConfidenceLevel.VERY_HIGH), -1)
+        if graded:
+            tokens = np.fromiter(map(_GRADES.get, columns[2], repeat(-1)), np.int8, len(cells))
+            grades = np.where(present, tokens, -1)
+        if (
+            table.width_error is None
+            and (regions == scope or (
+                len(set(regions)) == len(regions) and set(scope).issuperset(regions)))
+            # an empty cell is the only way to a NaN; a nan or inf token is an error
+            and len(cells) - present.sum() == cells.count("")
+            and not np.isinf(values).any()
+            and (present.all() or not required)
+            and (grades[present] >= 0).all()  # a present value needs a known grade
+        ):
+            return regions, values, grades, columns
+    raise _first_fault(_row_faults(path, table, meta, scope, required, graded)) or table.width_error
+
+
+def _row_faults(path, table, meta, scope, required, graded):
+    """``_first_fault``'s checks for ``_region_columns``, in its order."""
+    lines, regions, cells, raw = table.lines, table.columns[0], table.columns[1], table.raw[1]
+    scope, numbers = set(scope), list(map(_number, cells))
+    checks = [
+        ([region not in scope for region in regions], lambda i: UnknownRegion(
+            f"{path}:{lines[i]}: region {regions[i]!r} is not a "
+            f"{meta.level.name} region of scope {meta.country_scope}")),
+        (_repeats(regions),
+         lambda i: DuplicateRegion(f"{path}:{lines[i]}: duplicate region {regions[i]!r}")),
+        ([number is None for number in numbers],
+         lambda i: NonNumericValue(f"{path}:{lines[i]}: non-numeric value {raw[i]!r}")),
+        ([bool(cell) and number is not None and not math.isfinite(number)
+          for cell, number in zip(cells, numbers)],
+         lambda i: NonFiniteValue(f"{path}:{lines[i]}: non-finite value {raw[i]!r}")),
+    ]
+    if required:
+        checks.append(([not cell for cell in cells], lambda i: NonNumericValue(
+            f"{path}:{lines[i]}: empty value for {regions[i]!r}")))
+    if graded:
+        tokens = table.columns[2]
+        checks.append(([bool(cell) and token not in _GRADES for cell, token in zip(cells, tokens)],
+                       lambda i: NonNumericValue(
+                           f"{path}:{lines[i]}: unknown confidence token {tokens[i]!r}")))
+    return checks
 
 
 def _sorted_series(
@@ -362,10 +355,7 @@ def ingest_series(
     """
     path = Path(path)
     scope = _scope(meta, hierarchy)
-    fast = _fast_columns(path, (SERIES_HEADER,), scope)
-    if fast is None:
-        _region_rows(path, (SERIES_HEADER,), meta, scope)
-    regions, values, _ = fast
+    regions, values, _, _ = _region_columns(path, (SERIES_HEADER,), meta, scope)
     if regions != scope:  # place the values at their regions
         position = hierarchy._position
         if scope is not hierarchy._codes[meta.level]:  # one country's regions
@@ -383,14 +373,8 @@ def read_series_csv(
     """Read a ``region,value,confidence`` CSV written by the engine."""
     path = Path(path)
     scope = _scope(meta, hierarchy)
-    fast = _fast_columns(path, (OUTPUT_HEADER,), scope)
-    if fast is not None:
-        regions, values, (_, _, tokens) = fast
-        grades = np.fromiter(map(_GRADES.get, tokens, repeat(-1)), np.int8, len(tokens))
-        present = ~np.isnan(values)
-        if (grades[present] >= 0).all():  # a present value needs a known grade
-            return _sorted_series(meta, hierarchy, regions, values, np.where(present, grades, -1))
-    _region_rows(path, (OUTPUT_HEADER,), meta, scope)
+    regions, values, grades, _ = _region_columns(path, (OUTPUT_HEADER,), meta, scope)
+    return _sorted_series(meta, hierarchy, regions, values, grades)
 
 
 @contextmanager

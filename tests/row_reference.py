@@ -3,8 +3,10 @@
 ``ingest_series``, ``read_series_csv``, ``read_reference_csv`` and
 ``load_hierarchy`` here read a file one ``csv.reader`` row at a time, check
 each row and build the result from the rows, as regio did before its
-readers built every result from whole columns. Property tests run both on
-the same files and require the same result, or the same error.
+readers built every result from whole columns; ``load_hierarchy`` then
+checks the nodes one at a time (``validate``) before building the
+hierarchy. Property tests run both on the same files and require the same
+result, or the same error.
 
 One rule differs from those readers: the ``hierarchy.csv`` header is
 compared with its cells stripped, as every other header is.
@@ -12,19 +14,24 @@ compared with its cells stripped, as every other header is.
 
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
+from typing import Iterator
 
 from regio.config import REFERENCE_HEADERS
 from regio.errors import (
+    DanglingParent,
+    DuplicateCode,
     DuplicateRegion,
     HierarchyError,
     NonFiniteValue,
     NonNumericValue,
+    ParentLevelMismatch,
     UnknownLevel,
     UnknownRegion,
 )
-from regio.hierarchy import HIERARCHY_HEADER, RegionHierarchy, RegionNode, SpatialLevel, _csv_rows
+from regio.hierarchy import HIERARCHY_HEADER, RegionHierarchy, RegionNode, SpatialLevel
 from regio.series import (
     ALL_COUNTRIES,
     OUTPUT_HEADER,
@@ -33,6 +40,27 @@ from regio.series import (
     SeriesMeta,
     VariableSeries,
 )
+
+
+def _csv_rows(path: Path, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """``(row number, row)`` for each row of a CSV file, the header being
+    row 1. Bytes that are not UTF-8, or a row ``csv.reader`` cannot read,
+    raise ``error`` naming ``path:line``."""
+    lineno = 0
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                yield lineno, row
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # here exc.start is an offset in the file
+            # \r\n, \r and \n each end a line, as they do for csv.reader
+            lineno = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise error(f"{path}:{lineno + 1}: {exc}") from None
 
 
 def _parse_value(raw: str, path: Path, lineno: int) -> float | None:
@@ -105,9 +133,11 @@ def read_series_csv(path, meta, hierarchy) -> VariableSeries:
         if value is None:
             continue
         try:
-            grades[region] = ConfidenceLevel.from_token(row[2].strip())
-        except NonNumericValue as exc:
-            raise NonNumericValue(f"{path}:{lineno}: {exc}") from None
+            grades[region] = ConfidenceLevel[row[2].strip()]
+        except KeyError:
+            raise NonNumericValue(
+                f"{path}:{lineno}: unknown confidence token {row[2].strip()!r}"
+            ) from None
     return VariableSeries.from_values(
         meta.variable_id, meta.level, values, grades,
         meta.unit, meta.description, meta.country_scope,
@@ -127,6 +157,13 @@ def read_reference_csv(path, hierarchy, level):
         if len(row) > 2 and row[2].strip():
             labels[region] = row[2].strip()
     return VariableSeries.from_values("reference", level, values), labels
+
+
+def _level(token: str) -> SpatialLevel:
+    try:
+        return SpatialLevel[token]
+    except KeyError:
+        raise UnknownLevel(f"unknown spatial level {token!r}") from None
 
 
 def load_hierarchy(path) -> RegionHierarchy:
@@ -149,9 +186,49 @@ def load_hierarchy(path) -> RegionHierarchy:
         nodes.append(
             RegionNode(
                 code=code,
-                level=SpatialLevel.from_token(level_token),
+                level=_level(level_token),
                 parent=parent or None,
                 country=country,
             )
         )
+    validate(nodes)
     return RegionHierarchy(nodes)
+
+
+def validate(nodes: list[RegionNode]) -> None:
+    """Raise the first error, one node at a time in input order: an empty
+    or repeated code, then a node whose parent is missing, unknown, not one
+    level up or in another country."""
+    by_code: dict[str, RegionNode] = {}
+    for node in nodes:
+        if not node.code:
+            raise HierarchyError(f"empty region code at {node.level.name}")
+        if node.code in by_code:
+            raise DuplicateCode(f"duplicate region code {node.code!r}")
+        by_code[node.code] = node
+    for node in by_code.values():
+        if node.level == SpatialLevel.NUTS0:
+            if node.parent is not None:
+                raise ParentLevelMismatch(f"NUTS0 region {node.code!r} must not have a parent")
+            if node.code != node.country:
+                raise ParentLevelMismatch(
+                    f"NUTS0 code {node.code!r} must equal its country {node.country!r}"
+                )
+            continue
+        if node.parent is None:
+            raise DanglingParent(f"region {node.code!r} ({node.level.name}) has no parent")
+        parent = by_code.get(node.parent)
+        if parent is None:
+            raise DanglingParent(
+                f"region {node.code!r} references unknown parent {node.parent!r}"
+            )
+        if parent.level != node.level - 1:
+            raise ParentLevelMismatch(
+                f"parent of {node.code!r} ({node.level.name}) is {parent.code!r} "
+                f"at {parent.level.name}; expected one level coarser"
+            )
+        if parent.country != node.country:
+            raise ParentLevelMismatch(
+                f"region {node.code!r} is in {node.country!r} but its parent "
+                f"{parent.code!r} is in {parent.country!r}"
+            )

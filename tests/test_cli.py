@@ -121,6 +121,12 @@ HEADER_ONLY_OUTPUT = {"output/transport_fec.csv": "region,value,confidence\n"}
 HUGE_CONSTANT = toy_json("proxy_assignments.json", lambda doc: doc["assignments"][0].update(
     formula=doc["assignments"][0]["formula"].replace("1.78", "1" + "0" * 400)))
 
+# both weights of 1.78 * freight_traffic + 3.83 * motorcycle_stock spelled as
+# 1 and 307 zeros: each term is finite, their sum over a country is not
+OVERFLOWING_CONSTANTS = toy_json("proxy_assignments.json", lambda doc: doc["assignments"][0].update(
+    formula=doc["assignments"][0]["formula"].replace("1.78", "1" + "0" * 307)
+    .replace("3.83", "1" + "0" * 307)))
+
 
 def malformed_output(toy_project, capsys, command, files) -> str:
     """What ``command`` prints on the toy project with ``files`` replaced (a
@@ -145,121 +151,121 @@ SERIES_LOAD_FAILURES = [
     pytest.param(
         "check",
         {"series/industrial_area.csv": b"region,value\nAA_0001,1.0\nAA_0002,\xe92.0\n"},
-        "industrial_area.csv:3: not UTF-8 text", id="series-not-utf8",
+        "industrial_area.csv:3: not UTF-8 text", 1, id="series-not-utf8",
     ),
     pytest.param(  # a lone \r ends a line too
         "check",
         {"series/industrial_area.csv": b"region,value\rAA_0001,1.0\rAA_0002,2.0\r"
                                        b"AA_0003,3.0\rAA_0004,\xe94.0\r"},
-        "industrial_area.csv:5: not UTF-8 text", id="series-not-utf8-cr-only",
+        "industrial_area.csv:5: not UTF-8 text", 1, id="series-not-utf8-cr-only",
     ),
     pytest.param(
         "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'1' * 140_000}\n"},
-        "industrial_area.csv:2: field larger than field limit", id="series-oversized-cell",
+        "industrial_area.csv:2: field larger than field limit", 1, id="series-oversized-cell",
     ),
     pytest.param(
         "check", {"series/industrial_area.csv": f"region,value\nAA_0001,{'0' * 140_000}\n"},
         "industrial_area.csv:2: field larger than field limit",
-        id="series-oversized-cell-plain",
+        1, id="series-oversized-cell-plain",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,files,culprit",
+    "command,files,culprit,errors",
     [
-        pytest.param("check", {"variables.json": "{"}, "variables.json", id="registry-json"),
+        pytest.param("check", {"variables.json": "{"}, "variables.json", 1, id="registry-json"),
         pytest.param(
             "check", {"variables.json": '{"variables": [1]}'}, "variables.json",
-            id="registry-entry",
+            1, id="registry-entry",
         ),
-        pytest.param("check", {"pipeline.json": "{"}, "pipeline.json", id="pipeline-json"),
-        pytest.param("check", {"pipeline.json": "[1, 2]"}, "pipeline.json", id="pipeline-list"),
+        pytest.param("check", {"pipeline.json": "{"}, "pipeline.json", 1, id="pipeline-json"),
+        pytest.param("check", {"pipeline.json": "[1, 2]"}, "pipeline.json", 1, id="pipeline-list"),
         pytest.param(
-            "check", {"pipeline.json": '{"stages": [3]}'}, "pipeline.json", id="stage-entry"
+            "check", {"pipeline.json": '{"stages": [3]}'}, "pipeline.json", 1, id="stage-entry"
         ),
         pytest.param(
             "check", {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [1]}]}'},
-            "pipeline.json", id="task-entry",
+            "pipeline.json", 1, id="task-entry",
         ),
         pytest.param(
             "check", {"proxy_assignments.json": "{"}, "proxy_assignments.json",
-            id="assignments-json-check",
+            1, id="assignments-json-check",
         ),
         pytest.param(
             "impute", {"proxy_assignments.json": "{"}, "proxy_assignments.json",
-            id="assignments-json-impute",
+            1, id="assignments-json-impute",
         ),
         pytest.param(
             "check", {REFERENCE: "region,value,label\nAA11,nan,Alpha\n"},
-            "transport_fec_nuts2.csv", id="reference-nan-check",
+            "transport_fec_nuts2.csv", 1, id="reference-nan-check",
         ),
         pytest.param(
             "validate",
             {REFERENCE: "region,value,label\nAA11,nan,Alpha\n", **HEADER_ONLY_OUTPUT},
-            "transport_fec_nuts2.csv", id="reference-nan-validate",
+            "transport_fec_nuts2.csv", 1, id="reference-nan-validate",
         ),
         pytest.param(
             "validate",
             {REFERENCE: "region,value,label\nAA11,1,A\nAA11,2,B\n", **HEADER_ONLY_OUTPUT},
-            "transport_fec_nuts2.csv:3", id="reference-duplicate",
+            "transport_fec_nuts2.csv:3", 1, id="reference-duplicate",
         ),
         pytest.param(
             "disaggregate",
             {"output/imputed/industrial_area.csv": "region,value,confidence\nAA_0004,4.0\n"},
-            "industrial_area.csv:2", id="imputed-short-row",
+            "industrial_area.csv:2", 1, id="imputed-short-row",
         ),
         pytest.param(
             "disaggregate",
             {"output/imputed/industrial_area.csv": "region,value,confidence\nAA_0004,4.0,BEST\n"},
-            "industrial_area.csv:2", id="imputed-bad-confidence",
+            "industrial_area.csv:2", 1, id="imputed-bad-confidence",
         ),
         # a dict is merged into the JSON object already in the file
         pytest.param(
             "check", {"config.json": {"imputation": {"learning_rates": [2]}}},
-            "config.json: imputation: learning_rates", id="learning-rate-range",
+            "config.json: imputation: learning_rates", 1, id="learning-rate-range",
         ),
         pytest.param(
             "impute", {"config.json": {"imputation": {"thresholds": 0.3}}},
-            "config.json: imputation: thresholds", id="thresholds-not-list",
+            "config.json: imputation: thresholds", 1, id="thresholds-not-list",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": {"max_depths": []}}},
-            "config.json: imputation: max_depths", id="max-depths-empty",
+            "config.json: imputation: max_depths", 1, id="max-depths-empty",
         ),
         pytest.param(
             "impute", {"config.json": {"imputation": {"n_estimators": [10.5]}}},
-            "config.json: imputation: n_estimators", id="n-estimators-not-int",
+            "config.json: imputation: n_estimators", 1, id="n-estimators-not-int",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": {"max_depth": [9]}}},
-            "config.json: imputation: max_depth is not a known key", id="imputation-unknown-key",
+            "config.json: imputation: max_depth is not a known key", 1, id="imputation-unknown-key",
         ),
         pytest.param(
             "check", {"config.json": {"imputation": [0.1]}},
-            "config.json: imputation must be an object", id="imputation-not-object",
+            "config.json: imputation must be an object", 1, id="imputation-not-object",
         ),
         pytest.param(
             "check", {"config.json": {"comparisons": [1]}},
-            "config.json: comparison #0", id="comparison-entry",
+            "config.json: comparison #0", 1, id="comparison-entry",
         ),
         pytest.param(
             "check", {"config.json": {"comparisons": {"target_id": "transport_fec"}}},
-            "config.json: comparisons must be a list", id="comparisons-not-list",
+            "config.json: comparisons must be a list", 1, id="comparisons-not-list",
         ),
         pytest.param(
             "check", {"config.json": {"flags": [1]}}, "config.json: flags must be an object",
-            id="flags-not-object",
+            1, id="flags-not-object",
         ),
         pytest.param(
             "check",
             {"config.json": {"comparisons": [{"target_id": "t", "reference": "r", "level": ["X"]}]}},
             "config.json: comparison #0: level must be one of NUTS0|NUTS1|NUTS2|NUTS3|LAU",
-            id="comparison-level",
+            1, id="comparison-level",
         ),
         pytest.param(
             "check", {"variables.json": '[{"id": "population", "level": "NUTS9"}]'},
-            "variables.json: variable #0: level must be one of", id="registry-level",
+            "variables.json: variable #0: level must be one of", 1, id="registry-level",
         ),
         # JSON fields of the wrong type
         pytest.param(
@@ -268,25 +274,25 @@ SERIES_LOAD_FAILURES = [
                 {"target_id": "transport_fec", "reference": 5, "level": "NUTS2"}
             ]}},
             "config.json: comparison #0: reference must be a string",
-            id="comparison-reference-type",
+            1, id="comparison-reference-type",
         ),
         pytest.param(
             "check", {"config.json": {"hierarchy": 5}}, "config.json: hierarchy must be a string",
-            id="hierarchy-path-type",
+            1, id="hierarchy-path-type",
         ),
         pytest.param(
             "check", {"variables.json": '[{"id": "population", "level": "LAU", "file": 5}]'},
-            "variables.json: variable #0: file must be a string", id="registry-file-type",
+            "variables.json: variable #0: file must be a string", 1, id="registry-file-type",
         ),
         pytest.param(
             "check", {"variables.json": '[{"id": "population", "level": "LAU", "unit": [1]}]'},
-            "variables.json: variable #0: unit must be a string", id="registry-unit-type",
+            "variables.json: variable #0: unit must be a string", 1, id="registry-unit-type",
         ),
         pytest.param(
             "check",
             {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": ["x"], '
                               '"source_level": "NUTS3", "assignment_confidence": "LOW"}]}]}'},
-            "pipeline.json: stage 1 task #0: target_id must be a string", id="task-target-type",
+            "pipeline.json: stage 1 task #0: target_id must be a string", 1, id="task-target-type",
         ),
         pytest.param(
             "check",
@@ -294,27 +300,27 @@ SERIES_LOAD_FAILURES = [
                               '"source_level": "NUTS3", "mode": "replicate", '
                               '"assignment_confidence": ["HIGH"]}]}]}'},
             "pipeline.json: stage 1 task #0: assignment_confidence must be one of "
-            "HIGH|MEDIUM|LOW|VERY_LOW", id="task-confidence-type",
+            "HIGH|MEDIUM|LOW|VERY_LOW", 1, id="task-confidence-type",
         ),
         pytest.param(
             "check",
             {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
                               '"source_level": ["NUTS3"], "assignment_confidence": "LOW"}]}]}'},
-            "pipeline.json: stage 1 task #0: source_level must be one of", id="task-level-type",
+            "pipeline.json: stage 1 task #0: source_level must be one of", 1, id="task-level-type",
         ),
         pytest.param(
             "check",
             {"pipeline.json": '{"stages": [{"stage": 1, "tasks": [{"target_id": "x", '
                               '"source_level": "NUTS3", "formula": 5, '
                               '"assignment_confidence": "LOW"}]}]}'},
-            "pipeline.json: stage 1 task #0: formula must be a string", id="task-formula-type",
+            "pipeline.json: stage 1 task #0: formula must be a string", 1, id="task-formula-type",
         ),
         pytest.param(
             "check",
             {"proxy_assignments.json": '[{"target_id": "t", "source_level": "NUTS0", '
                                        '"formula": 5, "assignment_confidence": "HIGH"}]'},
             "proxy_assignments.json: assignment #0: formula must be a string",
-            id="assignment-formula-type",
+            1, id="assignment-formula-type",
         ),
         pytest.param(
             "check",
@@ -322,54 +328,54 @@ SERIES_LOAD_FAILURES = [
                                        '"formula": "a", "assignment_confidence": ["HIGH"]}]'},
             "proxy_assignments.json: assignment #0: assignment_confidence must be one of "
             "HIGH|MEDIUM|LOW|VERY_LOW",
-            id="assignment-confidence-type",
+            1, id="assignment-confidence-type",
         ),
         pytest.param(
             "check",
             {"proxy_assignments.json": '[{"target_id": "transport_fec", "source_level": "NUTS9", '
                                        '"formula": "population", "assignment_confidence": "HIGH"}]'},
-            "proxy_assignments.json: assignment #0: source_level", id="assignment-level",
+            "proxy_assignments.json: assignment #0: source_level", 1, id="assignment-level",
         ),
         pytest.param(
             "check",
             {"pipeline.json": '{"stages": [{"stage": 3, "tasks": '
                               '[{"target_id": "transport_fec", "source_level": "NUTS2"}]}]}'},
             "pipeline.json: stage 3 task #0: source_level NUTS2 differs from the proxy "
-            "assignment's NUTS0", id="task-level-differs-from-assignment",
+            "assignment's NUTS0", 1, id="task-level-differs-from-assignment",
         ),
         # flags are checked like the imputation keys
         pytest.param(
             "check", {"config.json": {"flags": {"weights_on_raw": "false"}}},
-            "config.json: flags: weights_on_raw must be true or false", id="flags-raw-not-bool",
+            "config.json: flags: weights_on_raw must be true or false", 1, id="flags-raw-not-bool",
         ),
         pytest.param(
             "check", {"config.json": {"flags": {"normalise_scope": "parent"}}},
-            "config.json: flags: normalise_scope is not a known key", id="flags-unknown-key",
+            "config.json: flags: normalise_scope is not a known key", 1, id="flags-unknown-key",
         ),
         pytest.param(
             "check", {"config.json": {"seed": True}}, "config.json: seed must be an integer",
-            id="seed-bool",
+            1, id="seed-bool",
         ),
         # bytes that are not UTF-8, and cells too large for the csv module
         *SERIES_LOAD_FAILURES,
         pytest.param(
             "check", {"hierarchy.csv": b"code,level,parent,country\nAA,NUTS0,,AA\n\xe9\n"},
-            "hierarchy.csv:3: not UTF-8 text", id="hierarchy-not-utf8",
+            "hierarchy.csv:3: not UTF-8 text", 1, id="hierarchy-not-utf8",
         ),
         pytest.param(
             "check", {REFERENCE: b"region,value,label\nAA11,1,\xe9\n"},
-            "transport_fec_nuts2.csv:2: not UTF-8 text", id="reference-not-utf8",
+            "transport_fec_nuts2.csv:2: not UTF-8 text", 1, id="reference-not-utf8",
         ),
         pytest.param(
             "disaggregate",
             {"output/imputed/industrial_area.csv": b"region,value,confidence\nAA_0004,4,H\xc3\n"},
-            "industrial_area.csv:2: not UTF-8 text", id="imputed-not-utf8",
+            "industrial_area.csv:2: not UTF-8 text", 1, id="imputed-not-utf8",
         ),
         pytest.param(
             "check",
             {"hierarchy.csv": 'code,level,parent,country\nAA,NUTS0,,AA\n'
                               f'"{"A" * 140_000}",NUTS1,AA,AA\n'},
-            "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell",
+            "hierarchy.csv:3: field larger than field limit", 1, id="hierarchy-oversized-cell",
         ),
         # an oversized cell in a plain file, which is split rather than read by
         # csv.reader: a file reads the same in every spelling
@@ -377,36 +383,37 @@ SERIES_LOAD_FAILURES = [
             "check",
             {"hierarchy.csv": "code,level,parent,country\nAA,NUTS0,,AA\n"
                               f"{'A' * 140_000},NUTS1,AA,AA\n"},
-            "hierarchy.csv:3: field larger than field limit", id="hierarchy-oversized-cell-plain",
+            "hierarchy.csv:3: field larger than field limit", 1,
+            id="hierarchy-oversized-cell-plain",
         ),
         pytest.param(
             "check", {"config.json": {"hierarchy": "a\u0000b.csv"}},
-            "config.json: hierarchy must be a string without NUL", id="hierarchy-path-nul",
+            "config.json: hierarchy must be a string without NUL", 1, id="hierarchy-path-nul",
         ),
         pytest.param(
             "check",
             {"config.json": {"comparisons": [
                 {"target_id": "nope", "reference": "transport_fec_nuts2.csv", "level": "NUTS2"}
             ]}},
-            "comparison #0: target 'nope' is not a target of any task", id="comparison-target",
+            "comparison #0: target 'nope' is not a target of any task", 1, id="comparison-target",
         ),
         # every JSON object kind rejects a key it does not declare
         pytest.param(
             "check", {"config.json": {"sed": 5}}, "config.json: sed is not a known key",
-            id="config-unknown-key",
+            1, id="config-unknown-key",
         ),
         pytest.param(
             "check",
             {"config.json": toy_json("config.json", lambda doc: doc["comparisons"][0].update(
                 levle="NUTS0"))},
-            "config.json: comparison #0: levle is not a known key", id="comparison-unknown-key",
+            "config.json: comparison #0: levle is not a known key", 1, id="comparison-unknown-key",
         ),
         pytest.param(
             "check",
             {"variables.json": toy_json("variables.json", lambda doc: doc["variables"][0].update(
                 contry_scope="AA"))},
             "variables.json: variable #0: contry_scope is not a known key",
-            id="registry-unknown-key",
+            1, id="registry-unknown-key",
         ),
         pytest.param(
             "check",
@@ -414,37 +421,37 @@ SERIES_LOAD_FAILURES = [
                 "proxy_assignments.json",
                 lambda doc: doc["assignments"][1].update(assignment_confidnce="LOW"))},
             "proxy_assignments.json: assignment #1: assignment_confidnce is not a known key",
-            id="assignment-unknown-key",
+            1, id="assignment-unknown-key",
         ),
         pytest.param(
             "check",
             {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][1].update(
                 task=[]))},
-            "pipeline.json: stage entry #1: task is not a known key", id="stage-unknown-key",
+            "pipeline.json: stage entry #1: task is not a known key", 1, id="stage-unknown-key",
         ),
         pytest.param(
             "check",
             {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][0]["tasks"][0]
                                        .update(assignment_confidnce="VERY_LOW"))},
             "pipeline.json: stage 1 task #0: assignment_confidnce is not a known key",
-            id="task-unknown-key",
+            1, id="task-unknown-key",
         ),
         pytest.param(
             "check", {"pipeline.json": {"stagse": []}}, "pipeline.json: stagse is not a known key",
-            id="document-unknown-key",
+            1, id="document-unknown-key",
         ),
         # a stage number is an integer, not a boolean or a float
         pytest.param(
             "check",
             {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][0].update(
                 stage=True))},
-            "pipeline.json: stage entry #0: stage must be 1, 2 or 3, got True", id="stage-bool",
+            "pipeline.json: stage entry #0: stage must be 1, 2 or 3, got True", 1, id="stage-bool",
         ),
         pytest.param(
             "check",
             {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][0].update(
                 stage=1.0))},
-            "pipeline.json: stage entry #0: stage must be 1, 2 or 3, got 1.0", id="stage-float",
+            "pipeline.json: stage entry #0: stage must be 1, 2 or 3, got 1.0", 1, id="stage-float",
         ),
         # a formula syntax error names the file and the entry
         pytest.param(
@@ -452,7 +459,7 @@ SERIES_LOAD_FAILURES = [
             {"pipeline.json": toy_json("pipeline.json", lambda doc: doc["stages"][1]["tasks"][0]
                                        .update(formula="freight_traffic +"))},
             "pipeline.json: stage 2 task #0: formula: unexpected end of formula",
-            id="task-formula-syntax",
+            1, id="task-formula-syntax",
         ),
         pytest.param(
             "check",
@@ -460,68 +467,74 @@ SERIES_LOAD_FAILURES = [
                 "proxy_assignments.json",
                 lambda doc: doc["assignments"][0].update(formula="1.78 * (freight_traffic"))},
             "proxy_assignments.json: assignment #0: formula: expected ')'",
-            id="assignment-formula-syntax",
+            1, id="assignment-formula-syntax",
         ),
         # a run of digits too long for a finite float
         *(
             pytest.param(
                 command, {"proxy_assignments.json": HUGE_CONSTANT},
                 "proxy_assignments.json: assignment #0: formula: number is too large (position 0)",
-                id=f"assignment-formula-constant-not-finite-{command}",
+                1, id=f"assignment-formula-constant-not-finite-{command}",
             )
             for command in ("check", "disaggregate")
         ),
+        # weights that are finite, but whose total over a country is not
+        pytest.param(
+            "run", {"proxy_assignments.json": OVERFLOWING_CONSTANTS},
+            "task 'transport_fec': the allocation of source region 'AA' is not finite", 1,
+            id="allocation-not-finite",
+        ),
         pytest.param(
             "check", {"hierarchy.csv": toy_text("hierarchy.csv", ",LAU,AA111,AA")},
-            "hierarchy.csv:24: empty region code", id="hierarchy-empty-code",
+            "hierarchy.csv:24: empty region code", 1, id="hierarchy-empty-code",
         ),
         pytest.param(
             "run",
             {"hierarchy.csv": toy_text("hierarchy.csv", "AA113,NUTS3,AA11,AA"),
              "series/freight_traffic.csv": toy_text("series/freight_traffic.csv", "AA113,5.0")},
             "task 'freight_traffic': no LAU region below source region(s) AA113",
-            id="source-region-without-lau",
+            2, id="source-region-without-lau",
         ),
         pytest.param(
             "check",
             {"config.json": toy_json("config.json", lambda doc: doc["comparisons"].append(
                 {"target_id": "transport_fec", "reference": "nat.csv", "level": "NUTS0"}))},
             "config.json: comparison #1: target 'transport_fec' is already compared by "
-            "comparison #0", id="comparison-target-twice",
+            "comparison #0", 1, id="comparison-target-twice",
         ),
         # outputs must not replace input files
         pytest.param(
             "run", {"config.json": {"output_dir": "series"}},
             "config.json: output_dir would overwrite the series_dir",
-            id="output-dir-is-series-dir",
+            1, id="output-dir-is-series-dir",
         ),
         pytest.param(
             "check", {"config.json": {"output_dir": "reference/"}},
             "config.json: output_dir would overwrite the reference_dir",
-            id="output-dir-is-reference-dir",
+            1, id="output-dir-is-reference-dir",
         ),
         pytest.param(
             "check", {"config.json": {"series_dir": "output/imputed"}},
             "config.json: output_dir would overwrite the series_dir",
-            id="series-dir-is-imputed-dir",
+            1, id="series-dir-is-imputed-dir",
         ),
         # impute has nothing to fill a series with no observed value from
         pytest.param(
             "run", {"series/industrial_area.csv": ALL_MISSING},
             "industrial_area.csv: industrial_area has no observed value to impute from",
-            id="series-all-missing",
+            1, id="series-all-missing",
         ),
         pytest.param(
             "impute", {"series/industrial_area.csv": ALL_MISSING},
             "error: industrial_area: no observed value to impute from",
-            id="impute-series-all-missing",
+            1, id="impute-series-all-missing",
         ),
         pytest.param(
             "check",
             {"series/road_network.csv": (TOY_PROJECT / "series/road_network.csv").read_text()
              .replace("AA_0005,15", "AA_0005,-5")},
             "road_network.csv: road_network: negative proxy value at 'AA_0005'",
-            id="proxy-negative",
+            1, id="proxy-negative",
         ),
         # a proxy narrowed to one country cannot weight another country's regions
         pytest.param(
@@ -532,22 +545,46 @@ SERIES_LOAD_FAILURES = [
                  line + "\n" for line in (TOY_PROJECT / "series/population.csv").read_text()
                  .split() if not line.startswith("BB"))},
             "task 'households_ghg': proxy 'population' has country scope AA, but the source "
-            "regions lie in AA, BB", id="proxy-narrowed-scope",
+            "regions lie in AA, BB", 1, id="proxy-narrowed-scope",
         ),
     ],
 )
-def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit):
+def test_malformed_input_exits_2(toy_project, capsys, command, files, culprit, errors):
+    """Each fault is one finding: only ``source-region-without-lau`` holds
+    two, one per task."""
     out = malformed_output(toy_project, capsys, command, files)
-    assert "error:" in out
+    assert out.count("error:") == errors
     assert culprit in out
 
 
-@pytest.mark.parametrize("command,files,culprit", SERIES_LOAD_FAILURES)
-def test_series_that_fails_to_load_is_one_error(toy_project, capsys, command, files, culprit):
+@pytest.mark.parametrize("command,files,culprit,errors", SERIES_LOAD_FAILURES)
+def test_series_that_fails_to_load_is_one_error(
+    toy_project, capsys, command, files, culprit, errors
+):
     """Not also a missing dependency of the task whose formula reads it."""
     out = malformed_output(toy_project, capsys, command, files)
     assert out.count("error:") == 1
     assert culprit in out
+
+
+@pytest.mark.parametrize("files", [
+    pytest.param({}, id="toy"),
+    pytest.param({"proxy_assignments.json": OVERFLOWING_CONSTANTS}, id="overflowing-constants"),
+])
+def test_no_output_holds_a_non_finite_value(toy_project, capsys, files):
+    """Whether ``run`` succeeds or stops at an allocation that is not
+    finite, every file it writes is strict JSON or text without an inf or
+    NaN token."""
+    for name, content in files.items():
+        (toy_project.parent / name).write_text(content)
+    assert run_cli("run", "--config", toy_project) == (2 if files else 0)
+    written = [path for path in output_dir(toy_project).rglob("*") if path.is_file()]
+    assert written
+    for path in written:
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=lambda token: pytest.fail(f"{path}: {token}"))
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), path
 
 
 def test_readme_config_example_holds_every_config_key(tmp_path):

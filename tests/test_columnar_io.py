@@ -3,29 +3,28 @@
 ``ingest_series``, ``read_series_csv``, ``read_reference_csv`` and
 ``load_hierarchy`` build every result from whole columns: plain text is
 split on newlines and commas, any other text is read by ``csv.reader``, and
-the row walker only reports errors. ``write_series_csv`` joins formatted
-lines unless a code needs quoting. The properties below generate files (and
-series) with the defects each bulk check must catch, and require the result,
-or the error, of the row readers regio had before (``row_reference``).
+a failed bulk check names the first row that fails a check.
+``write_series_csv`` joins formatted lines unless a code needs quoting. The
+properties below generate files (and series) with the defects each bulk
+check must catch, and require the result, or the error, of the row readers
+regio had before (``row_reference``).
 """
 
-import contextlib
 import csv
 import hashlib
 import io
 import math
 import shutil
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import row_reference
 from conftest import build_country
-from regio import config, hierarchy as hierarchy_module, series as series_module
 from regio.cli import main as cli_main
 from regio.config import read_reference_csv
+from regio.errors import DuplicateCode, NonNumericValue, UnknownLevel, UnknownRegion
 from regio.hierarchy import RegionHierarchy, SpatialLevel, _csv_columns, load_hierarchy
 from regio.series import (
     ConfidenceLevel,
@@ -224,17 +223,8 @@ def hierarchy_outcome(path, load=load_hierarchy):
     except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
         return type(exc), str(exc)
     parents = {level: index.tolist() for level, index in h._parent.items()}
-    return list(h.nodes.values()), h._codes, h._position, parents, len(h)
-
-
-def walk_first(build):
-    """``_build`` that always runs the node-by-node checks first, as every
-    hierarchy was checked before the bulk checks existed."""
-    def checked(self, *columns):
-        self._columns = columns
-        self._validate()
-        build(self, *columns)
-    return checked
+    nodes = [h.node(code) for level in SpatialLevel for code in h.regions_at(level)]
+    return nodes, h._codes, h._position, parents, len(h)
 
 
 @PROPERTY
@@ -242,27 +232,89 @@ def walk_first(build):
 def test_load_hierarchy_matches_row_reader_and_node_checks(tmp_path, data):
     text = data.draw(csv_text(["code", "level", "parent", "country"], data.draw(hierarchy_rows())))
     path = write(tmp_path, text)
-    fast = hierarchy_outcome(path)
-    with mock.patch.object(RegionHierarchy, "_build", walk_first(RegionHierarchy._build)):
-        slow = hierarchy_outcome(path, row_reference.load_hierarchy)
-    assert fast == slow
+    assert hierarchy_outcome(path) == hierarchy_outcome(path, row_reference.load_hierarchy)
+
+
+# Two faults each, where file order and check order disagree: the first row
+# that fails a check is reported, and a row too wide or too narrow only once
+# the rows before it pass; in a hierarchy every code check comes before
+# every parent check.
+FIRST_FAULT = [
+    pytest.param(
+        "series", "region,value\nAA_000_0000,1\nZZ_1,2\nAA_000_0001,3,4\n",
+        (UnknownRegion, "{path}:3: region 'ZZ_1' is not a LAU region of scope ALL"),
+        id="scope-before-width",
+    ),
+    pytest.param(
+        "series", "region,value\nAA_000_0000,1,4\nZZ_1,2\n",
+        (NonNumericValue, "{path}:2: expected 2 columns, got 3"), id="width-before-scope",
+    ),
+    pytest.param(
+        "reference", "region,value\nAA000,\nAA001,abc\n",
+        (NonNumericValue, "{path}:2: empty value for 'AA000'"), id="empty-before-non-numeric",
+    ),
+    pytest.param(
+        "reference", "region,value\nAA000, x\nAA001,\n",
+        (NonNumericValue, "{path}:2: non-numeric value ' x'"), id="non-numeric-before-empty",
+    ),
+    pytest.param(
+        "hierarchy", "code,level,parent,country\nAA,NUTS0,,AA\nAA1,NUTS1,XX,AA\nAA,NUTS0,,AA\n",
+        (DuplicateCode, "duplicate region code 'AA'"), id="dangling-parent-before-duplicate",
+    ),
+    pytest.param(
+        "hierarchy", "code,level,parent,country\nAA,NUTS0,,AA\nAA1,NUTS9,AA,AA\nAA2,NUTS1\n",
+        (UnknownLevel, "unknown spatial level 'NUTS9'"), id="level-before-width",
+    ),
+]
+FIRST_FAULT_READERS = {
+    "series": (ingest_series, row_reference.ingest_series),
+    "reference": (read_reference_csv, row_reference.read_reference_csv),
+    "hierarchy": (load_hierarchy, row_reference.load_hierarchy),
+}
+
+
+@pytest.mark.parametrize("reader,text,error", FIRST_FAULT)
+def test_first_fault_in_file_order(tmp_path, reader, text, error):
+    path = write(tmp_path, text)
+    args = {
+        "series": (SeriesMeta("x", "d", "u", SpatialLevel.LAU), HIERARCHY),
+        "reference": (HIERARCHY, SpatialLevel.NUTS3),
+        "hierarchy": (),
+    }[reader]
+    expected = (error[0], error[1].format(path=path))
+    for read in FIRST_FAULT_READERS[reader]:
+        assert outcome(read, path, *args) == expected, read.__module__
 
 
 # -- every spelling csv.reader reads -------------------------------------------
 
-def csv_reader_columns(path: Path, headers):
-    """``_csv_columns``'s contract, from ``csv.reader`` alone."""
+def table_outcome(path: Path):
+    """What ``_csv_columns`` gives, as comparable values, or the error."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
-    except (UnicodeDecodeError, csv.Error):
-        return None
-    if not rows or rows[0] not in headers:
-        return None
-    body = [row for row in rows[1:] if any(row)]
-    if any(len(row) != len(rows[0]) for row in body):
-        return None
-    return [[row[i] for row in body] for i in range(len(rows[0]))]
+        table = _csv_columns(path, NonNumericValue)
+    except NonNumericValue as exc:
+        return NonNumericValue, str(exc)
+    error = table.width_error
+    return table.header, list(table.lines), table.columns, table.raw, error and str(error)
+
+
+def csv_reader_table(path: Path):
+    """``table_outcome`` from ``csv.reader`` rows alone (``row_reference``)."""
+    try:
+        rows = list(row_reference._csv_rows(path, NonNumericValue))
+    except NonNumericValue as exc:
+        return NonNumericValue, str(exc)
+    (_, header), *body = rows or [(1, None)]
+    body = [(line, row) for line, row in body if "".join(row).strip()]
+    error = None
+    for at, (line, row) in enumerate(body):
+        if len(row) != len(header):
+            error = f"{path}:{line}: expected {len(header)} columns, got {len(row)}"
+            body = body[:at]
+            break
+    raw = [[row[i] for _, row in body] for i in range(len(header or ()))]
+    columns = [[cell.strip() for cell in cells] for cells in raw]
+    return header, [line for line, _ in body], columns, raw, error
 
 
 # characters that split and csv.reader, or str.strip, may treat otherwise
@@ -291,16 +343,17 @@ def test_csv_columns_read_each_odd_character_as_csv_reader(tmp_path, odd):
         "a,b\n{0},{0}\nx,1\n", "a,b\n{0}\nx,1\n", "a,b\ny,2\n{0}x,1\n",
     ]:
         path = write(tmp_path, template.format(odd))
-        assert _csv_columns(path, (["a", "b"],)) == csv_reader_columns(path, (["a", "b"],))
+        assert table_outcome(path) == csv_reader_table(path)
 
 
 @PROPERTY
 @given(header=st.sampled_from(["a,b\n"] * 4 + ["a , b\n", '"a",b\r\n', "a,c\n", ""]), body=csv_body())
 def test_csv_columns_match_csv_reader(tmp_path, header, body):
     """Plain text is split on newlines and commas; whatever the text, the
-    cells are the ones csv.reader reads, stripped, without blank rows."""
+    cells and their row numbers are the ones csv.reader reads, without blank
+    rows, up to the first row not as wide as the header."""
     path = write(tmp_path, header + body)
-    assert _csv_columns(path, (["a", "b"],)) == csv_reader_columns(path, (["a", "b"],))
+    assert table_outcome(path) == csv_reader_table(path)
 
 
 def crlf(text: str) -> str:
@@ -324,12 +377,11 @@ def padded(text: str) -> str:
 
 
 def test_clean_files_need_no_row_reader(tmp_path):
-    """A valid file is read from columns alone, whichever way csv.reader
-    can read it is spelled: with the row walkers made to raise, every
-    spelling of a series, an engine output, a labelled reference and a
-    hierarchy gives what the plain file gives, float.hex for float.hex. A
-    file that lists the whole level in order shares the hierarchy's code
-    tuple."""
+    """A valid file reads the same whichever way csv.reader can read it is
+    spelled: every spelling of a series, an engine output, a labelled
+    reference and a hierarchy gives what the plain file gives, float.hex for
+    float.hex. A file that lists the whole level in order shares the
+    hierarchy's code tuple."""
     laus = HIERARCHY.regions_at(SpatialLevel.LAU)
     meta = SeriesMeta("x", "d", "u", SpatialLevel.LAU)
     lines = "".join(f"{r},{i / 7!r}\n" if i % 3 else f"{r},\n" for i, r in enumerate(laus))
@@ -357,19 +409,14 @@ def test_clean_files_need_no_row_reader(tmp_path):
             hierarchy_outcome(folder / "hierarchy.csv"),
         )
 
-    walkers = [(series_module, "_region_rows"), (config, "_region_rows"),
-               (hierarchy_module, "_csv_rows")]
-    with contextlib.ExitStack() as stack:
-        for module, name in walkers:
-            stack.enter_context(mock.patch.object(module, name, side_effect=AssertionError))
-        ingested, read_back, reference, hierarchy = read_all(lambda text: text)
-        assert len(reference[1]) == (len(nuts3) + 1) // 2
-        for spelling in (crlf, quoted, blank_lines, padded):
-            spelled = read_all(spelling)
-            assert (summary(spelled[0]), summary(spelled[1])) == (
-                summary(ingested), summary(read_back)
-            ), spelling.__name__
-            assert spelled[2:] == (reference, hierarchy), spelling.__name__
+    ingested, read_back, reference, hierarchy = read_all(lambda text: text)
+    assert len(reference[1]) == (len(nuts3) + 1) // 2
+    for spelling in (crlf, quoted, blank_lines, padded):
+        spelled = read_all(spelling)
+        assert (summary(spelled[0]), summary(spelled[1])) == (
+            summary(ingested), summary(read_back)
+        ), spelling.__name__
+        assert spelled[2:] == (reference, hierarchy), spelling.__name__
     assert list(ingested.codes) == laus and np.isnan(ingested.data).any()
     assert read_back.codes is ingested.codes
 

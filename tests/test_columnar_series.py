@@ -31,7 +31,8 @@ def hierarchy_of(seed):
     rng = np.random.default_rng(seed)
     nodes = []
     for country in ("CC", "DD"):
-        nodes += random_hierarchy(rng, country, min_leaves=120).nodes.values()
+        h = random_hierarchy(rng, country, min_leaves=120)
+        nodes += [h.node(code) for level in SpatialLevel for code in h.regions_at(level)]
     return RegionHierarchy(nodes)
 
 
