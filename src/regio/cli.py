@@ -35,7 +35,7 @@ from .disaggregation import (
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments, variables
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
-from .imputation import impute_series
+from .imputation import CVPool, impute_series
 from .series import (
     SeriesMeta,
     VariableStore,
@@ -192,32 +192,34 @@ def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
 
     National (NUTS0) series are the disaggregation targets and are never
     imputed; a missing national value later skips its pipeline task. The
-    cross-validation fits of each variable run in up to ``jobs`` processes.
+    cross-validation fits of every variable run in one pool of up to
+    ``jobs`` processes, which is shut down before this returns or raises.
     """
     out_dir = project.config.output_dir / "imputed"
     out_dir.mkdir(parents=True, exist_ok=True)
     icfg = project.config.imputation_config(seed)
     summary = {"imputed": {}, "complete": []}
-    for series in project.store.all_series():
-        if series.level == SpatialLevel.NUTS0:
-            continue
-        if series.is_complete:
-            summary["complete"].append(series.variable_id)
-            continue
-        candidates = _impute_candidates(project.store, project.hierarchy, series)
-        completed, report = impute_series(series, candidates, icfg, jobs)
-        write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
-        _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
-        n_imputed = len(series.missing_regions())
-        summary["imputed"][series.variable_id] = {
-            "n_imputed": n_imputed,
-            "method": report.method,
-            "confidence": report.confidence.name,
-        }
-        print(
-            f"imputed {series.variable_id}: {n_imputed} values "
-            f"({report.method}, {report.confidence.name})"
-        )
+    with CVPool(jobs) as pool:
+        for series in project.store.all_series():
+            if series.level == SpatialLevel.NUTS0:
+                continue
+            if series.is_complete:
+                summary["complete"].append(series.variable_id)
+                continue
+            candidates = _impute_candidates(project.store, project.hierarchy, series)
+            completed, report = impute_series(series, candidates, icfg, pool)
+            write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
+            _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
+            n_imputed = len(series.missing_regions())
+            summary["imputed"][series.variable_id] = {
+                "n_imputed": n_imputed,
+                "method": report.method,
+                "confidence": report.confidence.name,
+            }
+            print(
+                f"imputed {series.variable_id}: {n_imputed} values "
+                f"({report.method}, {report.confidence.name})"
+            )
     _dump_json(summary, out_dir / "imputation_summary.json")
     print(f"{len(summary['imputed'])} variable(s) imputed")
 

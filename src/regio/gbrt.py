@@ -23,10 +23,14 @@ fits at that level. Per feature, every node's rows are gathered into one
 row of a padded 2-D array. ``cumsum(axis=1)`` adds sequentially along each
 row, and the pad columns come after the node's rows, so every prefix sum
 equals the per-node ``cumsum`` bit for bit. Each node's sum, sum of squares
-and SSE are still taken by ``.sum()`` over its own contiguous rows in row
-order, as the per-node grower takes them, because pairwise summation
-depends on the order and grouping of its terms. The held-out rows follow
-the same splits. So the staged RMSEs equal those of ``fit_gbrt`` models
+and SSE must equal the per-node grower's ``.sum()`` over the node's rows in
+row order, because pairwise summation depends on the order and grouping of
+its terms. ``_segment_sums`` takes them for all nodes of a level in one
+``np.add.reduceat`` call over a buffer in which every node's rows follow a
+leading 0.0: ``add.reduce`` adds the pairwise sum of all its terms to the
+identity 0.0, and ``reduceat`` adds the pairwise sum of a segment's other
+terms to its first, here that 0.0. The held-out rows follow the same
+splits. So the staged RMSEs equal those of ``fit_gbrt`` models
 scored tree by tree. The kernel only pays off while per-node numpy calls
 dominate the element work and a level holds enough nodes to share them;
 ``imputation`` uses it for batches of at least
@@ -292,6 +296,27 @@ def _scan_level(columns, r, orders, starts, sizes, totals, totals_sq):
     return found, best, feature, threshold
 
 
+def _zero_led(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(slots, leads)`` for ``_segment_sums`` of back-to-back segments of
+    ``sizes`` values: value ``k`` of segment ``i`` goes to cell
+    ``k + i + 1``, and segment ``i`` starts with a 0.0 at cell ``leads[i]``."""
+    m = sizes.shape[0]
+    leads = sizes.cumsum() - sizes + np.arange(m)
+    return np.arange(int(sizes.sum())) + np.repeat(np.arange(1, m + 1), sizes), leads
+
+
+def _segment_sums(values: np.ndarray, slots: np.ndarray, leads: np.ndarray) -> np.ndarray:
+    """``values[a:b].sum()`` of every segment, bit for bit, in one call.
+
+    Each segment's values follow a 0.0 (see ``_zero_led``), so ``reduceat``
+    starts it from 0.0, as ``add.reduce`` starts from its identity; over
+    ``values`` alone it would start from the segment's first value and
+    round differently."""
+    cells = np.zeros(slots.shape[0] + leads.shape[0])
+    cells[slots] = values
+    return np.add.reduceat(cells, leads)
+
+
 def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
     """Grow one tree per fit, all fits one level per step; returns what the
     trees predict for the training rows and for the held rows.
@@ -300,8 +325,8 @@ def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
     ``< i`` (and likewise its held rows). ``orders[j]`` holds each fit's
     training rows sorted by feature ``j``, fit after fit. Every level keeps
     each node's rows contiguous: ``rows`` in ascending order, ``orders`` by
-    feature, ``held`` as routed. Node sums are taken by ``.sum()`` over the
-    node's own rows in row order, as ``_grow`` takes them.
+    feature, ``held`` as routed. Node sums equal ``_grow``'s ``.sum()``
+    over the node's own rows in row order (``_segment_sums``).
     """
     n = r.shape[0]
     fitted = np.empty(n)
@@ -309,32 +334,28 @@ def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
     rows = np.arange(n)
     held = np.arange(predicted.shape[0])
     child_of = np.empty(n, dtype=np.intp)
-    add = np.add.reduce  # what ndarray.sum runs
     while True:
         m = sizes.shape[0]
-        ends = sizes.cumsum()
-        starts = ends - sizes
+        starts = sizes.cumsum() - sizes
         node_of = np.repeat(np.arange(m), sizes)
         held_node = np.repeat(np.arange(m), held_sizes)
         r_rows = r[rows]
-        bounds = list(zip(starts.tolist(), ends.tolist()))
-        totals = np.array([add(r_rows[a:b]) for a, b in bounds])
+        slots, leads = _zero_led(sizes)
+        totals = _segment_sums(r_rows, slots, leads)
         means = totals / sizes
         split = np.zeros(m, dtype=bool)
         feature = np.zeros(m, dtype=np.intp)
         threshold = np.zeros(m)
         scan = ((depths > 0) & (sizes >= 2)).nonzero()[0]
         if scan.size:
-            squares = r_rows * r_rows
-            totals_sq = np.array([add(squares[slice(*bounds[i])]) for i in scan.tolist()])
+            totals_sq = _segment_sums(r_rows * r_rows, slots, leads)
             found, best, feature[scan], threshold[scan] = _scan_level(
-                columns, r, orders, starts[scan], sizes[scan], totals[scan], totals_sq
+                columns, r, orders, starts[scan], sizes[scan], totals[scan], totals_sq[scan]
             )
             candidates = scan[found]
-            deviations = (r_rows - means[node_of]) ** 2
-            node_sse = np.array([add(deviations[slice(*bounds[i])]) for i in candidates.tolist()])
+            node_sse = _segment_sums((r_rows - means[node_of]) ** 2, slots, leads)
             # split only on a strict improvement of the node's own SSE
-            split[candidates] = best[found] < node_sse
+            split[candidates] = best[found] < node_sse[candidates]
         leaf = ~split[node_of]
         fitted[rows[leaf]] = means[node_of[leaf]]
         held_leaf = ~split[held_node]
@@ -399,15 +420,18 @@ def staged_holdout_rmse(
     fit_of = np.repeat(np.arange(len(fits)), sizes)
     # each fit's rows by feature value, ties in row order: fit_gbrt's argsort
     orders = [np.lexsort((column, fit_of)) for column in columns]
-    bases = np.array([y_train[e - s:e].mean() for s, e in zip(sizes.tolist(), ends.tolist())])
+    # np.mean is the sum over the count
+    bases = _segment_sums(y_train, *_zero_led(sizes)) / sizes
     predictions = np.repeat(bases, sizes)
     held_predictions = np.repeat(bases, held_sizes)
     rates = np.array([hp.learning_rate for hp in hps])
     rate, held_rate = np.repeat(rates, sizes), np.repeat(rates, held_sizes)
     depths = np.array([hp.max_depth for hp in hps])
     n_trees = [hp.n_estimators for hp in hps]
-    errors = np.empty((max(n_trees, default=0) + 1, held_pool.shape[0]))
-    errors[0] = (held_predictions - y_held) ** 2
+    # squared held errors per stage, each fit's after a 0.0 for _segment_sums
+    held_slots, held_leads = _zero_led(held_sizes)
+    errors = np.zeros((max(n_trees, default=0) + 1, held_pool.shape[0] + len(fits)))
+    errors[0, held_slots] = (held_predictions - y_held) ** 2
     for t in range(errors.shape[0] - 1):
         k = sum(n > t for n in n_trees)
         n, h = int(ends[k - 1]), int(held_ends[k - 1])
@@ -417,9 +441,11 @@ def staged_holdout_rmse(
         )
         predictions[:n] += rate[:n] * fitted
         held_predictions[:h] += held_rate[:h] * predicted
-        errors[t + 1, :h] = (held_predictions[:h] - y_held[:h]) ** 2
+        errors[t + 1, held_slots[:h]] = (held_predictions[:h] - y_held[:h]) ** 2
+    # every fit's 1-D mean per stage, as imputation.rmse takes it
+    means = np.array([np.add.reduceat(stage, held_leads) for stage in errors]) / held_sizes
+    staged = np.sqrt(means).T.tolist()
     out: list[list[float]] = [[]] * len(fits)
-    for i, s, e, trees in zip(rank, held_sizes.tolist(), held_ends.tolist(), n_trees):
-        # one 1-D mean per stage, as imputation.rmse takes it
-        out[i] = np.sqrt([stage.mean() for stage in errors[: trees + 1, e - s:e]]).tolist()
+    for j, (i, trees) in enumerate(zip(rank, n_trees)):
+        out[i] = staged[j][: trees + 1]
     return out

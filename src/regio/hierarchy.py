@@ -154,6 +154,8 @@ class RegionHierarchy:
     def _lookup(self, level: SpatialLevel, codes: Sequence[str]) -> np.ndarray:
         """Positions of ``codes`` within ``regions_at(level)``, -1 for a code
         that is not a region at ``level``."""
+        if tuple(codes) == self._codes[level]:  # every region, in code order
+            return np.arange(len(codes))
         level_codes = self._codes[level] + (None,)  # position -1 reads None
         index = np.fromiter(map(self._position.get, codes, repeat(-1)), np.intp, len(codes))
         index[index >= len(level_codes)] = -1  # a region at a larger level

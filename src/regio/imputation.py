@@ -20,11 +20,15 @@ element work, which the per-node grower of ``fit_gbrt`` does only once, and
 smaller batches have too few nodes per call to pay for the padding, so
 those fits are grown one by one. Both growers give the same staged RMSEs,
 bit for bit.
+
+With ``jobs > 1`` the batches go to forked worker processes. A ``CVPool``
+keeps one set of workers for many grid searches (``regio impute`` opens
+one per run), and each batch carries its own data, so a search that
+follows another forks nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -215,18 +219,8 @@ def _staged_batch(X, y, folds, lockstep: bool, batch) -> list[list[float]]:
     return [_staged_fold_rmse(X, y, folds, unit) for unit in batch]
 
 
-# Set only in pool workers, by the initializer: (X, y, folds) of the
-# grid_search_cv call that forked them.
-_worker_data: tuple = ()
-
-
-def _init_worker(X, y, folds) -> None:
-    global _worker_data
-    _worker_data = (X, y, folds)
-
-
-def _staged_batch_in_worker(task) -> list[list[float]]:
-    return _staged_batch(*_worker_data, *task)
+def _staged_task(task) -> list[list[float]]:
+    return _staged_batch(*task)
 
 
 def _cv_workers(jobs: int, n_units: int) -> int:
@@ -235,40 +229,65 @@ def _cv_workers(jobs: int, n_units: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, n_units))
 
 
-def _map_batches(X, y, folds, tasks, workers: int) -> list[list[list[float]]]:
-    """``_staged_batch`` of every ``(lockstep, batch)`` task, in order.
+class CVPool:
+    """Up to ``jobs`` worker processes, shared by every grid search that is
+    given this pool as its ``jobs`` while the pool is open.
 
-    With more than one worker the batches go to a pool of forked processes,
-    which inherit the arrays instead of receiving pickled copies. Forking
-    is unsafe while other threads run, so the fits stay in this process
-    then, and where ``fork`` does not exist.
+    The workers are forked when a search first deals its fits to more than
+    one batch, and stay until the ``with`` block ends, which shuts them
+    down and joins them. Forking is unsafe while other threads run, so a
+    pool that has no workers yet fits in this process then, and so it does
+    where ``fork`` does not exist.
     """
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(
-                workers, multiprocessing.get_context("fork"), _init_worker, (X, y, folds)
-            ) as pool:
-                return list(pool.map(_staged_batch_in_worker, tasks))
-    return list(itertools.starmap(functools.partial(_staged_batch, X, y, folds), tasks))
+    def __init__(self, jobs: int = 1):
+        self.jobs = jobs
+        self._executor = None
+
+    def __enter__(self) -> "CVPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+    def map(self, tasks, workers: int) -> list[list[list[float]]]:
+        """``_staged_batch(*task)`` of every task, in order; with more than
+        one worker, in this pool's processes."""
+        if workers > 1 and self._executor is None and threading.active_count() == 1:
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                self._executor = ProcessPoolExecutor(
+                    _cv_workers(self.jobs, self.jobs), multiprocessing.get_context("fork")
+                )
+        if workers > 1 and self._executor is not None:
+            return list(self._executor.map(_staged_task, tasks))
+        return list(map(_staged_task, tasks))
 
 
-def _map_units(X, y, folds, units, jobs: int) -> list[list[float]]:
+def _map_units(X, y, folds, units, jobs: "int | CVPool") -> list[list[float]]:
     """``_staged_fold_rmse`` of every unit, in the order of ``units``.
 
     The units are dealt round-robin into one batch per worker, and the
     batches grow in lockstep if ``_lockstep`` holds for the smallest of
-    them; otherwise every unit is a batch of its own.
+    them; otherwise every unit is a batch of its own. Each task carries
+    its own ``(X, y, folds)``, so one pool serves every search.
     """
-    workers = _cv_workers(jobs, len(units))
+    workers = _cv_workers(jobs.jobs if isinstance(jobs, CVPool) else jobs, len(units))
     n_train = y.shape[0] - min(len(fold) for fold in folds)
     lockstep = _lockstep(n_train, len(units) // workers)
     stride = workers if lockstep else len(units)
-    tasks = [(lockstep, units[i::stride]) for i in range(stride)]
+    tasks = [(X, y, folds, lockstep, units[i::stride]) for i in range(stride)]
+    if isinstance(jobs, CVPool):
+        batches = jobs.map(tasks, workers)
+    else:
+        with CVPool(workers) as pool:
+            batches = pool.map(tasks, workers)
     staged: list[list[float]] = [[] for _ in units]
-    for i, batch_scores in enumerate(_map_batches(X, y, folds, tasks, workers)):
+    for i, batch_scores in enumerate(batches):
         staged[i::stride] = batch_scores
     return staged
 
@@ -279,7 +298,7 @@ def grid_search_cv(
     grid: Sequence[HyperParams],
     k: int = 5,
     seed: int = 0,
-    jobs: int = 1,
+    jobs: "int | CVPool" = 1,
 ) -> tuple[HyperParams, float]:
     """Pick the grid point with the lowest mean held-fold RMSE.
 
@@ -289,7 +308,8 @@ def grid_search_cv(
     learning_rate, fold) is fit once with its largest n_estimators, and the
     held-fold prediction is scored after every requested number of trees.
     Those fits are independent; ``jobs > 1`` runs them in up to ``jobs``
-    processes, with the same result.
+    processes forked for this call, and a ``CVPool`` runs them in its
+    workers, with the same result.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -397,7 +417,7 @@ def impute_series(
     target: VariableSeries,
     candidates: Sequence[VariableSeries],
     config: ImputationConfig = ImputationConfig(),
-    jobs: int = 1,
+    jobs: "int | CVPool" = 1,
 ) -> tuple[VariableSeries, ImputationReport]:
     """Fill the target's missing values; returns (completed series, report).
 
@@ -405,7 +425,8 @@ def impute_series(
     are untouched at VERY_HIGH; imputed values carry the confidence grade of
     the winning setup's validation R² (or LOW on the mean-fallback path). A
     target with no observed value raises InsufficientData.
-    ``jobs`` is the number of processes each grid search may fit in.
+    ``jobs`` is the number of processes each grid search may fit in, or a
+    ``CVPool`` that every grid search fits in.
     """
     missing = target.missing_regions()
     if not missing:

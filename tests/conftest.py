@@ -1,4 +1,8 @@
+import multiprocessing
+import os
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,12 @@ from regio.hierarchy import RegionHierarchy, RegionNode, SpatialLevel
 DATA_DIR = Path(__file__).parent / "data"
 TOY_PROJECT = DATA_DIR / "toy_project"
 
+# The process pool tests fork two workers.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
+    reason="needs fork and two CPUs",
+)
+
 
 @pytest.fixture
 def toy_project(tmp_path):
@@ -16,6 +26,39 @@ def toy_project(tmp_path):
     target = tmp_path / "toy_project"
     shutil.copytree(TOY_PROJECT, target)
     return target / "config.json"
+
+
+def os_thread_count() -> int:
+    """Threads of this process as the OS counts them (Python's fork warning
+    counts them the same way on Linux)."""
+    try:
+        with open("/proc/self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[17])
+    except OSError:
+        return threading.active_count()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Thread count seen in this process right after each fork.
+
+    A pool thread of an earlier test can still be leaving the OS after
+    Python has joined it, so first wait (up to 5 s) for the OS count to
+    fall to the threads Python knows of."""
+    deadline = time.monotonic() + 5.0
+    while os_thread_count() > threading.active_count() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    counts = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            counts.append(os_thread_count())
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return counts
 
 
 def build_country(country, n_nuts1, n_nuts2, n_nuts3, n_lau):

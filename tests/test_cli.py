@@ -1,11 +1,13 @@
 import json
+import multiprocessing
 import re
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
 
-from conftest import TOY_PROJECT
+from conftest import TOY_PROJECT, needs_fork
 from regio import cli, formulas
 from regio.cli import _dump_json, main
 from regio.config import (
@@ -17,6 +19,7 @@ from regio.config import (
     load_project_config,
 )
 from regio.hierarchy import load_hierarchy
+from regio.imputation import CVPool
 
 
 def run_cli(*args):
@@ -689,6 +692,51 @@ class TestImpute:
         monkeypatch.setenv("REGIO_SEED", "123456")
         assert run_cli("impute", "--config", toy_project, "--seed", 777) == 0
         assert out.read_bytes() == by_flag
+
+    @staticmethod
+    def blank_road_network(toy_project, regions) -> None:
+        """Empty the toy road_network values of ``regions`` (all if None);
+        industrial_area, which sorts first, already misses one value."""
+        path = toy_project.parent / "series" / "road_network.csv"
+        path.write_text("".join(
+            f"{line.split(',')[0]},\n" if i and (regions is None or line.split(",")[0] in regions)
+            else f"{line}\n"
+            for i, line in enumerate(path.read_text().split())
+        ))
+
+    @needs_fork
+    def test_one_pool_per_run(self, toy_project, forks, monkeypatch):
+        self.blank_road_network(toy_project, {"AA_0003"})
+        assert run_cli("impute", "--config", toy_project, "--jobs", 1) == 0
+        serial = output_files(toy_project)
+        shutil.rmtree(output_dir(toy_project))
+        executors = []
+        real_map = CVPool.map
+
+        def recording_map(pool, tasks, workers):
+            scores = real_map(pool, tasks, workers)
+            executors.append(pool._executor)
+            return scores
+
+        monkeypatch.setattr(CVPool, "map", recording_map)
+        assert run_cli("impute", "--config", toy_project, "--jobs", 2) == 0
+        assert forks == [1, 1]
+        assert multiprocessing.active_children() == []
+        assert output_files(toy_project) == serial
+        summary = json.loads(serial["imputed/imputation_summary.json"])
+        assert sorted(summary["imputed"]) == ["industrial_area", "road_network"]
+        # every grid search of both variables ran in the one pool
+        assert len(executors) >= 3 and None not in executors
+        assert len({id(executor) for executor in executors}) == 1
+
+    @needs_fork
+    def test_pool_is_joined_when_a_variable_fails(self, toy_project, forks, capsys):
+        self.blank_road_network(toy_project, None)
+        assert run_cli("impute", "--config", toy_project, "--jobs", 2) == 2
+        assert "road_network: no observed value" in capsys.readouterr().out
+        assert forks == [1, 1]  # industrial_area's searches ran in the pool
+        assert threading.active_count() == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestDisaggregate:

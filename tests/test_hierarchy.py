@@ -115,6 +115,18 @@ class TestQueries:
         assert len(mini_hierarchy.regions_at(SpatialLevel.LAU, "AA")) == 6
         assert mini_hierarchy.regions_at(SpatialLevel.NUTS0) == ["AA", "BB"]
 
+    @pytest.mark.parametrize("level", list(SpatialLevel), ids=lambda level: level.name)
+    def test_positions_of_a_whole_level(self, mini_hierarchy, level):
+        codes = mini_hierarchy.regions_at(level)
+        n = len(codes)
+        for whole in (codes, tuple(codes)):
+            assert mini_hierarchy.positions(level, whole).tolist() == list(range(n))
+            assert mini_hierarchy.rows(level, whole).tolist() == list(range(n))
+        assert mini_hierarchy.positions(level, codes[::-1]).tolist() == list(range(n))[::-1]
+        other = SpatialLevel(level - 1) if level else SpatialLevel.LAU
+        with pytest.raises(UnknownRegion):
+            mini_hierarchy.positions(other, codes)
+
 
 class TestInvariants:
     def test_descendants_ancestor_round_trip(self, mini_hierarchy):

@@ -2,13 +2,13 @@ import math
 import multiprocessing
 import os
 import threading
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from conftest import needs_fork
 from regio.errors import (
     InsufficientData,
     LengthMismatch,
@@ -22,6 +22,7 @@ from regio.imputation import (
     ENSEMBLE,
     LOCKSTEP_MAX_ROWS,
     MEAN_FALLBACK,
+    CVPool,
     GridSpec,
     ImputationConfig,
     _cv_workers,
@@ -266,16 +267,6 @@ class TestPooledGridSearchMatchesReference(TestStagedGridSearchMatchesReference)
     jobs = 2
 
 
-def os_thread_count() -> int:
-    """Threads of this process as the OS counts them (Python's fork warning
-    counts them the same way on Linux)."""
-    try:
-        with open("/proc/self/stat") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[17])
-    except OSError:
-        return threading.active_count()
-
-
 class TestCrossValidationPool:
     GRID = GridSpec((3, 6), (0.1, 0.3), (1, 2)).expand()
 
@@ -283,28 +274,6 @@ class TestCrossValidationPool:
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(40, 2))
         return X, X[:, 0] + rng.normal(scale=0.1, size=40)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Thread count seen in this process right after each fork.
-
-        A pool thread of an earlier test can still be leaving the OS after
-        Python has joined it, so first wait (up to 5 s) for the OS count to
-        fall to the threads Python knows of."""
-        deadline = time.monotonic() + 5.0
-        while os_thread_count() > threading.active_count() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        counts = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                counts.append(os_thread_count())
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return counts
 
     def test_worker_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -317,10 +286,7 @@ class TestCrossValidationPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _cv_workers(10_000, 40) == 1
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
-        reason="needs fork and two CPUs",
-    )
+    @needs_fork
     def test_pool_forks_while_single_threaded(self, forks):
         X, y = self.data()
         with warnings.catch_warnings():
@@ -328,7 +294,28 @@ class TestCrossValidationPool:
             pooled = grid_search_cv(X, y, self.GRID, 5, 3, jobs=2)
         assert forks == [1, 1]
         assert threading.active_count() == 1  # the pool's threads were joined
+        assert multiprocessing.active_children() == []
         assert pooled == grid_search_cv(X, y, self.GRID, 5, 3)
+
+    @needs_fork
+    def test_one_pool_serves_many_searches(self, forks):
+        X, y = self.data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with CVPool(2) as pool:
+                pooled = [grid_search_cv(X, y, self.GRID, 5, seed, pool) for seed in range(3)]
+                assert len(multiprocessing.active_children()) == 2
+        assert forks == [1, 1]
+        assert threading.active_count() == 1
+        assert multiprocessing.active_children() == []
+        assert pooled == [grid_search_cv(X, y, self.GRID, 5, seed) for seed in range(3)]
+
+    def test_pool_stays_unforked_while_threads_run(self, forks):
+        X, y = self.data()
+        with CVPool(2) as pool, ThreadPoolExecutor(1) as threads:
+            threaded = threads.submit(grid_search_cv, X, y, self.GRID, 5, 3, pool).result(60)
+        assert forks == []
+        assert threaded == grid_search_cv(X, y, self.GRID, 5, 3)
 
     def test_fits_stay_in_process_while_threads_run(self, forks):
         X, y = self.data()

@@ -3,13 +3,16 @@
 ``_staged_batch`` with ``lockstep`` grows the fits of a batch of CV units
 together (``gbrt.staged_holdout_rmse``); every staged RMSE must equal, by
 ``float.hex``, the one ``_staged_fold_rmse`` takes from ``fit_gbrt`` and
-``TrainedEnsemble._stages`` for that unit alone.
+``TrainedEnsemble._stages`` for that unit alone. The kernel's node sums
+(``gbrt._segment_sums``) must equal ``.sum()`` of each node's rows by bit
+pattern.
 """
 
 import numpy as np
 import pytest
 
 import regio.imputation
+from regio.gbrt import _segment_sums, _zero_led
 from regio.imputation import (
     LOCKSTEP_MAX_ROWS,
     LOCKSTEP_MIN_FITS,
@@ -28,12 +31,43 @@ def hexes(staged):
     return [[value.hex() for value in scores] for scores in staged]
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def segments(draw):
+    """(values, sizes): back-to-back segments of 1-2,000 values, now and
+    then one above 8,192 values, at magnitudes 1e-8 to 1e8, with signed
+    zeros and mixed signs."""
+    sizes = draw(st.lists(st.integers(1, 2_000), min_size=1, max_size=12))
+    if draw(st.integers(0, 4)) == 0:
+        sizes.insert(draw(st.integers(0, len(sizes))), draw(st.integers(8_193, 20_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    for zero in (0.0, -0.0):
+        values[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = zero
+    return values, np.array(sizes)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=segments())
+def test_segment_sums_equal_sum_by_bits(case):
+    values, sizes = case
+    ends = sizes.cumsum().tolist()
+    expected = [values[end - size:end].sum() for size, end in zip(sizes.tolist(), ends)]
+    assert bits(_segment_sums(values, *_zero_led(sizes))) == bits(expected)
+
+
 @st.composite
 def cv_cases(draw):
     """(X, y, folds, units). Few distinct or rounded values make ties, in
     the feature values and in the split SSEs; a column or the target may be
-    constant. Units mix folds, depths 1-6, learning rates and 0-12 trees."""
-    n = draw(st.integers(5, 48))
+    constant. Units mix folds, depths 1-6, learning rates and 0-12 trees.
+    Some cases have 129-700 rows, so that nodes pass the 128-term blocks of
+    numpy's pairwise summation."""
+    n = draw(st.one_of(st.integers(5, 48), st.integers(129, 700)))
     n_features = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
