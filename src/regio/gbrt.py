@@ -16,6 +16,18 @@ Restricting a global stable sort to a node's rows orders tied values by row
 index, exactly as a per-node stable sort would, so the trees are the ones
 ``best_split`` on every node would build.
 
+Per node and feature, one ``cumsum`` gives the prefix sums of both the
+residuals and their squares. ``_paired`` writes ``r`` and ``r * r`` as the
+real and imaginary parts of one complex array, once per tree. Complex
+addition adds each part with one float addition, and ``cumsum`` adds
+sequentially, so the real and imaginary parts of the result equal
+``r.cumsum()`` and ``(r * r).cumsum()`` bit for bit, signed zeros and
+overflow to inf included. ``r + 1j * (r * r)`` would not: it drops the sign
+of -0.0, and where ``r * r`` is inf it makes the real part NaN. The lockstep
+kernel below keeps its two float ``cumsum(axis=1)`` calls: paired, its
+padded SSE would run on strided real and imaginary views, and it measured
+slower.
+
 ``staged_holdout_rmse`` scores many small cross-validation fits without
 building their trees. It grows tree t of every fit together, one tree level
 per step, so each step makes one set of numpy calls for all nodes of all
@@ -103,9 +115,19 @@ class RegressionTree:
         return walk(self.root)
 
 
+def _paired(r: np.ndarray) -> np.ndarray:
+    """``r`` and ``r * r`` as the real and imaginary parts of one complex
+    array, set one by one, so one ``cumsum`` takes both prefix sums bit for
+    bit (see the module notes)."""
+    rc = np.empty(r.shape, dtype=complex)
+    rc.real = r
+    rc.imag = r * r
+    return rc
+
+
 def _scan_splits(
     columns: np.ndarray,
-    r: np.ndarray,
+    rc: np.ndarray,
     orders: list[np.ndarray],
     total: float,
     total_sq: float,
@@ -113,10 +135,11 @@ def _scan_splits(
     """Exact argmin-SSE split of one node whose rows come presorted.
 
     ``orders[j]`` holds the node's row indices into ``columns[j]`` (the values
-    of feature ``j``) and ``r``, sorted by that feature; ties stay in row
-    order. ``total`` and ``total_sq`` are the node's residual sum and sum of
-    squares. Returns (feature, threshold, children SSE), or None when no
-    feature has two distinct values.
+    of feature ``j``) and ``rc``, the residuals paired with their squares by
+    ``_paired``, sorted by that feature; ties stay in row order. ``total``
+    and ``total_sq`` are the node's residual sum and sum of squares. Returns
+    (feature, threshold, children SSE), or None when no feature has two
+    distinct values.
     """
     best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
     for j, order in enumerate(orders):
@@ -124,16 +147,23 @@ def _scan_splits(
         boundaries = (xs[1:] != xs[:-1]).nonzero()[0]  # split after index i
         if boundaries.size == 0:
             continue
-        rs = r[order]
-        csum = rs.cumsum()
-        csum_sq = (rs * rs).cumsum()
-        n_left = boundaries + 1
-        n_right = rs.shape[0] - n_left
-        s_left = csum[boundaries]
-        q_left = csum_sq[boundaries]
-        sse = (q_left - s_left**2 / n_left) + (
-            (total_sq - q_left) - (total - s_left) ** 2 / n_right
-        )
+        sums = rc[order].cumsum()
+        s_left = sums.real[boundaries]
+        q_left = sums.imag[boundaries]
+        n_left = boundaries + 1.0
+        # in place, in the order of operations of
+        # sse = (q_left - s_left**2 / n_left)
+        #       + ((total_sq - q_left) - (total - s_left) ** 2 / n_right)
+        sse = np.square(s_left)
+        sse /= n_left
+        np.subtract(q_left, sse, out=sse)
+        np.subtract(total, s_left, out=s_left)
+        np.square(s_left, out=s_left)
+        np.subtract(order.shape[0], n_left, out=n_left)  # n_right
+        s_left /= n_left
+        np.subtract(total_sq, q_left, out=q_left)
+        q_left -= s_left
+        sse += q_left
         k = int(sse.argmin())  # first minimum -> lowest threshold
         candidate = float(sse[k])
         threshold = float((xs[boundaries[k]] + xs[boundaries[k] + 1]) / 2.0)
@@ -154,12 +184,13 @@ def best_split(X: np.ndarray, r: np.ndarray) -> tuple[int, float, float] | None:
         return None
     columns = X.T
     orders = [np.argsort(column, kind="stable") for column in columns]
-    return _scan_splits(columns, r, orders, float(r.sum()), float((r * r).sum()))
+    return _scan_splits(columns, _paired(r), orders, float(r.sum()), float((r * r).sum()))
 
 
 def _grow(
     columns: np.ndarray,
     r: np.ndarray,
+    rc: np.ndarray,
     rows: np.ndarray,
     orders: list[np.ndarray],
     depth_left: int,
@@ -169,10 +200,11 @@ def _grow(
     """Grow the subtree over ``rows`` (ascending) and write its leaf values
     into ``fitted[rows]``, which is what the tree predicts for those rows.
 
-    ``orders`` are the node's rows sorted by each feature. A child keeps its
-    parent's order through the ``in_left`` scratch mask, so no node sorts
-    again. The node's sums and SSE are taken over ``r[rows]`` in row order,
-    because pairwise summation depends on the order of its terms.
+    ``orders`` are the node's rows sorted by each feature, and ``rc`` is
+    ``_paired(r)``. A child keeps its parent's order through the ``in_left``
+    scratch mask, so no node sorts again. The node's sums and SSE are taken
+    over ``r[rows]`` in row order, because pairwise summation depends on the
+    order of its terms.
     """
     r_node = r[rows]
     n = rows.shape[0]
@@ -181,7 +213,7 @@ def _grow(
     if depth_left == 0 or n < 2:
         fitted[rows] = mean
         return TreeNode(value=mean)
-    split = _scan_splits(columns, r, orders, total, float((r_node * r_node).sum()))
+    split = _scan_splits(columns, rc, orders, total, float((r_node * r_node).sum()))
     # no strict improvement on the node's own SSE
     if split is None or not split[2] < float(((r_node - mean) ** 2).sum()):
         fitted[rows] = mean
@@ -194,8 +226,8 @@ def _grow(
         side = in_left[order]
         left_orders.append(order[side])
         right_orders.append(order[~side])
-    left = _grow(columns, r, rows[go_left], left_orders, depth_left - 1, fitted, in_left)
-    right = _grow(columns, r, rows[~go_left], right_orders, depth_left - 1, fitted, in_left)
+    left = _grow(columns, r, rc, rows[go_left], left_orders, depth_left - 1, fitted, in_left)
+    right = _grow(columns, r, rc, rows[~go_left], right_orders, depth_left - 1, fitted, in_left)
     return TreeNode(value=mean, feature=feature, threshold=threshold, left=left, right=right)
 
 
@@ -243,9 +275,9 @@ def fit_gbrt(
     trees: list[RegressionTree] = []
     for _ in range(hp.n_estimators):
         residuals = y - predictions
-        tree = RegressionTree(
-            _grow(columns, residuals, rows, orders, hp.max_depth, fitted, in_left)
-        )
+        tree = RegressionTree(_grow(
+            columns, residuals, _paired(residuals), rows, orders, hp.max_depth, fitted, in_left
+        ))
         predictions += hp.learning_rate * fitted  # fitted == tree.predict(X)
         trees.append(tree)
     return TrainedEnsemble(base, trees, hp.learning_rate, list(feature_ids or []))

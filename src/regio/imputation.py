@@ -303,7 +303,8 @@ def grid_search_cv(
     """Pick the grid point with the lowest mean held-fold RMSE.
 
     Exact ties break to smaller n_estimators, then max_depth, then
-    learning_rate. Boosting is sequential, so the first ``n`` trees of a
+    learning_rate. Raises InsufficientData when no grid point has a finite
+    mean RMSE. Boosting is sequential, so the first ``n`` trees of a
     larger ensemble are the ensemble of ``n`` trees: each (max_depth,
     learning_rate, fold) is fit once with its largest n_estimators, and the
     held-fold prediction is scored after every requested number of trees.
@@ -340,6 +341,8 @@ def grid_search_cv(
         if mean_rmse < best_rmse:  # strict: first in rank order wins ties
             best_rmse = mean_rmse
             best_hp = hp
+    if best_hp is None:
+        raise InsufficientData("no grid point has a finite mean held-fold RMSE")
     return best_hp, best_rmse
 
 

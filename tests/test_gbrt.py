@@ -154,6 +154,70 @@ class TestStumpOracle:
         assert best_split(X, y - y.mean()) is None
 
 
+def two_cumsum_best_split(X, r):
+    """``best_split`` with one float ``cumsum`` for ``r`` and one for
+    ``r * r`` and the children's SSE written out, not in place: the split
+    search the paired prefix sums of ``gbrt._scan_splits`` must match bit
+    for bit."""
+    if r.shape[0] < 2:
+        return None
+    total, total_sq = float(r.sum()), float((r * r).sum())
+    best = None  # (sse, feature, threshold)
+    for j, column in enumerate(X.T):
+        order = np.argsort(column, kind="stable")
+        xs = column[order]
+        boundaries = (xs[1:] != xs[:-1]).nonzero()[0]
+        if boundaries.size == 0:
+            continue
+        rs = r[order]
+        csum = rs.cumsum()
+        csum_sq = (rs * rs).cumsum()
+        n_left = boundaries + 1
+        n_right = rs.shape[0] - n_left
+        s_left = csum[boundaries]
+        q_left = csum_sq[boundaries]
+        sse = (q_left - s_left**2 / n_left) + (
+            (total_sq - q_left) - (total - s_left) ** 2 / n_right
+        )
+        k = int(sse.argmin())
+        candidate = float(sse[k])
+        threshold = float((xs[boundaries[k]] + xs[boundaries[k] + 1]) / 2.0)
+        if best is None or candidate < best[0]:
+            best = (candidate, j, threshold)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def split_hexes(split):
+    if split is None:
+        return None
+    feature, threshold, sse = split
+    return feature, threshold.hex(), sse.hex()
+
+
+def test_best_split_matches_two_cumsums_by_bits():
+    rng = np.random.default_rng(20)
+    for case in range(400):
+        n = int(rng.choice([2, 2, 3, int(rng.integers(4, 60)), int(rng.integers(60, 700))]))
+        f = int(rng.integers(1, 5))
+        if case % 3 == 0:  # heavy ties, including -0.0 == 0.0
+            X = rng.choice([0.0, -0.0, 1.0, 2.0, 3.5], size=(n, f))
+        else:
+            X = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 4)))
+        if case % 4 == 0:
+            X[:, int(rng.integers(f))] = 2.5  # a constant column
+        if case % 5 == 0 and f > 1:
+            X[:, 1] = X[:, 0]  # equal SSEs: the lower feature wins
+        scale = 10.0 ** float(rng.choice([0.0, 0.0, 150.0, float(rng.integers(-8, 9))]))
+        if case % 2 == 0:  # a few residual values: ties in the split SSEs
+            r = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=n) * scale
+        else:
+            r = np.round(rng.normal(size=n), 2) * scale
+        want = two_cumsum_best_split(X, r)
+        assert split_hexes(best_split(X, r)) == split_hexes(want), case
+
+
 def reference_grow(X, r, depth_left):
     """The recursive grower that sorts at every node: ``best_split`` on the
     node's own rows, children built from boolean row subsets."""

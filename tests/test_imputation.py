@@ -185,6 +185,14 @@ class TestGridSearch:
         with pytest.raises(InsufficientData):
             grid_search_cv(np.zeros((3, 1)), np.zeros(3), [HyperParams(1, 0.1, 1)], k=5)
 
+    def test_no_finite_score(self):
+        # squared errors of ~1e200 overflow, so every mean RMSE is inf
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 1))
+        y = rng.normal(size=20) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InsufficientData):
+            grid_search_cv(X, y, [HyperParams(5, 0.1, 2)], k=5, seed=0)
+
     def test_tie_break_order(self):
         # constant target: every grid point scores identically; the smallest
         # (n_estimators, max_depth, learning_rate) must win

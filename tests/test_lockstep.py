@@ -1,18 +1,20 @@
-"""The lockstep CV kernel against the per-unit path.
+"""The lockstep CV kernel against the per-unit path, and the numpy loops
+the split kernels rely on, pinned by bit pattern.
 
 ``_staged_batch`` with ``lockstep`` grows the fits of a batch of CV units
 together (``gbrt.staged_holdout_rmse``); every staged RMSE must equal, by
 ``float.hex``, the one ``_staged_fold_rmse`` takes from ``fit_gbrt`` and
 ``TrainedEnsemble._stages`` for that unit alone. The kernel's node sums
 (``gbrt._segment_sums``) must equal ``.sum()`` of each node's rows by bit
-pattern.
+pattern, and one complex ``cumsum`` of ``gbrt._paired(r)`` must give
+``r.cumsum()`` and ``(r * r).cumsum()`` bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import regio.imputation
-from regio.gbrt import _segment_sums, _zero_led
+from regio.gbrt import _paired, _segment_sums, _zero_led
 from regio.imputation import (
     LOCKSTEP_MAX_ROWS,
     LOCKSTEP_MIN_FITS,
@@ -58,6 +60,32 @@ def test_segment_sums_equal_sum_by_bits(case):
     ends = sizes.cumsum().tolist()
     expected = [values[end - size:end].sum() for size, end in zip(sizes.tolist(), ends)]
     assert bits(_segment_sums(values, *_zero_led(sizes))) == bits(expected)
+
+
+@st.composite
+def residual_runs(draw):
+    """1-3,000 residuals at magnitudes 1e-160 to 1e160, so that ``r * r``
+    may overflow to inf or underflow to zero, with mixed signs, signed
+    zeros and, in some runs, only a few distinct values."""
+    n = draw(st.integers(1, 3_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = sorted([draw(st.integers(-160, 160)), draw(st.integers(-160, 160))])
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
+    for zero in (0.0, -0.0):
+        values[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = zero
+    if draw(st.booleans()):  # ties
+        values = values[rng.integers(0, min(n, draw(st.integers(1, 4))), n)]
+    return values
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(r=residual_runs())
+def test_paired_cumsum_equals_both_cumsums_by_bits(r):
+    with np.errstate(over="ignore"):  # r * r may overflow to inf
+        sums = _paired(r).cumsum()
+        squares = (r * r).cumsum()
+    assert bits(sums.real) == bits(r.cumsum())
+    assert bits(sums.imag) == bits(squares)
 
 
 @st.composite
