@@ -35,7 +35,7 @@ from .disaggregation import (
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments, variables
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
-from .imputation import CVPool, impute_series
+from .imputation import CVPool, impute_all
 from .series import (
     SeriesMeta,
     VariableStore,
@@ -192,34 +192,39 @@ def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
 
     National (NUTS0) series are the disaggregation targets and are never
     imputed; a missing national value later skips its pipeline task. The
-    cross-validation fits of every variable run in one pool of up to
-    ``jobs`` processes, which is shut down before this returns or raises.
+    run is planned once over every variable: the cross-validation fits of
+    all grid searches run in one map of a pool of up to ``jobs`` processes
+    and the final fits in a second, and the pool is shut down before any
+    output is written. A variable with no observed value fails the run
+    before anything is fit or written.
     """
     out_dir = project.config.output_dir / "imputed"
     out_dir.mkdir(parents=True, exist_ok=True)
-    icfg = project.config.imputation_config(seed)
     summary = {"imputed": {}, "complete": []}
+    targets = []
+    for series in project.store.all_series():
+        if series.level == SpatialLevel.NUTS0:
+            continue
+        if series.is_complete:
+            summary["complete"].append(series.variable_id)
+        else:
+            targets.append(series)
+    items = [(s, _impute_candidates(project.store, project.hierarchy, s)) for s in targets]
     with CVPool(jobs) as pool:
-        for series in project.store.all_series():
-            if series.level == SpatialLevel.NUTS0:
-                continue
-            if series.is_complete:
-                summary["complete"].append(series.variable_id)
-                continue
-            candidates = _impute_candidates(project.store, project.hierarchy, series)
-            completed, report = impute_series(series, candidates, icfg, pool)
-            write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
-            _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
-            n_imputed = len(series.missing_regions())
-            summary["imputed"][series.variable_id] = {
-                "n_imputed": n_imputed,
-                "method": report.method,
-                "confidence": report.confidence.name,
-            }
-            print(
-                f"imputed {series.variable_id}: {n_imputed} values "
-                f"({report.method}, {report.confidence.name})"
-            )
+        results = impute_all(items, project.config.imputation_config(seed), pool)
+    for series, (completed, report) in zip(targets, results):
+        write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
+        _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")
+        n_imputed = len(series.missing_regions())
+        summary["imputed"][series.variable_id] = {
+            "n_imputed": n_imputed,
+            "method": report.method,
+            "confidence": report.confidence.name,
+        }
+        print(
+            f"imputed {series.variable_id}: {n_imputed} values "
+            f"({report.method}, {report.confidence.name})"
+        )
     _dump_json(summary, out_dir / "imputation_summary.json")
     print(f"{len(summary['imputed'])} variable(s) imputed")
 
@@ -337,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument(
             "--jobs", type=int, default=1,
-            help="impute: processes for the cross-validation fits; "
+            help="impute: processes for the cross-validation and final fits; "
             "disaggregate: threads for the tasks of a stage",
         )
     args = parser.parse_args(argv)

@@ -36,6 +36,7 @@ import numpy as np
 from .config import _check, _fields, _is_int, _level, _list, _string, read_json
 from .errors import (
     ConfigError,
+    ConservationError,
     DuplicateVariable,
     EmptyChildSet,
     MissingValue,
@@ -55,6 +56,10 @@ ALLOCATE = "allocate"
 REPLICATE = "replicate"
 
 SOURCE_LEVELS = (SpatialLevel.NUTS0, SpatialLevel.NUTS2, SpatialLevel.NUTS3)
+
+# The largest relative gap between a source value and the sum of what it is
+# split into that a run accepts.
+MAX_CONSERVATION_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,13 @@ def allocate(
     their weights (runs back to back, ``lengths`` long; one run by default).
     Returns the children's values and each child's run total (``_run_sums``).
     A zero total degenerates to a uniform split (mass conservation is the
-    primary contract); callers detect that case by the returned total. A run
-    whose total or a value is not finite, as an inf or NaN weight or an
-    overflow makes it, raises NonFiniteAllocation.
+    primary contract); callers detect that case by the returned total. A
+    value is ``parent * weight / total``, except in a run where some
+    ``parent * weight`` leaves the float range (not finite, or zero or
+    subnormal while both factors are not zero): there every value is
+    ``parent * (weight / total)``, which stays in range for any finite
+    split. A run whose total or a value is not finite, as an inf or NaN
+    weight makes it, raises NonFiniteAllocation.
     """
     weights = np.asarray(weights, dtype=np.float64)
     lengths = np.asarray([weights.size] if lengths is None else lengths, dtype=np.intp)
@@ -159,7 +168,15 @@ def allocate(
         totals = np.repeat(_run_sums(weights, lengths), lengths)
         parents = np.repeat(np.broadcast_to(parent_values, lengths.shape), lengths)
         uniform = totals == 0.0
-        split = parents * weights / np.where(uniform, 1.0, totals)
+        divisors = np.where(uniform, 1.0, totals)
+        products = parents * weights
+        split = products / divisors
+        lost = ~np.isfinite(products) | (
+            (np.abs(products) < np.finfo(np.float64).tiny) & (parents != 0) & (weights != 0)
+        )
+        if lost.any():
+            lost = np.repeat(np.logical_or.reduceat(lost, np.cumsum(lengths) - lengths), lengths)
+            split[lost] = parents[lost] * (weights[lost] / divisors[lost])
         values = np.where(uniform, parents / np.repeat(lengths, lengths), split)
     finite = np.isfinite(totals) & np.isfinite(values)
     if not finite.all():
@@ -411,7 +428,9 @@ def run_pipeline(
 
     Tasks whose source series is absent, or has missing values for some
     source regions, are skipped (entirely or per-region) and recorded in the
-    run report; everything else is a hard error.
+    run report; everything else is a hard error, among them a source value
+    that its output regions miss by a relative residual above
+    ``MAX_CONSERVATION_RESIDUAL`` (ConservationError).
     """
     check_dependencies(specs, store)
     results: dict[str, AllocationResult] = {}
@@ -450,6 +469,13 @@ def run_pipeline(
             if spec.mode == ALLOCATE:
                 residuals = result.conservation_residuals()
                 report.max_conservation_residual = max(residuals.values(), default=0.0)
+                if report.max_conservation_residual > MAX_CONSERVATION_RESIDUAL:
+                    region = max(residuals, key=residuals.get)
+                    raise ConservationError(
+                        f"task {spec.target_id!r}: the values allocated from source region "
+                        f"{region!r} miss its value by a relative "
+                        f"{residuals[region]:.3g} (at most {MAX_CONSERVATION_RESIDUAL:g})"
+                    )
             return spec, result, report
 
         if jobs > 1:

@@ -147,6 +147,10 @@ class UnresolvedDependency(DisaggregationError):
     pass
 
 
+class ConservationError(DisaggregationError):
+    """A task's output regions do not sum to their source region's value."""
+
+
 class NonFiniteAllocation(NonFiniteValue):
     """Carries the 0-based index of the run whose total or a value is not finite."""
 

@@ -220,12 +220,13 @@ def _grow(
         return TreeNode(value=mean)
     feature, threshold, _ = split
     go_left = columns[feature][rows] <= threshold
-    in_left[rows] = go_left
     left_orders, right_orders = [], []
-    for order in orders:
-        side = in_left[order]
-        left_orders.append(order[side])
-        right_orders.append(order[~side])
+    if depth_left > 1:  # otherwise both children are leaves and never scan
+        in_left[rows] = go_left
+        for order in orders:
+            side = in_left[order]
+            left_orders.append(order[side])
+            right_orders.append(order[~side])
     left = _grow(columns, r, rc, rows[go_left], left_orders, depth_left - 1, fitted, in_left)
     right = _grow(columns, r, rc, rows[~go_left], right_orders, depth_left - 1, fitted, in_left)
     return TreeNode(value=mean, feature=feature, threshold=threshold, left=left, right=right)
@@ -400,8 +401,6 @@ def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
         parent = node_of[kept]
         rows = rows[kept]
         child = first_child[parent] + ~(columns[feature[parent], rows] <= threshold[parent])
-        child_of.fill(-1)
-        child_of[rows] = child
         held_parent = held_node[~held_leaf]
         held = held[~held_leaf]
         held_child = first_child[held_parent] + ~(
@@ -410,9 +409,13 @@ def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
         sizes = np.bincount(child, minlength=2 * int(split.sum()))
         held_sizes = np.bincount(held_child, minlength=sizes.shape[0])
         depths = np.repeat(depths[split] - 1, 2)
-        # stable sorts by child; the rows of leaves (child -1) sort first
-        dropped = node_of.shape[0] - rows.shape[0]
-        orders = [order[child_of[order].argsort(kind="stable")[dropped:]] for order in orders]
+        # stable sorts by child; the rows of leaves (child -1) sort first.
+        # Children with no depth left never scan, so need no orders.
+        if depths.any():
+            child_of.fill(-1)
+            child_of[rows] = child
+            dropped = node_of.shape[0] - rows.shape[0]
+            orders = [order[child_of[order].argsort(kind="stable")[dropped:]] for order in orders]
         rows = rows[child.argsort(kind="stable")]
         held = held[held_child.argsort(kind="stable")]
 

@@ -10,10 +10,18 @@ R² wins. A model that cannot beat the mean (validation R² <= 0), or a
 variable with no usable predictors or too few rows, falls back to mean
 imputation graded LOW.
 
-The grid search's cross-validation fits take one of two growers. They are
-dealt round-robin into one batch per worker. While each fit trains on at
-most ``LOCKSTEP_MAX_ROWS`` rows, it is bound by per-node numpy calls, and
-``gbrt.staged_holdout_rmse`` grows a batch of at least
+``impute_all`` plans a whole run of variables at once. In this process it
+plans every (variable, threshold) grid search: holdout split, predictor
+selection, folds and cross-validation units. One pool map then runs the CV
+fits of every search, and a second one the final fit of every search's
+winning grid point; each final fit returns its predictions for the
+training, validation and missing rows, so no model crosses a process
+boundary. ``impute_series`` is ``impute_all`` of one variable.
+
+The CV fits take one of two growers. Each search's fits are dealt
+round-robin into ceil(workers / searches) batches. While each fit trains
+on at most ``LOCKSTEP_MAX_ROWS`` rows, it is bound by per-node numpy calls,
+and ``gbrt.staged_holdout_rmse`` grows a batch of at least
 ``LOCKSTEP_MIN_FITS`` fits in lockstep, one tree level per step, spreading
 each step's calls over all the batch's nodes. Larger fits are bound by
 element work, which the per-node grower of ``fit_gbrt`` does only once, and
@@ -21,14 +29,15 @@ smaller batches have too few nodes per call to pay for the padding, so
 those fits are grown one by one. Both growers give the same staged RMSEs,
 bit for bit.
 
-With ``jobs > 1`` the batches go to forked worker processes. A ``CVPool``
-keeps one set of workers for many grid searches (``regio impute`` opens
-one per run), and each batch carries its own data, so a search that
-follows another forks nothing.
+With ``jobs > 1`` the tasks of a map go to forked worker processes. A
+``CVPool`` keeps one set of workers for every map made while it is open,
+and each task carries its own data, so the searches of many variables run
+side by side and a map that follows another forks nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -230,14 +239,14 @@ def _cv_workers(jobs: int, n_units: int) -> int:
 
 
 class CVPool:
-    """Up to ``jobs`` worker processes, shared by every grid search that is
-    given this pool as its ``jobs`` while the pool is open.
+    """Up to ``jobs`` worker processes, shared by every map made while the
+    pool is open (``regio impute`` opens one per run).
 
-    The workers are forked when a search first deals its fits to more than
-    one batch, and stay until the ``with`` block ends, which shuts them
-    down and joins them. Forking is unsafe while other threads run, so a
-    pool that has no workers yet fits in this process then, and so it does
-    where ``fork`` does not exist.
+    The workers are forked at the first map of more than one task, and
+    stay until the ``with`` block ends, which shuts them down and joins
+    them. Forking is unsafe while other threads run, so a pool that has no
+    workers yet runs its tasks in this process then, and so it does where
+    ``fork`` does not exist.
     """
 
     def __init__(self, jobs: int = 1):
@@ -252,9 +261,11 @@ class CVPool:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def map(self, tasks, workers: int) -> list[list[list[float]]]:
-        """``_staged_batch(*task)`` of every task, in order; with more than
-        one worker, in this pool's processes."""
+    def map(self, fn, tasks) -> list:
+        """``fn(task)`` of every task, in order; with more than one task
+        and ``jobs > 1``, in this pool's processes. ``fn`` must be a
+        module-level function."""
+        workers = _cv_workers(self.jobs, len(tasks))
         if workers > 1 and self._executor is None and threading.active_count() == 1:
             import multiprocessing
             from concurrent.futures.process import ProcessPoolExecutor
@@ -264,32 +275,98 @@ class CVPool:
                     _cv_workers(self.jobs, self.jobs), multiprocessing.get_context("fork")
                 )
         if workers > 1 and self._executor is not None:
-            return list(self._executor.map(_staged_task, tasks))
-        return list(map(_staged_task, tasks))
+            return list(self._executor.map(fn, tasks))
+        return list(map(fn, tasks))
 
 
-def _map_units(X, y, folds, units, jobs: "int | CVPool") -> list[list[float]]:
-    """``_staged_fold_rmse`` of every unit, in the order of ``units``.
+def _pool(jobs: "int | CVPool"):
+    """A context that yields ``jobs`` if it is a pool, else a new pool of
+    ``jobs`` processes that it shuts down on exit."""
+    return contextlib.nullcontext(jobs) if isinstance(jobs, CVPool) else CVPool(jobs)
 
-    The units are dealt round-robin into one batch per worker, and the
-    batches grow in lockstep if ``_lockstep`` holds for the smallest of
-    them; otherwise every unit is a batch of its own. Each task carries
-    its own ``(X, y, folds)``, so one pool serves every search.
+
+@dataclass
+class _Search:
+    """One grid search, planned: its rows, folds and grid points in rank
+    order, and one CV unit ``(fold index, max_depth, learning_rate,
+    n_estimators)`` per fit with the positions in ``ranked`` it scores."""
+
+    X: np.ndarray
+    y: np.ndarray
+    folds: list[np.ndarray]
+    ranked: list[HyperParams]
+    fits: list[tuple[list[int], tuple[int, int, float, int]]]
+
+
+def _plan_search(X, y, grid: Sequence[HyperParams], k: int, seed: int) -> _Search:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    if n < k:
+        raise InsufficientData(f"{k}-fold CV needs >= {k} rows, got {n}")
+    perm = np.random.default_rng(seed).permutation(n)
+    folds = np.array_split(perm, k)
+    ranked = sorted(grid, key=lambda h: (h.n_estimators, h.max_depth, h.learning_rate))
+    # Positions in ``ranked`` that share a (max_depth, learning_rate) fit.
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, hp in enumerate(ranked):
+        groups.setdefault((hp.max_depth, hp.learning_rate), []).append(i)
+    fits = [
+        (positions, (fold_index, depth, lr, max(ranked[i].n_estimators for i in positions)))
+        for fold_index in range(k)
+        for (depth, lr), positions in groups.items()
+    ]
+    return _Search(X, y, folds, ranked, fits)
+
+
+def _run_searches(searches: Sequence[_Search], pool: CVPool) -> list[list[list[float]]]:
+    """``_staged_fold_rmse`` of every unit of every search, per search in
+    unit order, all in one map of ``pool``.
+
+    Each search's units are dealt round-robin into ceil(workers / searches)
+    batches (one per worker for a search alone), and its batches grow in
+    lockstep if ``_lockstep`` holds for the smallest of them; otherwise
+    every unit is a batch of its own. Each task carries its own
+    ``(X, y, folds)``, so the searches' batches run side by side.
     """
-    workers = _cv_workers(jobs.jobs if isinstance(jobs, CVPool) else jobs, len(units))
-    n_train = y.shape[0] - min(len(fold) for fold in folds)
-    lockstep = _lockstep(n_train, len(units) // workers)
-    stride = workers if lockstep else len(units)
-    tasks = [(X, y, folds, lockstep, units[i::stride]) for i in range(stride)]
-    if isinstance(jobs, CVPool):
-        batches = jobs.map(tasks, workers)
-    else:
-        with CVPool(workers) as pool:
-            batches = pool.map(tasks, workers)
-    staged: list[list[float]] = [[] for _ in units]
-    for i, batch_scores in enumerate(batches):
-        staged[i::stride] = batch_scores
-    return staged
+    workers = _cv_workers(pool.jobs, sum(len(search.fits) for search in searches))
+    tasks, strides = [], []
+    for search in searches:
+        units = [unit for _, unit in search.fits]
+        batches = _cv_workers(-(-workers // len(searches)), len(units))
+        n_train = search.y.shape[0] - min(len(fold) for fold in search.folds)
+        lockstep = _lockstep(n_train, len(units) // batches)
+        stride = batches if lockstep else len(units)
+        tasks += [(search.X, search.y, search.folds, lockstep, units[i::stride])
+                  for i in range(stride)]
+        strides.append(stride)
+    results = iter(pool.map(_staged_task, tasks))
+    out = []
+    for search, stride in zip(searches, strides):
+        staged: list[list[float]] = [[] for _ in search.fits]
+        for i in range(stride):
+            staged[i::stride] = next(results)
+        out.append(staged)
+    return out
+
+
+def _pick(search: _Search, staged_scores: list[list[float]]) -> tuple[HyperParams, float]:
+    """The grid point of ``search`` with the lowest mean held-fold RMSE,
+    given each unit's staged scores; the first in rank order wins ties."""
+    scores: list[list[float]] = [[] for _ in search.ranked]  # per position, in fold order
+    for (positions, _), staged in zip(search.fits, staged_scores):
+        for i in positions:
+            scores[i].append(staged[search.ranked[i].n_estimators])
+    best_hp: HyperParams | None = None
+    best_rmse = math.inf
+    for hp, hp_scores in zip(search.ranked, scores):
+        mean_rmse = float(np.mean(hp_scores))
+        if mean_rmse < best_rmse:  # strict: first in rank order wins ties
+            best_rmse = mean_rmse
+            best_hp = hp
+    if best_hp is None:
+        raise InsufficientData("no grid point has a finite mean held-fold RMSE")
+    return best_hp, best_rmse
 
 
 def grid_search_cv(
@@ -312,38 +389,10 @@ def grid_search_cv(
     processes forked for this call, and a ``CVPool`` runs them in its
     workers, with the same result.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n < k:
-        raise InsufficientData(f"{k}-fold CV needs >= {k} rows, got {n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k)
-    ranked = sorted(grid, key=lambda h: (h.n_estimators, h.max_depth, h.learning_rate))
-    # Positions in ``ranked`` that share a (max_depth, learning_rate) fit.
-    groups: dict[tuple[int, float], list[int]] = {}
-    for i, hp in enumerate(ranked):
-        groups.setdefault((hp.max_depth, hp.learning_rate), []).append(i)
-    fits = [
-        (positions, (fold_index, depth, lr, max(ranked[i].n_estimators for i in positions)))
-        for fold_index in range(k)
-        for (depth, lr), positions in groups.items()
-    ]
-    staged_scores = _map_units(X, y, folds, [unit for _, unit in fits], jobs)
-    scores: list[list[float]] = [[] for _ in ranked]  # per position, in fold order
-    for (positions, _), staged in zip(fits, staged_scores):
-        for i in positions:
-            scores[i].append(staged[ranked[i].n_estimators])
-    best_hp: HyperParams | None = None
-    best_rmse = math.inf
-    for hp, hp_scores in zip(ranked, scores):
-        mean_rmse = float(np.mean(hp_scores))
-        if mean_rmse < best_rmse:  # strict: first in rank order wins ties
-            best_rmse = mean_rmse
-            best_hp = hp
-    if best_hp is None:
-        raise InsufficientData("no grid point has a finite mean held-fold RMSE")
-    return best_hp, best_rmse
+    search = _plan_search(X, y, grid, k, seed)
+    with _pool(jobs) as pool:
+        (staged,) = _run_searches([search], pool)
+    return _pick(search, staged)
 
 
 @dataclass(frozen=True)
@@ -372,14 +421,24 @@ class ImputationReport:
 
 @dataclass
 class _Setup:
+    """One threshold setup of a variable: planned with its predictors' values
+    at the observed rows (``X``, against ``y``, split into ``train`` and
+    ``val``) and at the missing regions, then picked and fit."""
+
     threshold: float
     predictors: list[str]
-    hp: HyperParams
-    model: TrainedEnsemble
-    rmse_train: float
-    r2_train: float
-    rmse_val: float
-    r2_val: float
+    X: np.ndarray
+    y: np.ndarray
+    train: np.ndarray
+    val: np.ndarray
+    X_missing: np.ndarray
+    search: _Search
+    hp: HyperParams | None = None
+    rmse_train: float | None = None
+    r2_train: float | None = None
+    rmse_val: float | None = None
+    r2_val: float | None = None
+    predicted: np.ndarray | None = None  # at the missing regions
 
 
 def _report(
@@ -416,6 +475,112 @@ def _mean_fallback(
     return completed, _report(target, attempted, MEAN_FALLBACK, ConfidenceLevel.LOW)
 
 
+def _plan(target: VariableSeries, candidates: Sequence[VariableSeries], config: ImputationConfig):
+    """``(result, setups)`` of ``target``: its result where nothing is fit,
+    else None and one setup per threshold whose grid search can run."""
+    missing = target.missing_regions()
+    if not missing:
+        return (target, _report(target, None, ENSEMBLE, ConfidenceLevel.VERY_HIGH)), []
+    present = target.present_regions()
+    if not present:
+        raise InsufficientData(f"{target.variable_id}: no observed value to impute from")
+    seed = derive_seed(config.seed, target.variable_id)
+    try:
+        train, val = split_holdout(len(present), derive_seed(seed, "holdout"))
+    except InsufficientData:
+        return _mean_fallback(target, None), []
+    y = target.values(present)
+    by_id = {c.variable_id: c for c in candidates}
+    setups = []
+    for threshold in config.thresholds:
+        try:
+            predictors = select_predictors(target, candidates, threshold)
+        except NoPredictors:
+            continue
+        X = np.column_stack([by_id[p].values(present) for p in predictors])
+        try:
+            search = _plan_search(X[train], y[train], config.grid.expand(), k=5,
+                                  seed=derive_seed(seed, "cv", repr(threshold)))
+        except InsufficientData:
+            continue
+        X_missing = np.column_stack([by_id[p].values(missing) for p in predictors])
+        setups.append(_Setup(threshold, predictors, X, y, train, val, X_missing, search))
+    return None, setups
+
+
+def _final_fit(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the setup's model, fit on its training rows with its picked
+    grid point, predicts for its training, held-out and missing rows."""
+    X_train, y_train, hp, predictors, X_val, X_missing = task
+    model = fit_gbrt(X_train, y_train, hp, predictors)
+    return model.predict(X_train), model.predict(X_val), model.predict(X_missing)
+
+
+def _result(
+    target: VariableSeries, setups: list[_Setup]
+) -> tuple[VariableSeries, ImputationReport]:
+    """``target`` completed by the best of its scored setups, or by its mean."""
+    scored = [setup for setup in setups if setup.r2_val is not None]
+    if not scored:
+        return _mean_fallback(target, None)
+    # Higher validation R² wins; ties break to lower validation RMSE, then
+    # to the first-listed threshold.
+    winner = scored[0]
+    for setup in scored[1:]:
+        if setup.r2_val > winner.r2_val or (
+            setup.r2_val == winner.r2_val and setup.rmse_val < winner.rmse_val
+        ):
+            winner = setup
+    if winner.r2_val <= 0.0:
+        return _mean_fallback(target, winner)
+    confidence = rate_confidence(winner.r2_val)
+    completed = _filled(target, winner.predicted, confidence)
+    return completed, _report(target, winner, ENSEMBLE, confidence)
+
+
+def impute_all(
+    items: Sequence[tuple[VariableSeries, Sequence[VariableSeries]]],
+    config: ImputationConfig = ImputationConfig(),
+    jobs: "int | CVPool" = 1,
+) -> list[tuple[VariableSeries, ImputationReport]]:
+    """``(completed series, report)`` of every ``(target, candidates)`` in
+    ``items``, in order; see ``impute_series``.
+
+    The run is planned once: every (variable, threshold) grid search is
+    planned in this process, their CV fits run in one map of the pool, and
+    the final fits of the picked grid points in a second, each returning
+    its predictions, so no model leaves the worker. A target with no
+    observed value raises InsufficientData before anything is fit.
+    """
+    plans = [_plan(target, candidates, config) for target, candidates in items]
+    setups = [setup for _, planned in plans for setup in planned]
+    with _pool(jobs) as pool:
+        picked = []
+        for setup, staged in zip(setups, _run_searches([s.search for s in setups], pool)):
+            try:
+                setup.hp, _ = _pick(setup.search, staged)
+            except InsufficientData:
+                continue
+            picked.append(setup)
+        fits = pool.map(_final_fit, [
+            (s.X[s.train], s.y[s.train], s.hp, s.predictors, s.X[s.val], s.X_missing)
+            for s in picked
+        ])
+    for setup, (pred_train, pred_val, predicted) in zip(picked, fits):
+        y_train, y_val = setup.y[setup.train], setup.y[setup.val]
+        try:
+            scores = (rmse(pred_train, y_train), r2(pred_train, y_train),
+                      rmse(pred_val, y_val), r2(pred_val, y_val))
+        except UndefinedR2:
+            continue
+        setup.rmse_train, setup.r2_train, setup.rmse_val, setup.r2_val = scores
+        setup.predicted = predicted
+    return [
+        result if result is not None else _result(target, planned)
+        for (target, _), (result, planned) in zip(items, plans)
+    ]
+
+
 def impute_series(
     target: VariableSeries,
     candidates: Sequence[VariableSeries],
@@ -428,73 +593,10 @@ def impute_series(
     are untouched at VERY_HIGH; imputed values carry the confidence grade of
     the winning setup's validation R² (or LOW on the mean-fallback path). A
     target with no observed value raises InsufficientData.
-    ``jobs`` is the number of processes each grid search may fit in, or a
-    ``CVPool`` that every grid search fits in.
+    ``jobs`` is the number of processes the fits may run in, or a
+    ``CVPool`` that they run in.
     """
-    missing = target.missing_regions()
-    if not missing:
-        return target, _report(target, None, ENSEMBLE, ConfidenceLevel.VERY_HIGH)
-
-    present = target.present_regions()
-    if not present:
-        raise InsufficientData(f"{target.variable_id}: no observed value to impute from")
-    seed = derive_seed(config.seed, target.variable_id)
-    try:
-        train_idx, val_idx = split_holdout(len(present), derive_seed(seed, "holdout"))
-    except InsufficientData:
-        return _mean_fallback(target, None)
-
-    y = target.values(present)
-    by_id = {c.variable_id: c for c in candidates}
-    setups: list[_Setup] = []
-    for threshold in config.thresholds:
-        try:
-            predictors = select_predictors(target, candidates, threshold)
-        except NoPredictors:
-            continue
-        X = np.column_stack([by_id[p].values(present) for p in predictors])
-        try:
-            hp, _ = grid_search_cv(X[train_idx], y[train_idx], config.grid.expand(),
-                                   seed=derive_seed(seed, "cv", repr(threshold)), jobs=jobs)
-        except InsufficientData:
-            continue
-        model = fit_gbrt(X[train_idx], y[train_idx], hp, predictors)
-        pred_train = model.predict(X[train_idx])
-        pred_val = model.predict(X[val_idx])
-        try:
-            setup = _Setup(
-                threshold=threshold,
-                predictors=predictors,
-                hp=hp,
-                model=model,
-                rmse_train=rmse(pred_train, y[train_idx]),
-                r2_train=r2(pred_train, y[train_idx]),
-                rmse_val=rmse(pred_val, y[val_idx]),
-                r2_val=r2(pred_val, y[val_idx]),
-            )
-        except UndefinedR2:
-            continue
-        setups.append(setup)
-
-    if not setups:
-        return _mean_fallback(target, None)
-
-    # Higher validation R² wins; ties break to lower validation RMSE, then
-    # to the first-listed threshold.
-    winner = setups[0]
-    for setup in setups[1:]:
-        if setup.r2_val > winner.r2_val or (
-            setup.r2_val == winner.r2_val and setup.rmse_val < winner.rmse_val
-        ):
-            winner = setup
-
-    if winner.r2_val <= 0.0:
-        return _mean_fallback(target, winner)
-
-    X_missing = np.column_stack([by_id[p].values(missing) for p in winner.predictors])
-    confidence = rate_confidence(winner.r2_val)
-    completed = _filled(target, winner.model.predict(X_missing), confidence)
-    return completed, _report(target, winner, ENSEMBLE, confidence)
+    return impute_all([(target, candidates)], config, jobs)[0]
 
 
 def cross_country_predict(

@@ -5,14 +5,18 @@ Here a series holds one ``(value, confidence)`` record per region, and
 ``aggregate`` are the per-region loops regio ran before its series became
 columns. Tests run both on the same inputs and require equal results.
 
-One rule differs from those loops: a child's share is divided by the same
-left-to-right weight total that ``allocate`` divides by. The loops took it
-from the builtin ``sum``, which is compensated from CPython 3.12 on.
+Two rules differ from those loops. A child's share is divided by the same
+left-to-right weight total that ``allocate`` divides by; the loops took it
+from the builtin ``sum``, which is compensated from CPython 3.12 on. And a
+run in which some ``parent * weight`` leaves the float range divides first,
+``parent * (weight / total)``, as ``allocate`` does; the loops lost such
+values to overflow or underflow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +137,12 @@ def allocate(parent_value, weights):
     if total == 0.0:
         share = parent_value / len(weights)
         return {child: share for child in weights}
+    for w in weights.values():
+        product = parent_value * w
+        if not math.isfinite(product) or (
+            abs(product) < sys.float_info.min and parent_value != 0 and w != 0
+        ):
+            return {child: parent_value * (w / total) for child, w in weights.items()}
     return {child: parent_value * w / total for child, w in weights.items()}
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TOY_PROJECT, needs_fork
-from regio import cli, formulas
+from regio import cli, formulas, imputation
 from regio.cli import _dump_json, main
 from regio.config import (
     COMPARISON_KEYS,
@@ -18,8 +18,9 @@ from regio.config import (
     ingest_registry,
     load_project_config,
 )
+from regio.errors import InsufficientData
 from regio.hierarchy import load_hierarchy
-from regio.imputation import CVPool
+from regio.imputation import CVPool, _final_fit, _staged_task
 
 
 def run_cli(*args):
@@ -125,10 +126,16 @@ HUGE_CONSTANT = toy_json("proxy_assignments.json", lambda doc: doc["assignments"
     formula=doc["assignments"][0]["formula"].replace("1.78", "1" + "0" * 400)))
 
 # both weights of 1.78 * freight_traffic + 3.83 * motorcycle_stock spelled as
-# 1 and 307 zeros: each term is finite, their sum over a country is not
+# 3 and 307 zeros: each weight is finite (at most 6e307), their sum over a
+# country is not
 OVERFLOWING_CONSTANTS = toy_json("proxy_assignments.json", lambda doc: doc["assignments"][0].update(
-    formula=doc["assignments"][0]["formula"].replace("1.78", "1" + "0" * 307)
-    .replace("3.83", "1" + "0" * 307)))
+    formula=doc["assignments"][0]["formula"].replace("1.78", "3" + "0" * 307)
+    .replace("3.83", "3" + "0" * 307)))
+
+# a subnormal NUTS2 value: its six LAU shares round to a sum 1 unit in the
+# last place off it, a relative residual of about 5e-4
+SUBNORMAL_SOURCE = (TOY_PROJECT / "series/motorcycle_stock.csv").read_text().replace(
+    "AA11,10000", "AA11,1e-320")
 
 
 def malformed_output(toy_project, capsys, command, files) -> str:
@@ -488,6 +495,12 @@ SERIES_LOAD_FAILURES = [
             id="allocation-not-finite",
         ),
         pytest.param(
+            "run", {"series/motorcycle_stock.csv": SUBNORMAL_SOURCE},
+            "task 'motorcycle_stock': the values allocated from source region 'AA11' miss its "
+            "value by a relative 0.000494 (at most 1e-09)", 1,
+            id="allocation-not-conserved",
+        ),
+        pytest.param(
             "check", {"hierarchy.csv": toy_text("hierarchy.csv", ",LAU,AA111,AA")},
             "hierarchy.csv:24: empty region code", 1, id="hierarchy-empty-code",
         ),
@@ -710,13 +723,13 @@ class TestImpute:
         assert run_cli("impute", "--config", toy_project, "--jobs", 1) == 0
         serial = output_files(toy_project)
         shutil.rmtree(output_dir(toy_project))
-        executors = []
+        maps = []
         real_map = CVPool.map
 
-        def recording_map(pool, tasks, workers):
-            scores = real_map(pool, tasks, workers)
-            executors.append(pool._executor)
-            return scores
+        def recording_map(pool, fn, tasks):
+            results = real_map(pool, fn, tasks)
+            maps.append((fn, pool._executor))
+            return results
 
         monkeypatch.setattr(CVPool, "map", recording_map)
         assert run_cli("impute", "--config", toy_project, "--jobs", 2) == 0
@@ -725,18 +738,40 @@ class TestImpute:
         assert output_files(toy_project) == serial
         summary = json.loads(serial["imputed/imputation_summary.json"])
         assert sorted(summary["imputed"]) == ["industrial_area", "road_network"]
-        # every grid search of both variables ran in the one pool
-        assert len(executors) >= 3 and None not in executors
-        assert len({id(executor) for executor in executors}) == 1
+        # one map runs every grid search of both variables, a second every
+        # final fit, both in the one pool
+        assert [fn for fn, _ in maps] == [_staged_task, _final_fit]
+        assert None not in [executor for _, executor in maps]
+        assert len({id(executor) for _, executor in maps}) == 1
 
     @needs_fork
-    def test_pool_is_joined_when_a_variable_fails(self, toy_project, forks, capsys):
+    def test_pool_is_joined_when_a_variable_fails(self, toy_project, forks, monkeypatch,
+                                                   capsys):
+        real_fit = imputation.fit_gbrt
+
+        def failing_fit(X, y, hp, feature_ids=None):
+            if feature_ids:  # a final fit; the CV fits name no features
+                raise InsufficientData("final fit refused")
+            return real_fit(X, y, hp, feature_ids)
+
+        # the workers are forked after this, so they fit with it too
+        monkeypatch.setattr(imputation, "fit_gbrt", failing_fit)
+        self.blank_road_network(toy_project, {"AA_0003"})
+        assert run_cli("impute", "--config", toy_project, "--jobs", 2) == 2
+        assert "error: final fit refused" in capsys.readouterr().out
+        assert forks == [1, 1]
+        assert threading.active_count() == 1
+        assert multiprocessing.active_children() == []
+        assert list((output_dir(toy_project) / "imputed").glob("*.csv")) == []
+
+    def test_variable_without_observed_value_fails_before_any_fit(self, toy_project, forks,
+                                                                 capsys):
         self.blank_road_network(toy_project, None)
         assert run_cli("impute", "--config", toy_project, "--jobs", 2) == 2
         assert "road_network: no observed value" in capsys.readouterr().out
-        assert forks == [1, 1]  # industrial_area's searches ran in the pool
-        assert threading.active_count() == 1
-        assert multiprocessing.active_children() == []
+        assert forks == []
+        # industrial_area, imputed first in store order, is not written either
+        assert list((output_dir(toy_project) / "imputed").glob("*")) == []
 
 
 class TestDisaggregate:

@@ -3,6 +3,10 @@ import json
 import numpy as np
 import pytest
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 from regio.disaggregation import (
     ALLOCATE,
     REPLICATE,
@@ -80,6 +84,59 @@ class TestAllocate:
             parent = float(rng.uniform(-100, 100))
             out, _ = allocate(parent, weights)
             assert sum(out.tolist()) == pytest.approx(parent, rel=1e-12, abs=1e-12)
+
+    def test_overflowing_products_divide_first(self):
+        assert allocate(1e200, [1e200, 1e200])[0].tolist() == [5e199, 5e199]
+
+    def test_underflowing_products_divide_first(self):
+        out, _ = allocate(1e-300, [1e-30, 3e-30])
+        assert out.tolist() == pytest.approx([2.5e-301, 7.5e-301], rel=1e-15, abs=0.0)
+
+    def test_a_run_out_of_range_divides_first_throughout(self):
+        # 1.7e200 * 6.7 / 1e200 is 11.39, but the run's first product
+        # overflows, so all three values divide first
+        weights = np.array([1e200, 6.7, 3.4])
+        out, totals = allocate(1.7e200, weights)
+        assert out.tolist() == (1.7e200 * (weights / totals)).tolist()
+        assert out[1:].tolist() == [11.389999999999999, 5.78]
+
+    def test_only_runs_out_of_range_divide_first(self):
+        parents, weights = [1e-300, 7.0, 1e200], [1e-30, 3e-30, 0.1, 0.3, 0.7, 1e200, 3e200]
+        out, _ = allocate(parents, weights, [2, 3, 2])
+        # the run in range keeps the bytes of parent * weight / total
+        assert out[2:5].tolist() == (7.0 * np.array([0.1, 0.3, 0.7]) / (0.1 + 0.3 + 0.7)).tolist()
+        assert out[[0, 1, 5, 6]].tolist() == pytest.approx(
+            [2.5e-301, 7.5e-301, 2.5e199, 7.5e199], rel=1e-15, abs=0.0
+        )
+
+
+def relative_residuals(parents, values, lengths):
+    sums = np.add.reduceat(values, np.cumsum(lengths) - lengths)
+    return np.abs(sums - parents) / np.abs(parents)
+
+
+# parents and weights from 1e-300 to 1e300 in magnitude; a weight may be 0
+magnitudes = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(runs=st.lists(
+    st.tuples(
+        st.tuples(magnitudes, st.booleans()).map(lambda p: -p[0] if p[1] else p[0]),
+        st.lists(st.one_of(magnitudes, st.just(0.0)), min_size=1, max_size=8),
+    ),
+    min_size=1, max_size=5,
+))
+def test_allocation_conserves_mass_or_raises(runs):
+    parents = np.array([parent for parent, _ in runs])
+    lengths = np.array([len(weights) for _, weights in runs])
+    weights = np.concatenate([weights for _, weights in runs])
+    try:
+        values, _ = allocate(parents, weights, lengths)
+    except NonFiniteValue:
+        return
+    assert np.isfinite(values).all()
+    assert relative_residuals(parents, values, lengths).max() <= 1e-9
 
 
 def make_task(source, formula, confidence=ConfidenceLevel.HIGH, mode=ALLOCATE):

@@ -272,6 +272,23 @@ class TestPresortedGrowerMatchesReference:
             assert got.base_prediction == want.base_prediction
             assert got.trees == want.trees, (case, n, f, hp)
 
+    def test_stumps(self):
+        # at depth 1 both children of a split are leaves, so the grower
+        # partitions no orders for them
+        rng = np.random.default_rng(12)
+        for case in range(60):
+            n = int(rng.integers(1, 80))
+            f = int(rng.integers(1, 4))
+            X = rng.choice([0.0, -0.0, 1.0, 2.0, 3.5], size=(n, f))
+            if case % 2:
+                X = np.round(rng.normal(size=(n, f)), 1)
+            y = np.round(rng.normal(size=n), 2)
+            hp = HyperParams(int(rng.integers(1, 8)), float(rng.choice([0.1, 1.0])), 1)
+            got = fit_gbrt(X, y, hp)
+            want = reference_fit(X, y, hp)
+            assert got.base_prediction == want.base_prediction
+            assert got.trees == want.trees, (case, n, f, hp)
+
     def test_tiny_nodes(self):
         # single rows and pairs force n < 2 nodes at every depth
         X = np.array([[0.0, 5.0], [1.0, 5.0], [1.0, 4.0], [7.0, 4.0], [7.0, 4.0]])

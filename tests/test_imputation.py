@@ -18,6 +18,7 @@ from regio.errors import (
 )
 from regio.gbrt import HyperParams, fit_gbrt
 from regio.hierarchy import SpatialLevel
+from regio import imputation
 from regio.imputation import (
     ENSEMBLE,
     LOCKSTEP_MAX_ROWS,
@@ -26,9 +27,12 @@ from regio.imputation import (
     GridSpec,
     ImputationConfig,
     _cv_workers,
+    _plan_search,
+    _run_searches,
     cross_country_predict,
     derive_seed,
     grid_search_cv,
+    impute_all,
     impute_series,
     r2,
     rate_confidence,
@@ -333,6 +337,49 @@ class TestCrossValidationPool:
         assert threaded == grid_search_cv(X, y, self.GRID, 5, 3)
 
 
+class TestSearchBatches:
+    """How ``_run_searches`` deals the CV fits of the searches in one map."""
+
+    GRID = GridSpec((3, 6), (0.1, 0.3), (1, 2)).expand()  # 4 fits per fold, 20 per search
+
+    def searches(self, n):
+        rng = np.random.default_rng(9)
+        X = rng.uniform(size=(40, 2))
+        y = X[:, 0] + rng.normal(scale=0.1, size=40)
+        return [_plan_search(X, y.copy(), self.GRID, 5, seed) for seed in range(n)]
+
+    @pytest.mark.parametrize("jobs, n_searches, batches", [
+        (2, 1, 2),  # a search alone: one batch per worker
+        (2, 2, 1),
+        (2, 3, 1),
+        (3, 2, 2),  # ceil(3 workers / 2 searches)
+        (4, 2, 2),
+    ])
+    def test_batches_per_search(self, monkeypatch, jobs, n_searches, batches):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        calls = []
+        kernel = imputation.staged_holdout_rmse
+
+        def recording_kernel(X, y, fits):
+            calls.append((y, len(fits)))
+            return kernel(X, y, fits)
+
+        monkeypatch.setattr(imputation, "staged_holdout_rmse", recording_kernel)
+        maps = []
+        monkeypatch.setattr(CVPool, "map", lambda pool, fn, tasks: maps.append(len(tasks))
+                            or list(map(fn, tasks)))
+        searches = self.searches(n_searches)
+        staged = _run_searches(searches, CVPool(jobs))
+        assert maps == [n_searches * batches]
+        for search in searches:
+            # every batch grows in lockstep: one kernel call each
+            assert [n for y, n in calls if y is search.y] == [20 // batches] * batches
+        alone = [_run_searches([search], CVPool(1))[0] for search in searches]
+        assert [[[v.hex() for v in unit] for unit in s] for s in staged] == [
+            [[v.hex() for v in unit] for unit in s] for s in alone
+        ]
+
+
 FAST = ImputationConfig(grid=GridSpec((25,), (0.3,), (2,)), seed=123)
 
 
@@ -452,6 +499,64 @@ class TestImputeSeries:
             "method",
             "confidence",
         }
+
+
+def imputation_cases():
+    """``(target, candidates)`` that take every path of ``impute_series``."""
+    rng = np.random.default_rng(21)
+    regions = [f"R{i:04d}" for i in range(100)]
+    a, b = rng.uniform(0, 10, 100), rng.uniform(0, 10, 100)
+    cands = [series(dict(zip(regions, map(float, v))), vid=vid) for vid, v in (("a", a), ("b", b))]
+    # both thresholds select b and a, so the target has two equal-looking searches
+    y = 2 * a + 3 * b + rng.normal(0, 0.5, 100)
+    linear = series_with_missing(
+        {r: float(v) for r, v in zip(regions[10:], y[10:])}, regions[:10], vid="linear")
+    complete = series(dict(zip(regions, map(float, y))), vid="complete")
+    few = series_with_missing({f"R{i:04d}": float(i) for i in range(5)}, ["R0099"], vid="few")
+    # no candidate reaches either threshold: a mean fallback, nothing fit
+    noise = series_with_missing(
+        {r: float(v) for r, v in zip(regions[5:], rng.normal(size=95))}, regions[:5], vid="noise")
+    # y reversed on the holdout rows: r2_val <= 0, a mean fallback
+    x = np.linspace(-1, 1, 100)
+    _, val = split_holdout(100, derive_seed(derive_seed(FAST.seed, "reversed"), "holdout"))
+    reversed_y = x.copy()
+    reversed_y[val] = -5.0 * x[val]
+    reversed_target = series_with_missing(
+        {r: float(v) for r, v in zip(regions[1:], reversed_y[1:])}, regions[:1], vid="reversed")
+    x_cand = series(dict(zip(regions, map(float, x))), vid="x")
+    return [(linear, cands), (complete, cands), (few, []), (noise, cands),
+            (reversed_target, [x_cand]), (linear, cands[:1])]
+
+
+def outcome(result):
+    completed, report = result
+    return ([value.hex() for value in completed.data.tolist()], completed.grades.tolist(),
+            report.to_dict())
+
+
+class TestImputeAll:
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_equals_impute_series_on_each(self, jobs):
+        items = imputation_cases()
+        results = impute_all(items, FAST, jobs)
+        methods = [report.method for _, report in results]
+        assert methods == [ENSEMBLE, ENSEMBLE, MEAN_FALLBACK, MEAN_FALLBACK, MEAN_FALLBACK,
+                           ENSEMBLE]
+        assert results[0][1].threshold_used is not None
+        assert results[4][1].r2_val <= 0.0
+        assert [outcome(result) for result in results] == [
+            outcome(impute_series(target, cands, FAST)) for target, cands in items
+        ]
+
+    def test_no_observed_value_fails_before_any_fit(self, monkeypatch):
+        def refuse(task):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(CVPool, "map", lambda pool, fn, tasks: [refuse(t) for t in tasks])
+        items = imputation_cases()
+        empty = series_with_missing({}, ["R0001", "R0002"], vid="empty")
+        with pytest.raises(InsufficientData, match="^empty: no observed value"):
+            impute_all([*items, (empty, [])], FAST)
 
 
 class TestCrossCountryPredict:
