@@ -251,15 +251,43 @@ class _Table(NamedTuple):
     width_error: Exception | None  # the first row not as wide as the header, which ends the table
 
 
+def _plain_width(data: bytes) -> int | None:
+    """The header's width when ``data``, ASCII text without a ``_NOT_PLAIN``
+    character, reads alike split on newlines and commas and by
+    ``csv.reader``: every line, the header too, holds width - 1 commas, has
+    a first cell and is no longer than ``csv.field_size_limit()`` (a longer
+    line may hold a cell ``csv.reader`` rejects). None otherwise.
+
+    One pass takes the separators in file order, with a newline added after
+    a last line that lacks one; they must read width - 1 commas, then a
+    newline, line after line."""
+    byte = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8)
+    separator = byte == ord(",")
+    separator |= byte == ord("\n")  # in place: no third mask of the file's size
+    at = np.flatnonzero(separator)
+    del separator
+    newline = byte[at] == ord("\n")
+    width = int(newline.argmax()) + 1
+    ends = at[width - 1::width]  # where each line ends, when the pattern holds
+    if len(at) != width * np.count_nonzero(newline) or not newline[width - 1::width].all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (at[::width] == starts).any():  # an empty first cell, or a blank row csv.reader skips
+        return None
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    return width
+
+
 def _csv_columns(path: Path, error: type[Exception]) -> _Table:
     """The cells of a CSV file by column, as ``csv.reader`` reads them, with
     the header row and blank rows left out. Bytes that are not UTF-8, or a
     row ``csv.reader`` cannot read, raise ``error`` naming ``path:line``. The
     columns end before the first row not as wide as the header, and that
     row's ``error`` is returned for the caller to raise when the rows before
-    it pass its checks. Plain text, with every row as wide as the header, a
-    first cell in each and no line longer than ``csv.field_size_limit()``, is
-    split on newlines and commas instead."""
+    it pass its checks. Plain text, whose shape ``_plain_width`` checks in
+    one pass over the bytes, is split once on commas, its newlines read as
+    commas; any other text goes to ``csv.reader``."""
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -267,20 +295,14 @@ def _csv_columns(path: Path, error: type[Exception]) -> _Table:
         # \r\n, \r and \n each end a line, as they do for csv.reader
         line = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text") from None
+    width = text.isascii() and not any(map(text.__contains__, _NOT_PLAIN)) and _plain_width(data)
     del data
-    if text.isascii() and not any(map(text.__contains__, _NOT_PLAIN)):
-        header, *lines = text.split("\n")
-        if lines[-1:] == [""]:  # the newline that ends the last line
-            lines.pop()
-        width = header.count(",") + 1
-        limit = csv.field_size_limit()  # a longer line may hold a cell csv.reader rejects
-        if header and all(
-            map((width - 1).__eq__, map(str.count, lines, repeat(",")))
-        ) and (len(text) <= limit or max(map(len, lines), default=0) <= limit):
-            cells = ",".join(lines).split(",") if lines else []
-            columns = [cells[i::width] for i in range(width)]
-            if "" not in columns[0]:  # else a blank row, which csv.reader skips
-                return _Table(header.split(","), range(2, len(lines) + 2), columns, columns, None)
+    if width:
+        cells = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            cells.pop()  # the empty cell after the newline that ends the last line
+        columns = [cells[i::width] for i in range(width, 2 * width)]
+        return _Table(cells[:width], range(2, len(cells) // width + 1), columns, columns, None)
     rows: list[list[str]] = []
     try:
         rows.extend(csv.reader(io.StringIO(text, newline="")))  # keeps the rows before an error

@@ -12,7 +12,8 @@ imputation graded LOW.
 
 ``impute_all`` plans a whole run of variables at once. In this process it
 plans every (variable, threshold) grid search: holdout split, predictor
-selection, folds and cross-validation units. One pool map then runs the CV
+selection (a variable's candidates are ranked once, then cut at each
+threshold), folds and cross-validation units. One pool map then runs the CV
 fits of every search, and a second one the final fit of every search's
 winning grid point; each final fit returns its predictions for the
 training, validation and missing rows, so no model crosses a process
@@ -120,6 +121,15 @@ def select_predictors(
        rows where the target is present; order by descending |corr|, ties by
        id. Undefined correlations count as 0.
     """
+    return _above(target, _ranked_candidates(target, candidates), threshold)
+
+
+def _ranked_candidates(
+    target: VariableSeries, candidates: Sequence[VariableSeries]
+) -> list[tuple[float, str]]:
+    """``(|corr|, id)`` of each candidate left after steps 1 and 2 of
+    ``select_predictors``, in its step 3 order; only step 3's filter
+    depends on the threshold."""
     present = ~np.isnan(target.data)
     if not present.any():
         raise NoPredictors(f"{target.variable_id}: no observed rows to correlate against")
@@ -146,15 +156,21 @@ def select_predictors(
     scored: list[tuple[float, str]] = []
     for cid in kept:
         r = pearson(arrays[cid][present], y)
-        strength = 0.0 if r is None else abs(r)
-        if strength >= threshold:
-            scored.append((strength, cid))
+        scored.append((0.0 if r is None else abs(r), cid))
     scored.sort(key=lambda t: (-t[0], t[1]))
-    if not scored:
+    return scored
+
+
+def _above(
+    target: VariableSeries, ranked: list[tuple[float, str]], threshold: float
+) -> list[str]:
+    """The ids in ``ranked`` whose |corr| reaches ``threshold``, in order."""
+    predictors = [cid for strength, cid in ranked if strength >= threshold]
+    if not predictors:
         raise NoPredictors(
             f"{target.variable_id}: no candidate reaches |corr| >= {threshold}"
         )
-    return [cid for _, cid in scored]
+    return predictors
 
 
 def split_holdout(n_rows: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -491,10 +507,11 @@ def _plan(target: VariableSeries, candidates: Sequence[VariableSeries], config: 
         return _mean_fallback(target, None), []
     y = target.values(present)
     by_id = {c.variable_id: c for c in candidates}
+    ranked = _ranked_candidates(target, candidates)  # once for every threshold
     setups = []
     for threshold in config.thresholds:
         try:
-            predictors = select_predictors(target, candidates, threshold)
+            predictors = _above(target, ranked, threshold)
         except NoPredictors:
             continue
         X = np.column_stack([by_id[p].values(present) for p in predictors])

@@ -273,8 +273,9 @@ def _region_columns(
         raise NonNumericValue(f"{path}: bad header {table.header!r}; expected {expected}")
     columns, graded = table.columns, names == OUTPUT_HEADER
     regions, cells = tuple(columns[0]), columns[1]
+    empty = cells.count("")
     try:
-        values = map(float, map(_EMPTY_AS_NAN.get, cells, cells))
+        values = map(float, map(_EMPTY_AS_NAN.get, cells, cells) if empty else cells)
         values = np.fromiter(values, np.float64, len(cells))
     except ValueError:  # a cell that is not a number
         values = None
@@ -289,7 +290,7 @@ def _region_columns(
             and (regions == scope or (
                 len(set(regions)) == len(regions) and set(scope).issuperset(regions)))
             # an empty cell is the only way to a NaN; a nan or inf token is an error
-            and len(cells) - present.sum() == cells.count("")
+            and len(cells) - present.sum() == empty
             and not np.isinf(values).any()
             and (present.all() or not required)
             and (grades[present] >= 0).all()  # a present value needs a known grade

@@ -324,14 +324,16 @@ ODD = '"\r \t\x0b\x0c\x1c\x1f\x00\x7f\x85\xa0\u2028\xe9'
 @st.composite
 def csv_body(draw):
     """Rows of two cells (now and then one or three), the cells drawn from
-    plain characters and one odd one; or any text of these characters."""
+    plain characters and one odd one, the last row ended by a newline, by
+    none or by blank lines; or any text of these characters."""
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(st.sampled_from(list("ab1,,\n\n") + list(ODD))))
     odd, plain = st.sampled_from(["", "", draw(st.sampled_from(ODD))]), st.text("ab1", max_size=2)
     cell = st.tuples(odd, plain, odd, plain, odd).map("".join)
     width = st.sampled_from([2] * 8 + [1, 3])
     rows = draw(st.lists(width.flatmap(lambda n: st.lists(cell, min_size=n, max_size=n))))
-    return "".join(",".join(row) + "\n" for row in rows)
+    end = draw(st.sampled_from(["\n"] * 5 + ["", "\n\n", "\n\n\n"]))
+    return "\n".join(",".join(row) for row in rows) + end if rows else ""
 
 
 @pytest.mark.parametrize("odd", ["", *ODD])
@@ -374,6 +376,69 @@ def padded(text: str) -> str:
     return "".join(
         ",".join(f" {cell}\t" for cell in line.split(",")) + "\n" for line in text.splitlines()
     )
+
+
+# Texts at the edges of the plain split: no final newline, no body, no
+# header, an extra comma on a last line without a newline, widths that only
+# sum to the header's, blank rows of one cell and of empty cells.
+EDGE_TEXTS = [
+    "a,b\n", "a,b", "", "\n", "\n\n", "a,b\n1,2\n3,4,", "a,b\n1,2\n3,4", "a,b\n1,2,3\n4\n",
+    "a,b\n1\n2,3,4\n", "a\n1\n\n2\n", "a\n\n", "a,b,c\n1,2,3\n,,\n4,5,6\n", "a,b\n,1\n",
+    ",b\n1,2\n", "\na,b\n1,2\n", "a,b\n1,2\n\n", "a,b\n1,2\n\n3,4",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_csv_columns_read_edge_texts_as_csv_reader(tmp_path, text):
+    path = write(tmp_path, text)
+    assert table_outcome(path) == csv_reader_table(path)
+
+
+def refuse_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader read a plain file")
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n", "a,b", "a,b\n1,2\n3,4\n", "a,b\n1,2\n3,4", "a\nx\n", "a\nx", "a,,b\nx,,\n",
+])
+def test_plain_text_needs_no_csv_reader(tmp_path, monkeypatch, text):
+    """Plain text is split, with or without its final newline."""
+    path = write(tmp_path, text)
+    expected = csv_reader_table(path)
+    monkeypatch.setattr(csv, "reader", refuse_csv_reader)
+    assert table_outcome(path) == expected
+
+
+@pytest.mark.parametrize("at_limit", [
+    "a,b\nxx,{}\n".format("1" * 17), "a\n{}\n".format("1" * 20), "a\n{}".format("1" * 20),
+])
+def test_line_at_field_limit_is_plain_and_one_over_is_not(tmp_path, monkeypatch, at_limit):
+    """A line as long as ``csv.field_size_limit()`` is split; a line one
+    character longer goes to csv.reader, which may find a cell over the limit."""
+    limit = csv.field_size_limit(20)
+    try:
+        path = write(tmp_path, at_limit.replace("1", "12", 1))  # one character over
+        assert table_outcome(path) == csv_reader_table(path)
+        path = write(tmp_path, at_limit)
+        expected = csv_reader_table(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(csv, "reader", refuse_csv_reader)
+            assert table_outcome(path) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("spelling", [str, crlf])
+def test_header_longer_than_field_limit_raises(tmp_path, spelling):
+    """The field limit covers the header line too, plain or not."""
+    limit = csv.field_size_limit(100)
+    try:
+        path = write(tmp_path, spelling("region,{}\nAA_000_0000,1\n".format("h" * 200)))
+        assert table_outcome(path) == (
+            NonNumericValue, f"{path}:1: field larger than field limit (100)"
+        ) == csv_reader_table(path)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_clean_files_need_no_row_reader(tmp_path):

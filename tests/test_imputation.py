@@ -1,9 +1,12 @@
+import contextlib
+import json
 import math
 import multiprocessing
 import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -557,6 +560,44 @@ class TestImputeAll:
         empty = series_with_missing({}, ["R0001", "R0002"], vid="empty")
         with pytest.raises(InsufficientData, match="^empty: no observed value"):
             impute_all([*items, (empty, [])], FAST)
+
+
+class TestPlanRanksOnce:
+    def test_candidates_ranked_once_for_all_thresholds(self, monkeypatch):
+        """``_plan`` correlates a target's candidates once, however many
+        thresholds it tries: each threshold's predictors are the ones
+        ``select_predictors`` keeps, and the reports equal those of ranking
+        anew for each threshold, byte for byte."""
+        one, two = replace(FAST, thresholds=(0.1,)), replace(FAST, thresholds=(0.1, 0.5))
+        items = imputation_cases()
+        expected = []
+        for target, cands in items:
+            expected.append({})
+            for threshold in two.thresholds:
+                with contextlib.suppress(NoPredictors):
+                    expected[-1][threshold] = select_predictors(target, cands, threshold)
+        calls = []
+        real_pearson = imputation.pearson
+        monkeypatch.setattr(imputation, "pearson", lambda x, y: calls.append(1) or real_pearson(x, y))
+        planned = 0
+        for (target, cands), chosen in zip(items, expected):
+            counts = []
+            for config in (one, two):
+                calls.clear()
+                _, setups = imputation._plan(target, cands, config)
+                counts.append(len(calls))
+            assert counts[0] == counts[1]
+            assert [(setup.threshold, setup.predictors) for setup in setups] == (
+                list(chosen.items()) if setups else [])
+            planned += len(setups)
+        assert planned == 5
+
+        reports = [json.dumps(impute_series(t, c, two)[1].to_dict()) for t, c in items]
+        real_above, real_ranked = imputation._above, imputation._ranked_candidates
+        for (target, cands), report in zip(items, reports):
+            monkeypatch.setattr(imputation, "_above", lambda t, ranked, threshold: real_above(
+                t, real_ranked(t, cands), threshold))
+            assert json.dumps(impute_series(target, cands, two)[1].to_dict()) == report
 
 
 class TestCrossCountryPredict:
