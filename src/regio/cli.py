@@ -35,7 +35,7 @@ from .disaggregation import (
 from .errors import ConfigError, RegioError
 from .formulas import load_proxy_assignments, variables
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
-from .imputation import CVPool, impute_all
+from .imputation import impute_all
 from .series import (
     SeriesMeta,
     VariableStore,
@@ -191,12 +191,10 @@ def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
     """Fill every sub-national series that has missing values.
 
     National (NUTS0) series are the disaggregation targets and are never
-    imputed; a missing national value later skips its pipeline task. The
-    run is planned once over every variable: the cross-validation fits of
-    all grid searches run in one map of a pool of up to ``jobs`` processes
-    and the final fits in a second, and the pool is shut down before any
-    output is written. A variable with no observed value fails the run
-    before anything is fit or written.
+    imputed; a missing national value later skips its pipeline task. One
+    ``impute_all`` call imputes every variable, in up to ``jobs`` processes
+    that it forks and shuts down before any output is written. A variable
+    with no observed value fails the run before anything is fit or written.
     """
     out_dir = project.config.output_dir / "imputed"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,8 +208,7 @@ def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
         else:
             targets.append(series)
     items = [(s, _impute_candidates(project.store, project.hierarchy, s)) for s in targets]
-    with CVPool(jobs) as pool:
-        results = impute_all(items, project.config.imputation_config(seed), pool)
+    results = impute_all(items, project.config.imputation_config(seed), jobs)
     for series, (completed, report) in zip(targets, results):
         write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
         _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")

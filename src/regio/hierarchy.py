@@ -235,10 +235,11 @@ class RegionHierarchy:
         return self._codes[target][self._lift(self._position[code], node.level, target)]
 
 
-# ASCII text without a quote, a line end but \n, other whitespace or NUL (an
-# error for csv.reader before Python 3.11) is read alike by csv.reader and by
-# splitting on newlines and commas, and str.strip changes none of its cells.
-_NOT_PLAIN = '"\r\0\t\x0b\x0c\x1c\x1d\x1e\x1f '
+# ASCII text without a quote, a line end but \n or \r\n, other whitespace or
+# NUL (an error for csv.reader before Python 3.11) is read alike by csv.reader
+# and, each \r\n read as \n, by splitting on newlines and commas, and
+# str.strip changes none of its cells. _csv_columns checks the \r itself.
+_NOT_PLAIN = '"\0\t\x0b\x0c\x1c\x1d\x1e\x1f '
 
 
 class _Table(NamedTuple):
@@ -286,7 +287,7 @@ def _csv_columns(path: Path, error: type[Exception]) -> _Table:
     columns end before the first row not as wide as the header, and that
     row's ``error`` is returned for the caller to raise when the rows before
     it pass its checks. Plain text, whose shape ``_plain_width`` checks in
-    one pass over the bytes, is split once on commas, its newlines read as
+    one pass over the bytes, is split once on commas, its line ends read as
     commas; any other text goes to ``csv.reader``."""
     data = path.read_bytes()
     try:
@@ -295,7 +296,12 @@ def _csv_columns(path: Path, error: type[Exception]) -> _Table:
         # \r\n, \r and \n each end a line, as they do for csv.reader
         line = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text") from None
-    width = text.isascii() and not any(map(text.__contains__, _NOT_PLAIN)) and _plain_width(data)
+    plain = text.isascii() and not any(map(text.__contains__, _NOT_PLAIN))
+    if plain and "\r" in text:  # plain if every \r ends a line with a \n
+        plain = text.count("\r") == text.count("\r\n")
+        if plain:
+            text, data = text.replace("\r\n", "\n"), data.replace(b"\r\n", b"\n")
+    width = plain and _plain_width(data)
     del data
     if width:
         cells = text.replace("\n", ",").split(",")

@@ -13,7 +13,7 @@ imputation graded LOW.
 ``impute_all`` plans a whole run of variables at once. In this process it
 plans every (variable, threshold) grid search: holdout split, predictor
 selection (a variable's candidates are ranked once, then cut at each
-threshold), folds and cross-validation units. One pool map then runs the CV
+threshold), folds and cross-validation units. One map then runs the CV
 fits of every search, and a second one the final fit of every search's
 winning grid point; each final fit returns its predictions for the
 training, validation and missing rows, so no model crosses a process
@@ -30,10 +30,11 @@ smaller batches have too few nodes per call to pay for the padding, so
 those fits are grown one by one. Both growers give the same staged RMSEs,
 bit for bit.
 
-With ``jobs > 1`` the tasks of a map go to forked worker processes. A
-``CVPool`` keeps one set of workers for every map made while it is open,
-and each task carries its own data, so the searches of many variables run
-side by side and a map that follows another forks nothing.
+``impute_all`` owns the worker processes of a run: with ``jobs > 1`` it
+forks them once, up to ``jobs`` and no more than the CPUs or the run's CV
+fits, runs both maps in them and shuts them down before it returns. Each
+task carries its own data, so the searches of many variables run side by
+side. ``grid_search_cv`` forks workers for its one map the same way.
 """
 
 from __future__ import annotations
@@ -236,16 +237,13 @@ def _lockstep(n_train: int, n_fits: int) -> bool:
     return n_train <= LOCKSTEP_MAX_ROWS and n_fits >= LOCKSTEP_MIN_FITS
 
 
-def _staged_batch(X, y, folds, lockstep: bool, batch) -> list[list[float]]:
-    """``_staged_fold_rmse`` of every unit in ``batch``; with ``lockstep``
-    the units grow together."""
-    if lockstep:
-        return staged_holdout_rmse(X, y, [_cv_fit(y, folds, unit) for unit in batch])
-    return [_staged_fold_rmse(X, y, folds, unit) for unit in batch]
-
-
 def _staged_task(task) -> list[list[float]]:
-    return _staged_batch(*task)
+    """``_staged_fold_rmse`` of every unit of ``task``, ``(X, y, folds,
+    lockstep, units)``; with ``lockstep`` the units grow together."""
+    X, y, folds, lockstep, units = task
+    if lockstep:
+        return staged_holdout_rmse(X, y, [_cv_fit(y, folds, unit) for unit in units])
+    return [_staged_fold_rmse(X, y, folds, unit) for unit in units]
 
 
 def _cv_workers(jobs: int, n_units: int) -> int:
@@ -254,51 +252,35 @@ def _cv_workers(jobs: int, n_units: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, n_units))
 
 
-class CVPool:
-    """Up to ``jobs`` worker processes, shared by every map made while the
-    pool is open (``regio impute`` opens one per run).
+@contextlib.contextmanager
+def _worker_map(workers: int):
+    """A ``map(fn, tasks)`` that gives ``fn(task)`` of every task, in order;
+    ``fn`` must be a module-level function.
 
-    The workers are forked at the first map of more than one task, and
-    stay until the ``with`` block ends, which shuts them down and joins
-    them. Forking is unsafe while other threads run, so a pool that has no
-    workers yet runs its tasks in this process then, and so it does where
-    ``fork`` does not exist.
+    With ``workers > 1`` the context forks that many processes at its first
+    map of more than one task, and runs every such map in them; it shuts
+    them down and joins them on exit. Forking is unsafe while other threads
+    run, so then, or where ``fork`` does not exist, every task runs in this
+    process, and so does a map of one task.
     """
+    executor = None
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-    def __init__(self, jobs: int = 1):
-        self.jobs = jobs
-        self._executor = None
+        if "fork" in multiprocessing.get_all_start_methods():
+            executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
 
-    def __enter__(self) -> "CVPool":
-        return self
+    def worker_map(fn, tasks) -> list:
+        if executor is None or len(tasks) < 2:
+            return list(map(fn, tasks))
+        return list(executor.map(fn, tasks))
 
-    def __exit__(self, *exc_info) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-            self._executor = None
-
-    def map(self, fn, tasks) -> list:
-        """``fn(task)`` of every task, in order; with more than one task
-        and ``jobs > 1``, in this pool's processes. ``fn`` must be a
-        module-level function."""
-        workers = _cv_workers(self.jobs, len(tasks))
-        if workers > 1 and self._executor is None and threading.active_count() == 1:
-            import multiprocessing
-            from concurrent.futures.process import ProcessPoolExecutor
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                self._executor = ProcessPoolExecutor(
-                    _cv_workers(self.jobs, self.jobs), multiprocessing.get_context("fork")
-                )
-        if workers > 1 and self._executor is not None:
-            return list(self._executor.map(fn, tasks))
-        return list(map(fn, tasks))
-
-
-def _pool(jobs: "int | CVPool"):
-    """A context that yields ``jobs`` if it is a pool, else a new pool of
-    ``jobs`` processes that it shuts down on exit."""
-    return contextlib.nullcontext(jobs) if isinstance(jobs, CVPool) else CVPool(jobs)
+    try:
+        yield worker_map
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -335,9 +317,11 @@ def _plan_search(X, y, grid: Sequence[HyperParams], k: int, seed: int) -> _Searc
     return _Search(X, y, folds, ranked, fits)
 
 
-def _run_searches(searches: Sequence[_Search], pool: CVPool) -> list[list[list[float]]]:
+def _run_searches(
+    searches: Sequence[_Search], workers: int, worker_map
+) -> list[list[list[float]]]:
     """``_staged_fold_rmse`` of every unit of every search, per search in
-    unit order, all in one map of ``pool``.
+    unit order, all in one call of ``worker_map`` (see ``_worker_map``).
 
     Each search's units are dealt round-robin into ceil(workers / searches)
     batches (one per worker for a search alone), and its batches grow in
@@ -345,7 +329,6 @@ def _run_searches(searches: Sequence[_Search], pool: CVPool) -> list[list[list[f
     every unit is a batch of its own. Each task carries its own
     ``(X, y, folds)``, so the searches' batches run side by side.
     """
-    workers = _cv_workers(pool.jobs, sum(len(search.fits) for search in searches))
     tasks, strides = [], []
     for search in searches:
         units = [unit for _, unit in search.fits]
@@ -356,7 +339,7 @@ def _run_searches(searches: Sequence[_Search], pool: CVPool) -> list[list[list[f
         tasks += [(search.X, search.y, search.folds, lockstep, units[i::stride])
                   for i in range(stride)]
         strides.append(stride)
-    results = iter(pool.map(_staged_task, tasks))
+    results = iter(worker_map(_staged_task, tasks))
     out = []
     for search, stride in zip(searches, strides):
         staged: list[list[float]] = [[] for _ in search.fits]
@@ -391,7 +374,7 @@ def grid_search_cv(
     grid: Sequence[HyperParams],
     k: int = 5,
     seed: int = 0,
-    jobs: "int | CVPool" = 1,
+    jobs: int = 1,
 ) -> tuple[HyperParams, float]:
     """Pick the grid point with the lowest mean held-fold RMSE.
 
@@ -402,12 +385,12 @@ def grid_search_cv(
     learning_rate, fold) is fit once with its largest n_estimators, and the
     held-fold prediction is scored after every requested number of trees.
     Those fits are independent; ``jobs > 1`` runs them in up to ``jobs``
-    processes forked for this call, and a ``CVPool`` runs them in its
-    workers, with the same result.
+    processes forked for this call, with the same result.
     """
     search = _plan_search(X, y, grid, k, seed)
-    with _pool(jobs) as pool:
-        (staged,) = _run_searches([search], pool)
+    workers = _cv_workers(jobs, len(search.fits))
+    with _worker_map(workers) as worker_map:
+        (staged,) = _run_searches([search], workers, worker_map)
     return _pick(search, staged)
 
 
@@ -558,28 +541,33 @@ def _result(
 def impute_all(
     items: Sequence[tuple[VariableSeries, Sequence[VariableSeries]]],
     config: ImputationConfig = ImputationConfig(),
-    jobs: "int | CVPool" = 1,
+    jobs: int = 1,
 ) -> list[tuple[VariableSeries, ImputationReport]]:
     """``(completed series, report)`` of every ``(target, candidates)`` in
     ``items``, in order; see ``impute_series``.
 
     The run is planned once: every (variable, threshold) grid search is
-    planned in this process, their CV fits run in one map of the pool, and
-    the final fits of the picked grid points in a second, each returning
-    its predictions, so no model leaves the worker. A target with no
-    observed value raises InsufficientData before anything is fit.
+    planned in this process. Then up to ``jobs`` worker processes, no more
+    than the CPUs or the planned CV fits, are forked once; the CV fits of
+    every search run in one map of them, and the final fits of the picked
+    grid points in a second, each returning its predictions, so no model
+    leaves the worker. The workers are shut down before this returns. A
+    target with no observed value raises InsufficientData before anything
+    is fit.
     """
     plans = [_plan(target, candidates, config) for target, candidates in items]
     setups = [setup for _, planned in plans for setup in planned]
-    with _pool(jobs) as pool:
+    searches = [setup.search for setup in setups]
+    workers = _cv_workers(jobs, sum(len(search.fits) for search in searches))
+    with _worker_map(workers) as worker_map:
         picked = []
-        for setup, staged in zip(setups, _run_searches([s.search for s in setups], pool)):
+        for setup, staged in zip(setups, _run_searches(searches, workers, worker_map)):
             try:
                 setup.hp, _ = _pick(setup.search, staged)
             except InsufficientData:
                 continue
             picked.append(setup)
-        fits = pool.map(_final_fit, [
+        fits = worker_map(_final_fit, [
             (s.X[s.train], s.y[s.train], s.hp, s.predictors, s.X[s.val], s.X_missing)
             for s in picked
         ])
@@ -602,16 +590,15 @@ def impute_series(
     target: VariableSeries,
     candidates: Sequence[VariableSeries],
     config: ImputationConfig = ImputationConfig(),
-    jobs: "int | CVPool" = 1,
+    jobs: int = 1,
 ) -> tuple[VariableSeries, ImputationReport]:
     """Fill the target's missing values; returns (completed series, report).
 
     Candidates must be complete over the target's regions. Observed values
     are untouched at VERY_HIGH; imputed values carry the confidence grade of
     the winning setup's validation R² (or LOW on the mean-fallback path). A
-    target with no observed value raises InsufficientData.
-    ``jobs`` is the number of processes the fits may run in, or a
-    ``CVPool`` that they run in.
+    target with no observed value raises InsufficientData. The fits run in
+    up to ``jobs`` processes that ``impute_all`` forks for this call.
     """
     return impute_all([(target, candidates)], config, jobs)[0]
 

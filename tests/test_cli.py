@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import re
@@ -20,7 +21,7 @@ from regio.config import (
 )
 from regio.errors import InsufficientData
 from regio.hierarchy import load_hierarchy
-from regio.imputation import CVPool, _final_fit, _staged_task
+from regio.imputation import _final_fit, _staged_task
 
 
 def run_cli(*args):
@@ -723,26 +724,27 @@ class TestImpute:
         assert run_cli("impute", "--config", toy_project, "--jobs", 1) == 0
         serial = output_files(toy_project)
         shutil.rmtree(output_dir(toy_project))
-        maps = []
-        real_map = CVPool.map
+        pools, maps = [], []
+        real_worker_map = imputation._worker_map
 
-        def recording_map(pool, fn, tasks):
-            results = real_map(pool, fn, tasks)
-            maps.append((fn, pool._executor))
-            return results
+        @contextlib.contextmanager
+        def recording_worker_map(workers):
+            pools.append(workers)
+            with real_worker_map(workers) as worker_map:
+                yield lambda fn, tasks: maps.append((fn, len(tasks))) or worker_map(fn, tasks)
 
-        monkeypatch.setattr(CVPool, "map", recording_map)
+        monkeypatch.setattr(imputation, "_worker_map", recording_worker_map)
         assert run_cli("impute", "--config", toy_project, "--jobs", 2) == 0
         assert forks == [1, 1]
         assert multiprocessing.active_children() == []
         assert output_files(toy_project) == serial
         summary = json.loads(serial["imputed/imputation_summary.json"])
         assert sorted(summary["imputed"]) == ["industrial_area", "road_network"]
-        # one map runs every grid search of both variables, a second every
-        # final fit, both in the one pool
+        # one pool of two workers; one map of it runs every grid search of
+        # both variables, a second every final fit, each of more than one task
+        assert pools == [2]
         assert [fn for fn, _ in maps] == [_staged_task, _final_fit]
-        assert None not in [executor for _, executor in maps]
-        assert len({id(executor) for _, executor in maps}) == 1
+        assert min(n_tasks for _, n_tasks in maps) > 1
 
     @needs_fork
     def test_pool_is_joined_when_a_variable_fails(self, toy_project, forks, monkeypatch,

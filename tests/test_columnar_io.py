@@ -394,15 +394,27 @@ def test_csv_columns_read_edge_texts_as_csv_reader(tmp_path, text):
     assert table_outcome(path) == csv_reader_table(path)
 
 
+@pytest.mark.parametrize("text", [
+    'region,label\r\nA,"x\r\ny"\r\n',  # \r\n in a quoted cell stays in the cell
+    "a,b\r\n1,2\r\r\n3,4\r\n",  # a lone \r ends a row of its own
+    "a,b\r\n1,2\n3,4\r\n",  # \r\n and \n line ends mixed
+], ids=["quoted-crlf", "lone-cr", "mixed"])
+def test_csv_columns_read_crlf_texts_as_csv_reader(tmp_path, text):
+    path = write(tmp_path, text)
+    assert table_outcome(path) == csv_reader_table(path)
+
+
 def refuse_csv_reader(*args, **kwargs):
     raise AssertionError("csv.reader read a plain file")
 
 
 @pytest.mark.parametrize("text", [
     "a,b\n", "a,b", "a,b\n1,2\n3,4\n", "a,b\n1,2\n3,4", "a\nx\n", "a\nx", "a,,b\nx,,\n",
+    "a,b\r\n1,2\r\n", "a,b\r\n1,2\n3,4",
 ])
 def test_plain_text_needs_no_csv_reader(tmp_path, monkeypatch, text):
-    """Plain text is split, with or without its final newline."""
+    """Plain text is split, with or without its final newline, its lines
+    ended by \n or \r\n."""
     path = write(tmp_path, text)
     expected = csv_reader_table(path)
     monkeypatch.setattr(csv, "reader", refuse_csv_reader)

@@ -26,7 +26,6 @@ from regio.imputation import (
     ENSEMBLE,
     LOCKSTEP_MAX_ROWS,
     MEAN_FALLBACK,
-    CVPool,
     GridSpec,
     ImputationConfig,
     _cv_workers,
@@ -312,32 +311,31 @@ class TestCrossValidationPool:
         assert multiprocessing.active_children() == []
         assert pooled == grid_search_cv(X, y, self.GRID, 5, 3)
 
-    @needs_fork
-    def test_one_pool_serves_many_searches(self, forks):
-        X, y = self.data()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with CVPool(2) as pool:
-                pooled = [grid_search_cv(X, y, self.GRID, 5, seed, pool) for seed in range(3)]
-                assert len(multiprocessing.active_children()) == 2
-        assert forks == [1, 1]
-        assert threading.active_count() == 1
-        assert multiprocessing.active_children() == []
-        assert pooled == [grid_search_cv(X, y, self.GRID, 5, seed) for seed in range(3)]
-
-    def test_pool_stays_unforked_while_threads_run(self, forks):
-        X, y = self.data()
-        with CVPool(2) as pool, ThreadPoolExecutor(1) as threads:
-            threaded = threads.submit(grid_search_cv, X, y, self.GRID, 5, 3, pool).result(60)
-        assert forks == []
-        assert threaded == grid_search_cv(X, y, self.GRID, 5, 3)
-
     def test_fits_stay_in_process_while_threads_run(self, forks):
         X, y = self.data()
         with ThreadPoolExecutor(1) as pool:
             threaded = pool.submit(grid_search_cv, X, y, self.GRID, 5, 3, 2).result(timeout=60)
         assert forks == []
         assert threaded == grid_search_cv(X, y, self.GRID, 5, 3)
+
+    @needs_fork
+    def test_mean_fallbacks_fork_nothing(self, forks):
+        # too few rows for a holdout, and no candidate reaching a threshold:
+        # no CV fit is planned, so no worker is wanted
+        items = [imputation_cases()[i] for i in (2, 3)]
+        results = impute_all(items, FAST, jobs=2)
+        assert [report.method for _, report in results] == [MEAN_FALLBACK, MEAN_FALLBACK]
+        assert forks == []
+
+    @needs_fork
+    def test_workers_capped_by_the_planned_cv_fits(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        linear, cands = imputation_cases()[0]
+        one_search = replace(FAST, thresholds=(0.1,))  # a 1x1x1 grid: 5 CV fits
+        pooled = impute_all([(linear, cands)], one_search, jobs=8)
+        assert forks == [1] * 5
+        assert multiprocessing.active_children() == []
+        assert outcome(pooled[0]) == outcome(impute_series(linear, cands, one_search))
 
 
 class TestSearchBatches:
@@ -369,15 +367,18 @@ class TestSearchBatches:
 
         monkeypatch.setattr(imputation, "staged_holdout_rmse", recording_kernel)
         maps = []
-        monkeypatch.setattr(CVPool, "map", lambda pool, fn, tasks: maps.append(len(tasks))
-                            or list(map(fn, tasks)))
+
+        def recording_map(fn, tasks):
+            maps.append(len(tasks))
+            return list(map(fn, tasks))
+
         searches = self.searches(n_searches)
-        staged = _run_searches(searches, CVPool(jobs))
+        staged = _run_searches(searches, jobs, recording_map)
         assert maps == [n_searches * batches]
         for search in searches:
             # every batch grows in lockstep: one kernel call each
             assert [n for y, n in calls if y is search.y] == [20 // batches] * batches
-        alone = [_run_searches([search], CVPool(1))[0] for search in searches]
+        alone = [_run_searches([search], 1, recording_map)[0] for search in searches]
         assert [[[v.hex() for v in unit] for unit in s] for s in staged] == [
             [[v.hex() for v in unit] for unit in s] for s in alone
         ]
@@ -555,7 +556,8 @@ class TestImputeAll:
         def refuse(task):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(CVPool, "map", lambda pool, fn, tasks: [refuse(t) for t in tasks])
+        monkeypatch.setattr(imputation, "_staged_task", refuse)
+        monkeypatch.setattr(imputation, "_final_fit", refuse)
         items = imputation_cases()
         empty = series_with_missing({}, ["R0001", "R0002"], vid="empty")
         with pytest.raises(InsufficientData, match="^empty: no observed value"):

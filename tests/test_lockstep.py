@@ -1,7 +1,7 @@
 """The lockstep CV kernel against the per-unit path, and the numpy loops
 the split kernels rely on, pinned by bit pattern.
 
-``_staged_batch`` with ``lockstep`` grows the fits of a batch of CV units
+``_staged_task`` with ``lockstep`` grows the fits of a batch of CV units
 together (``gbrt.staged_holdout_rmse``); every staged RMSE must equal, by
 ``float.hex``, the one ``_staged_fold_rmse`` takes from ``fit_gbrt`` and
 ``TrainedEnsemble._stages`` for that unit alone. The kernel's node sums
@@ -19,8 +19,8 @@ from regio.imputation import (
     LOCKSTEP_MAX_ROWS,
     LOCKSTEP_MIN_FITS,
     GridSpec,
-    _staged_batch,
     _staged_fold_rmse,
+    _staged_task,
     grid_search_cv,
 )
 
@@ -129,7 +129,7 @@ def cv_cases(draw):
 @given(case=cv_cases())
 def test_lockstep_matches_per_unit(case):
     X, y, folds, units = case
-    assert hexes(_staged_batch(X, y, folds, True, units)) == hexes(
+    assert hexes(_staged_task((X, y, folds, True, units))) == hexes(
         [_staged_fold_rmse(X, y, folds, unit) for unit in units]
     )
 
