@@ -15,7 +15,6 @@ that fails one, by ``path:line``.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import os
@@ -23,7 +22,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import IntEnum
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -228,8 +227,10 @@ class MissingReport:
 
 
 def round_half_up(x: float) -> float:
-    """Decimal half-up rounding to 2 places for display (ties away from zero)."""
-    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """Half-up rounding to 2 places for display, ties away from zero; inf and NaN pass."""
+    if math.isfinite(x):  # 400 digits hold any finite double to 2 places
+        x = float(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_HALF_UP, Context(prec=400)))
+    return x
 
 
 def _scope(meta: SeriesMeta, hierarchy: RegionHierarchy) -> tuple[str, ...]:
@@ -398,29 +399,32 @@ def atomic_writer(path: str | Path) -> Iterator[IO[str]]:
 
 
 _WRITE_CHUNK = 1024  # rows joined into one write; bounds the text held at once
+_NEEDS_QUOTES = ',"\r\n'
+
+
+def _quoted(cell: str) -> str:
+    """``cell`` as a field ``csv.reader`` reads back: a cell holding a comma,
+    quote, CR or LF goes in double quotes, each quote doubled."""
+    if any(char in cell for char in _NEEDS_QUOTES):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def write_series_csv(series: VariableSeries, path: str | Path) -> None:
-    """Write ``region,value,confidence`` with 17-significant-digit floats."""
-    rows = zip(series.codes, series.data.tolist(), series.grades.tolist())
-    joined = "".join(series.codes)
+    """Write ``region,value,confidence`` with 17-significant-digit floats, a
+    chunk of joined lines at a time; codes are ``_quoted`` for ``csv.reader``."""
+    codes = series.codes
+    if any(char in "".join(codes) for char in _NEEDS_QUOTES):  # one check per column
+        codes = map(_quoted, codes)
+    rows = zip(codes, series.data.tolist(), series.grades.tolist())
     with atomic_writer(path) as fh:
-        if not any(char in joined for char in ',"\r\n'):  # no code needs quoting
-            fh.write(",".join(OUTPUT_HEADER) + "\n")
-            while chunk := list(islice(rows, _WRITE_CHUNK)):
-                fh.write("".join([
-                    f"{region},,\n" if value != value else  # NaN: missing
-                    f"{region},{value:.17g},{_GRADE_NAMES[grade]}\n"
-                    for region, value, grade in chunk
-                ]))
-            return
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OUTPUT_HEADER)
-        for region, value, grade in rows:
-            if math.isnan(value):
-                writer.writerow([region, "", ""])
-            else:
-                writer.writerow([region, format(value, ".17g"), _GRADE_NAMES[grade]])
+        fh.write(",".join(OUTPUT_HEADER) + "\n")
+        while chunk := list(islice(rows, _WRITE_CHUNK)):
+            fh.write("".join([
+                f"{region},,\n" if value != value else  # NaN: missing
+                f"{region},{value:.17g},{_GRADE_NAMES[grade]}\n"
+                for region, value, grade in chunk
+            ]))
 
 
 def missing_report(series: VariableSeries) -> MissingReport:

@@ -7,16 +7,17 @@ exact; rounding to two decimals happens only in display output.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import NoOverlap, UndefinedDeviation
 from .hierarchy import RegionHierarchy, SpatialLevel
-from .series import VariableSeries, aggregate, atomic_writer, round_half_up
+from .series import VariableSeries, _quoted, aggregate, atomic_writer, round_half_up
 
 DEVIATION_HEADER = ["label", "reported", "disaggregated", "difference", "pct_deviation"]
+# keeps a label in its markdown cell: | escaped, a line end (\r\n, \r or \n) one space
+_MARKDOWN_CELL = str.maketrans({"\r": " ", "\n": " ", "|": "\\|"})
 
 
 @dataclass(frozen=True)
@@ -100,18 +101,11 @@ def sector_comparison_report(
 def write_deviation_csv(rows: Sequence[DeviationRow], path: str | Path) -> None:
     """Exact values, 17 significant digits (display rounding is separate)."""
     with atomic_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DEVIATION_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.label,
-                    format(row.reported, ".17g"),
-                    format(row.disaggregated, ".17g"),
-                    format(row.difference, ".17g"),
-                    format(row.pct_deviation, ".17g"),
-                ]
-            )
+        fh.write("".join([",".join(DEVIATION_HEADER) + "\n"] + [
+            f"{_quoted(row.label)},{row.reported:.17g},{row.disaggregated:.17g},"
+            f"{row.difference:.17g},{row.pct_deviation:.17g}\n"
+            for row in rows
+        ]))
 
 
 def markdown_table(rows: Sequence[DeviationRow], value_unit: str = "") -> str:
@@ -122,8 +116,9 @@ def markdown_table(rows: Sequence[DeviationRow], value_unit: str = "") -> str:
         "| --- | --- | --- | --- | --- |",
     ]
     for row in rows:
+        label = row.label.replace("\r\n", " ").translate(_MARKDOWN_CELL)
         lines.append(
-            f"| {row.label} | {round_half_up(row.reported)} | "
+            f"| {label} | {round_half_up(row.reported)} | "
             f"{round_half_up(row.disaggregated)} | {row.difference_display} | "
             f"{row.pct_display} |"
         )

@@ -852,6 +852,22 @@ class TestValidate:
         assert run_cli("validate", "--config", toy_project) == 0
         assert "undefined (zero reported): AA11" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("reported,total,row", [
+        ("5.1e27", "5000e23", "| Alpha region | 5.1e+27 | 5e+26 | 4.6e+27 | 90.2 |"),
+        ("1e-310", "5000", "| Alpha region | 0.0 | 5000.0 | -5000.0 | -inf |"),
+    ], ids=["large", "infinite-pct"])
+    def test_values_of_any_size_are_shown(self, toy_project, reported, total, row):
+        """Display rounding takes values far beyond 28 digits and a
+        percentage that overflows to infinity."""
+        root = toy_project.parent
+        (root / "reference" / "transport_fec_nuts2.csv").write_text(
+            f"region,value,label\nAA11,{reported},Alpha region\nBB11,4900,Beta region\n"
+        )
+        (root / "series" / "transport_fec.csv").write_text(f"region,value\nAA,{total}\nBB,\n")
+        assert run_cli("run", "--config", toy_project) == 0
+        table = (output_dir(toy_project) / "validation" / "deviation_transport_fec.md").read_text()
+        assert table.splitlines()[2] == row
+
 
 class TestValidateAgainstCityInventory:
     """Drive cmd_validate with pre-written disaggregated outputs: the known
@@ -951,6 +967,22 @@ class TestRun:
         assert run_cli("run", "--config", toy_project) == 0
         assert len(calls) == 1
         assert len(hierarchy_loads) == 1
+
+    def test_cr_inside_a_code_gives_the_same_outputs(self, toy_project):
+        """A quoted LAU code holding a CR is written quoted again, so the
+        imputed series reads back and every output matches the plain run's."""
+        plain = toy_project.parent.with_name("plain")
+        shutil.copytree(toy_project.parent, plain)
+        assert run_cli("run", "--config", plain / "config.json") == 0
+        root = toy_project.parent
+        for path in [root / "hierarchy.csv", *root.glob("series/*.csv")]:
+            path.write_bytes(path.read_bytes().replace(b"AA_0001", b'"AA_00\r01"'))
+        assert run_cli("run", "--config", toy_project) == 0
+        written = output_files(toy_project)
+        assert b'\n"AA_00\r01",' in written["imputed/industrial_area.csv"]
+        assert {
+            name: data.replace(b'"AA_00\r01"', b"AA_0001") for name, data in written.items()
+        } == output_files(plain / "config.json")
 
     def test_same_outputs_as_separate_commands(self, toy_project):
         assert run_cli("run", "--config", toy_project) == 0

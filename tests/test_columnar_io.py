@@ -4,10 +4,12 @@
 ``load_hierarchy`` build every result from whole columns: plain text is
 split on newlines and commas, any other text is read by ``csv.reader``, and
 a failed bulk check names the first row that fails a check.
-``write_series_csv`` joins formatted lines unless a code needs quoting. The
-properties below generate files (and series) with the defects each bulk
-check must catch, and require the result, or the error, of the row readers
-regio had before (``row_reference``).
+``write_series_csv`` and ``write_deviation_csv`` join formatted lines and
+quote a cell that holds a comma, quote, CR or LF, as ``csv.writer`` does,
+so every CSV regio writes reads back. The properties below generate files
+(and series) with the defects each bulk check must catch, and require the
+result, or the error, of the row readers regio had before
+(``row_reference``).
 """
 
 import csv
@@ -25,15 +27,19 @@ from conftest import build_country
 from regio.cli import main as cli_main
 from regio.config import read_reference_csv
 from regio.errors import DuplicateCode, NonNumericValue, UnknownLevel, UnknownRegion
-from regio.hierarchy import RegionHierarchy, SpatialLevel, _csv_columns, load_hierarchy
+from regio.hierarchy import (
+    RegionHierarchy, RegionNode, SpatialLevel, _csv_columns, load_hierarchy,
+)
 from regio.series import (
     ConfidenceLevel,
     SeriesMeta,
+    _WRITE_CHUNK,
     VariableSeries,
     ingest_series,
     read_series_csv,
     write_series_csv,
 )
+from regio.validation import DEVIATION_HEADER, DeviationRow, write_deviation_csv
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -500,17 +506,27 @@ def test_clean_files_need_no_row_reader(tmp_path):
 
 # -- writer --------------------------------------------------------------------
 
-def csv_writer_bytes(series: VariableSeries) -> bytes:
-    """``write_series_csv``'s bytes as ``csv.writer`` writes them."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["region", "value", "confidence"])
+def csv_writer_bytes(rows) -> bytes:
+    """``rows`` as ``csv.writer`` writes them, with LF line ends.
+
+    Its terminator holds both line-end characters, so it quotes each cell
+    that holds a comma, quote, CR or LF; each row's CRLF becomes LF."""
+    lines = []
+    for row in rows:
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def series_rows(series: VariableSeries):
+    """``write_series_csv``'s rows: a missing value leaves both cells empty."""
+    yield ["region", "value", "confidence"]
     for region, value, grade in zip(series.codes, series.data.tolist(), series.grades.tolist()):
         if math.isnan(value):
-            writer.writerow([region, "", ""])
+            yield [region, "", ""]
         else:
-            writer.writerow([region, format(value, ".17g"), ConfidenceLevel(grade).name])
-    return buffer.getvalue().encode("utf-8")
+            yield [region, format(value, ".17g"), ConfidenceLevel(grade).name]
 
 
 CODE_TEXT = st.one_of(
@@ -531,7 +547,7 @@ CODE_TEXT = st.one_of(
     plain=st.booleans(),
 )
 def test_write_series_csv_matches_csv_writer(tmp_path, rows, plain):
-    if plain:  # codes that need no quoting, so the joined lines are written
+    if plain:  # codes that need no quoting
         rows = [row for row in rows if not any(c in row[0] for c in ',"\r\n')]
     codes = [row[0] for row in rows]
     data = np.array([row[1] for row in rows], dtype=np.float64)
@@ -540,7 +556,74 @@ def test_write_series_csv_matches_csv_writer(tmp_path, rows, plain):
     path = tmp_path / "out.csv"
     path.unlink(missing_ok=True)
     write_series_csv(series, path)
-    assert path.read_bytes() == csv_writer_bytes(series)
+    assert path.read_bytes() == csv_writer_bytes(series_rows(series))
+
+
+def cell_text(min_size: int):
+    """Any text, or text of the characters a CSV writer must quote or keep."""
+    return st.one_of(
+        st.text(
+            st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+            min_size=min_size, max_size=6,
+        ),
+        st.text(st.sampled_from('AB_1 ,"\r\n\t\x85\xe9'), min_size=min_size, max_size=4),
+    )
+
+
+# One NUTS0..NUTS3 chain above the LAU codes drawn; the filler codes, every
+# third of them quoted, make a series longer than one write chunk.
+UPPER = [
+    RegionNode("N", SpatialLevel.NUTS0, None, "N"),
+    RegionNode("N1", SpatialLevel.NUTS1, "N", "N"),
+    RegionNode("N11", SpatialLevel.NUTS2, "N1", "N"),
+    RegionNode("N111", SpatialLevel.NUTS3, "N11", "N"),
+]
+FILLER = [f"F{i:05d}" if i % 3 else f'F\r{i:05d},"' for i in range(_WRITE_CHUNK + 100)]
+RESERVED = {node.code for node in UPPER} | set(FILLER)
+# codes as load_hierarchy leaves them: stripped, so not empty
+STRIPPED_CODE = cell_text(1).map(str.strip).filter(lambda code: code and code not in RESERVED)
+VALUE_OR_MISSING = st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.tuples(STRIPPED_CODE, VALUE_OR_MISSING, st.sampled_from(list(ConfidenceLevel))),
+        unique_by=lambda row: row[0], min_size=1, max_size=30,
+    ),
+    filler=st.sampled_from([0, 0, 0, len(FILLER)]),
+)
+def test_written_series_reads_back(tmp_path, rows, filler):
+    """Whatever its codes, a written series reads back: ``_csv_columns``
+    gives the codes in order, ``read_series_csv`` the data and grades bit
+    for bit, also across write chunks."""
+    rows += [(code, i / 7, ConfidenceLevel.LOW) for i, code in enumerate(FILLER[:filler])]
+    lau = SpatialLevel.LAU
+    hierarchy = RegionHierarchy(UPPER + [RegionNode(row[0], lau, "N111", "N") for row in rows])
+    codes = hierarchy.regions_at(lau)
+    by_code = {row[0]: row for row in rows}
+    data = np.array([by_code[code][1] for code in codes], dtype=np.float64)
+    grades = np.where(np.isnan(data), -1, [int(by_code[code][2]) for code in codes])
+    series = VariableSeries("x", "", "", lau, "ALL", codes, data, grades)
+    path = tmp_path / "out.csv"
+    path.unlink(missing_ok=True)
+    write_series_csv(series, path)
+    assert _csv_columns(path, NonNumericValue).columns[0] == list(codes)
+    read = read_series_csv(path, SeriesMeta("x", "", "", lau), hierarchy)
+    assert read.codes == series.codes
+    assert list(map(float.hex, read.data.tolist())) == list(map(float.hex, data.tolist()))
+    assert read.grades.tolist() == grades.tolist()
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(cell_text(0), *[st.floats()] * 4), max_size=20))
+def test_write_deviation_csv_matches_csv_writer(tmp_path, rows):
+    path = tmp_path / "deviation.csv"
+    path.unlink(missing_ok=True)
+    write_deviation_csv([DeviationRow(*row) for row in rows], path)
+    assert path.read_bytes() == csv_writer_bytes(
+        [DEVIATION_HEADER] + [[label, *(format(x, ".17g") for x in xs)] for label, *xs in rows]
+    )
 
 
 # -- whole projects --------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,15 @@ class TestRounding:
         assert round_half_up(1.005) == 1.01
         assert round_half_up(1.004999) == 1.0
         assert round_half_up(-1.145) == -1.15
+        assert round_half_up(123.455) == 123.46
+
+    @pytest.mark.parametrize(
+        "x", [1e26, -1.7976931348623157e308, 5.1e27, math.inf, -math.inf, math.nan]
+    )
+    def test_large_and_non_finite_values_pass_through(self, x):
+        """Values of 1e26 and more have no digits after the point; the
+        default 28-digit context could not quantize them."""
+        assert round_half_up(x).hex() == x.hex()
 
     def test_display_is_presentation_only(self):
         row = MissingReport("x", 8043, 348)

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -181,6 +182,22 @@ class TestEmitters:
         text = markdown_table(self.rows(), value_unit="MWh")
         assert "| City A | 10.0 | 9.0 | 1.0 | 10.0 |" in text
         assert text.startswith("| Label | Reported (MWh)")
+
+    @pytest.mark.parametrize("label,cell", [
+        ("Lyon | Villeurbanne", r"Lyon \| Villeurbanne"),
+        ("|", r"\|"),
+        ("a\r\nb\rc\nd", "a b c d"),
+        ("a\n\nb|\r", r"a  b\| "),
+    ])
+    def test_markdown_label_keeps_its_cell(self, label, cell):
+        """A ``|`` in a label is escaped and each line end is one space, so
+        every row keeps the header's five cells."""
+        text = markdown_table([deviation(100.0, 98.0, label)])
+        header, _, row = text.splitlines()
+        cells = re.split(r"(?<!\\)\|", row)[1:-1]
+        assert len(cells) == len(re.split(r"(?<!\\)\|", header)[1:-1]) == 5
+        assert cells[0] == f" {cell} "
+        assert row == f"| {cell} | 100.0 | 98.0 | 2.0 | 2.0 |"
 
     def test_row_is_frozen(self):
         row = DeviationRow("x", 1.0, 1.0, 0.0, 0.0)
