@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ComparisonSpec,
     ProjectConfig,
@@ -32,7 +34,7 @@ from .disaggregation import (
     ALLOCATE, TaskSpec, check_dependencies, load_pipeline_config, run_pipeline,
     source_findings,
 )
-from .errors import ConfigError, RegioError
+from .errors import ConfigError, NonFiniteValue, RegioError
 from .formulas import load_proxy_assignments, variables
 from .hierarchy import RegionHierarchy, SpatialLevel, load_hierarchy
 from .imputation import impute_all
@@ -194,7 +196,8 @@ def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
     imputed; a missing national value later skips its pipeline task. One
     ``impute_all`` call imputes every variable, in up to ``jobs`` processes
     that it forks and shuts down before any output is written. A variable
-    with no observed value fails the run before anything is fit or written.
+    with no observed value fails the run before anything is fit or written,
+    and so does a completed series that holds a non-finite value.
     """
     out_dir = project.config.output_dir / "imputed"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,6 +212,9 @@ def cmd_impute(project: LoadedProject, seed: int, jobs: int) -> None:
             targets.append(series)
     items = [(s, _impute_candidates(project.store, project.hierarchy, s)) for s in targets]
     results = impute_all(items, project.config.imputation_config(seed), jobs)
+    for completed, _ in results:
+        if not np.isfinite(completed.data).all():
+            raise NonFiniteValue(f"{completed.variable_id}: imputation gave a non-finite value")
     for series, (completed, report) in zip(targets, results):
         write_series_csv(completed, out_dir / f"{series.variable_id}.csv")
         _dump_json(report.to_dict(), out_dir / f"{series.variable_id}_report.json")

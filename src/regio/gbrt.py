@@ -44,16 +44,15 @@ identity 0.0, and ``reduceat`` adds the pairwise sum of a segment's other
 terms to its first, here that 0.0. The held-out rows follow the same
 splits. So the staged RMSEs equal those of ``fit_gbrt`` models
 scored tree by tree. The kernel only pays off while per-node numpy calls
-dominate the element work and a level holds enough nodes to share them;
-``imputation`` uses it for batches of at least
-``imputation.LOCKSTEP_MIN_FITS`` fits of up to
-``imputation.LOCKSTEP_MAX_ROWS`` training rows.
+dominate the element work and a level holds enough nodes to share them
+(``_lockstep``); otherwise ``_grow_each`` grows each fit's tree with
+``_grow``. Both growers feed the same staged-error code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -241,18 +240,11 @@ class TrainedEnsemble:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """base_prediction + learning_rate * sum of tree outputs, exactly."""
-        *_, out = self._stages(X)
-        return out
-
-    def _stages(self, X: np.ndarray) -> Iterator[np.ndarray]:
-        """The prediction of the first 0, 1, ..., len(trees) trees, in one
-        array that each step updates in place."""
         X = np.asarray(X, dtype=float)
         out = np.full(X.shape[0], self.base_prediction, dtype=float)
-        yield out
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
-            yield out
+        return out
 
 
 def fit_gbrt(
@@ -420,21 +412,49 @@ def _grow_lockstep(columns, held_columns, r, orders, sizes, held_sizes, depths):
         held = held[held_child.argsort(kind="stable")]
 
 
+def _grow_each(columns, held_columns, r, orders, sizes, held_sizes, depths):
+    """``_grow_lockstep``'s result, each fit's tree grown on its own by
+    ``_grow`` and its held rows scored by ``RegressionTree.predict``."""
+    fitted, predicted = np.empty(r.shape[0]), np.empty(held_columns.shape[1])
+    rc, in_left = _paired(r), np.empty(r.shape[0], dtype=bool)
+    ends, held_ends = sizes.cumsum(), held_sizes.cumsum()
+    for end, size, held_end, held_size, depth in zip(ends, sizes, held_ends, held_sizes, depths):
+        start, held_start = end - size, held_end - held_size
+        tree = RegressionTree(_grow(
+            columns, r, rc, np.arange(start, end), [order[start:end] for order in orders],
+            depth, fitted, in_left,
+        ))
+        predicted[held_start:held_end] = tree.predict(held_columns[:, held_start:held_end].T)
+    return fitted, predicted
+
+
+# Growing a batch in lockstep beats growing its fits one by one only while
+# each fit trains on at most LOCKSTEP_MAX_ROWS rows and the batch holds at
+# least LOCKSTEP_MIN_FITS fits (the sweeps are in ROADMAP, Parked).
+LOCKSTEP_MAX_ROWS = 512
+LOCKSTEP_MIN_FITS = 4
+
+
+def _lockstep(n_train: int, n_fits: int) -> bool:
+    """Whether a batch of ``n_fits`` CV fits, none training on more than
+    ``n_train`` rows, grows in lockstep."""
+    return n_train <= LOCKSTEP_MAX_ROWS and n_fits >= LOCKSTEP_MIN_FITS
+
+
 def staged_holdout_rmse(
     X: np.ndarray,
     y: np.ndarray,
     fits: Sequence[tuple[np.ndarray, np.ndarray, HyperParams]],
 ) -> list[list[float]]:
-    """Held-out RMSE of each fit after each of its trees, all fits grown in
-    lockstep.
+    """Held-out RMSE of each fit after each of its trees.
 
     A fit is ``(train, held, hp)``: ``fit_gbrt(X[train], y[train], hp)``
     with ``train`` ascending, scored on ``X[held]`` against ``y[held]``.
     Element ``i`` of a fit's result is the RMSE of its first ``i`` trees,
     equal to the staged predictions of that model scored by
-    ``imputation.rmse``. Tree ``t`` of every fit grows in one pass,
-    a level per step, so each step makes one set of numpy calls for all
-    nodes of all fits at that level; no ``TreeNode`` is built.
+    ``imputation.rmse``. Tree ``t`` of every fit grows in one pass: in
+    lockstep, a level per step with no ``TreeNode`` built, if ``_lockstep``
+    holds for the batch, else fit by fit (``_grow_each``).
     """
     if not fits:
         return []
@@ -463,6 +483,7 @@ def staged_holdout_rmse(
     rate, held_rate = np.repeat(rates, sizes), np.repeat(rates, held_sizes)
     depths = np.array([hp.max_depth for hp in hps])
     n_trees = [hp.n_estimators for hp in hps]
+    grow = _grow_lockstep if _lockstep(int(sizes.max()), len(fits)) else _grow_each
     # squared held errors per stage, each fit's after a 0.0 for _segment_sums
     held_slots, held_leads = _zero_led(held_sizes)
     errors = np.zeros((max(n_trees, default=0) + 1, held_pool.shape[0] + len(fits)))
@@ -470,7 +491,7 @@ def staged_holdout_rmse(
     for t in range(errors.shape[0] - 1):
         k = sum(n > t for n in n_trees)
         n, h = int(ends[k - 1]), int(held_ends[k - 1])
-        fitted, predicted = _grow_lockstep(
+        fitted, predicted = grow(
             columns[:, :n], held_columns[:, :h], y_train[:n] - predictions[:n],
             [order[:n] for order in orders], sizes[:k], held_sizes[:k], depths[:k],
         )

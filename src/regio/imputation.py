@@ -17,17 +17,15 @@ threshold), folds and cross-validation units. One map then runs the CV
 fits of every search, and a second one the final fit of every search's
 winning grid point; each final fit returns its predictions for the
 training, validation and missing rows, so no model crosses a process
-boundary. ``impute_series`` is ``impute_all`` of one variable.
+boundary. ``impute_series`` is ``impute_all`` of one variable. A target is
+planned times the power of two that puts its largest observed |value| in
+[1, 2); its RMSEs and predictions are scaled back, so its units change no
+tree and no squared error leaves the float range.
 
-The CV fits take one of two growers. Each search's fits are dealt
-round-robin into ceil(workers / searches) batches. While each fit trains
-on at most ``LOCKSTEP_MAX_ROWS`` rows, it is bound by per-node numpy calls,
-and ``gbrt.staged_holdout_rmse`` grows a batch of at least
-``LOCKSTEP_MIN_FITS`` fits in lockstep, one tree level per step, spreading
-each step's calls over all the batch's nodes. Larger fits are bound by
-element work, which the per-node grower of ``fit_gbrt`` does only once, and
-smaller batches have too few nodes per call to pay for the padding, so
-those fits are grown one by one. Both growers give the same staged RMSEs,
+``gbrt.staged_holdout_rmse`` scores every CV fit; ``gbrt`` picks the
+grower of each batch (``gbrt._lockstep``). Each search's fits are dealt
+round-robin into ceil(workers / searches) batches if those batches grow in
+lockstep, else one fit per batch. Both growers give the same staged RMSEs,
 bit for bit.
 
 ``impute_all`` owns the worker processes of a run: with ``jobs > 1`` it
@@ -57,8 +55,8 @@ from .errors import (
     NoPredictors,
     UndefinedR2,
 )
-from .gbrt import HyperParams, TrainedEnsemble, fit_gbrt, staged_holdout_rmse
-from .series import ConfidenceLevel, VariableSeries, pearson
+from .gbrt import HyperParams, TrainedEnsemble, _lockstep, fit_gbrt, staged_holdout_rmse
+from .series import ConfidenceLevel, VariableSeries, binary_exponent, pearson
 
 ENSEMBLE = "ENSEMBLE"
 MEAN_FALLBACK = "MEAN_FALLBACK"
@@ -213,37 +211,12 @@ def _cv_fit(y, folds, unit) -> tuple[np.ndarray, np.ndarray, HyperParams]:
     return mask.nonzero()[0], folds[fold_index], HyperParams(n_max, lr, depth)
 
 
-def _staged_fold_rmse(X, y, folds, unit) -> list[float]:
-    """Fit one CV unit and score its held fold after every tree.
-
-    Element ``i`` of the result is the held-fold RMSE of the first ``i``
-    trees.
-    """
-    train, held, hp = _cv_fit(y, folds, unit)
-    model = fit_gbrt(X[train], y[train], hp)
-    return [rmse(out, y[held]) for out in model._stages(X[held])]
-
-
-# A lockstep batch beats fitting its fits one by one only while each fit
-# trains on at most LOCKSTEP_MAX_ROWS rows and the batch holds at least
-# LOCKSTEP_MIN_FITS fits (the sweeps are in ROADMAP, Parked).
-LOCKSTEP_MAX_ROWS = 512
-LOCKSTEP_MIN_FITS = 4
-
-
-def _lockstep(n_train: int, n_fits: int) -> bool:
-    """Whether batches of at least ``n_fits`` CV fits, each training on at
-    most ``n_train`` rows, grow in lockstep."""
-    return n_train <= LOCKSTEP_MAX_ROWS and n_fits >= LOCKSTEP_MIN_FITS
-
-
 def _staged_task(task) -> list[list[float]]:
-    """``_staged_fold_rmse`` of every unit of ``task``, ``(X, y, folds,
-    lockstep, units)``; with ``lockstep`` the units grow together."""
-    X, y, folds, lockstep, units = task
-    if lockstep:
-        return staged_holdout_rmse(X, y, [_cv_fit(y, folds, unit) for unit in units])
-    return [_staged_fold_rmse(X, y, folds, unit) for unit in units]
+    """The held fold's RMSE after every tree of every unit of ``task``,
+    ``(X, y, folds, units)``: element ``i`` of a unit's scores is that of
+    its first ``i`` trees."""
+    X, y, folds, units = task
+    return staged_holdout_rmse(X, y, [_cv_fit(y, folds, unit) for unit in units])
 
 
 def _cv_workers(jobs: int, n_units: int) -> int:
@@ -320,24 +293,22 @@ def _plan_search(X, y, grid: Sequence[HyperParams], k: int, seed: int) -> _Searc
 def _run_searches(
     searches: Sequence[_Search], workers: int, worker_map
 ) -> list[list[list[float]]]:
-    """``_staged_fold_rmse`` of every unit of every search, per search in
-    unit order, all in one call of ``worker_map`` (see ``_worker_map``).
+    """``_staged_task`` of every unit of every search, per search in unit
+    order, all in one call of ``worker_map`` (see ``_worker_map``).
 
     Each search's units are dealt round-robin into ceil(workers / searches)
-    batches (one per worker for a search alone), and its batches grow in
-    lockstep if ``_lockstep`` holds for the smallest of them; otherwise
-    every unit is a batch of its own. Each task carries its own
-    ``(X, y, folds)``, so the searches' batches run side by side.
+    batches (one per worker for a search alone) if ``gbrt._lockstep`` holds
+    for the smallest of them; otherwise every unit is a batch of its own.
+    Each task carries its own ``(X, y, folds)``, so the searches' batches
+    run side by side.
     """
     tasks, strides = [], []
     for search in searches:
         units = [unit for _, unit in search.fits]
         batches = _cv_workers(-(-workers // len(searches)), len(units))
         n_train = search.y.shape[0] - min(len(fold) for fold in search.folds)
-        lockstep = _lockstep(n_train, len(units) // batches)
-        stride = batches if lockstep else len(units)
-        tasks += [(search.X, search.y, search.folds, lockstep, units[i::stride])
-                  for i in range(stride)]
+        stride = batches if _lockstep(n_train, len(units) // batches) else len(units)
+        tasks += [(search.X, search.y, search.folds, units[i::stride]) for i in range(stride)]
         strides.append(stride)
     results = iter(worker_map(_staged_task, tasks))
     out = []
@@ -422,7 +393,9 @@ class ImputationReport:
 class _Setup:
     """One threshold setup of a variable: planned with its predictors' values
     at the observed rows (``X``, against ``y``, split into ``train`` and
-    ``val``) and at the missing regions, then picked and fit."""
+    ``val``) and at the missing regions, then picked and fit. ``y`` is the
+    target's observed values times ``2**-scale``; the RMSEs and predictions
+    are scaled back."""
 
     threshold: float
     predictors: list[str]
@@ -432,6 +405,7 @@ class _Setup:
     val: np.ndarray
     X_missing: np.ndarray
     search: _Search
+    scale: int
     hp: HyperParams | None = None
     rmse_train: float | None = None
     r2_train: float | None = None
@@ -469,7 +443,9 @@ def _filled(target: VariableSeries, fill, confidence: ConfidenceLevel) -> Variab
 def _mean_fallback(
     target: VariableSeries, attempted: "_Setup | None"
 ) -> tuple[VariableSeries, ImputationReport]:
-    mean_value = float(np.mean(target.values(target.present_regions())))
+    values = target.values(target.present_regions())
+    scale = binary_exponent(values)  # a sum in range, as in _plan
+    mean_value = float(np.ldexp(np.mean(np.ldexp(values, -scale)), scale))
     completed = _filled(target, mean_value, ConfidenceLevel.LOW)
     return completed, _report(target, attempted, MEAN_FALLBACK, ConfidenceLevel.LOW)
 
@@ -489,6 +465,8 @@ def _plan(target: VariableSeries, candidates: Sequence[VariableSeries], config: 
     except InsufficientData:
         return _mean_fallback(target, None), []
     y = target.values(present)
+    scale = binary_exponent(y)  # see the module notes
+    y = np.ldexp(y, -scale)
     by_id = {c.variable_id: c for c in candidates}
     ranked = _ranked_candidates(target, candidates)  # once for every threshold
     setups = []
@@ -504,7 +482,7 @@ def _plan(target: VariableSeries, candidates: Sequence[VariableSeries], config: 
         except InsufficientData:
             continue
         X_missing = np.column_stack([by_id[p].values(missing) for p in predictors])
-        setups.append(_Setup(threshold, predictors, X, y, train, val, X_missing, search))
+        setups.append(_Setup(threshold, predictors, X, y, train, val, X_missing, search, scale))
     return None, setups
 
 
@@ -574,12 +552,12 @@ def impute_all(
     for setup, (pred_train, pred_val, predicted) in zip(picked, fits):
         y_train, y_val = setup.y[setup.train], setup.y[setup.val]
         try:
-            scores = (rmse(pred_train, y_train), r2(pred_train, y_train),
-                      rmse(pred_val, y_val), r2(pred_val, y_val))
+            setup.r2_train, setup.r2_val = r2(pred_train, y_train), r2(pred_val, y_val)
         except UndefinedR2:
             continue
-        setup.rmse_train, setup.r2_train, setup.rmse_val, setup.r2_val = scores
-        setup.predicted = predicted
+        setup.rmse_train = float(np.ldexp(rmse(pred_train, y_train), setup.scale))
+        setup.rmse_val = float(np.ldexp(rmse(pred_val, y_val), setup.scale))
+        setup.predicted = np.ldexp(predicted, setup.scale)
     return [
         result if result is not None else _result(target, planned)
         for (target, _), (result, planned) in zip(items, plans)

@@ -477,11 +477,24 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.array(sums, dtype=np.float64)
 
 
+def binary_exponent(values: np.ndarray) -> int:
+    """The ``k`` for which the largest ``|value|`` times ``2**-k`` lies in
+    [1, 2). ``np.ldexp(values, -k)`` changes only exponents, so it scales
+    exactly unless a value leaves the normal range."""
+    return int(np.frexp(np.abs(values).max())[1]) - 1
+
+
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    return np.ldexp(values, -binary_exponent(values))
+
+
 def pearson(x: Iterable[float], y: Iterable[float]) -> float | None:
     """Sample Pearson correlation; None when either vector is constant.
 
     The None sentinel marks an undefined correlation (no linear information);
-    callers treat it as 0.
+    callers treat it as 0. Each vector, then its deviations, are scaled by a
+    power of two before any product, so sums of squares neither overflow
+    nor underflow and the result does not depend on the vectors' units.
     """
     xa = np.asarray(list(x), dtype=float)
     ya = np.asarray(list(y), dtype=float)
@@ -489,8 +502,9 @@ def pearson(x: Iterable[float], y: Iterable[float]) -> float | None:
         raise LengthMismatch(f"length mismatch: {xa.size} vs {ya.size}")
     if xa.size < 2:
         raise InsufficientData("pearson requires at least 2 points")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
+    xa, ya = _unit_scaled(xa), _unit_scaled(ya)
+    dx = _unit_scaled(xa - xa.mean())
+    dy = _unit_scaled(ya - ya.mean())
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:

@@ -1,11 +1,13 @@
 import contextlib
 import json
+import math
 import multiprocessing
 import re
 import shutil
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import TOY_PROJECT, needs_fork
@@ -776,6 +778,22 @@ class TestImpute:
         assert list((output_dir(toy_project) / "imputed").glob("*")) == []
 
 
+    def test_non_finite_imputed_value_fails_before_any_write(self, toy_project, monkeypatch,
+                                                             capsys):
+        real_fit = imputation._final_fit
+
+        def infinite_fit(task):
+            pred_train, pred_val, predicted = real_fit(task)
+            return pred_train, pred_val, np.full_like(predicted, np.inf)
+
+        monkeypatch.setattr(imputation, "_final_fit", infinite_fit)
+        assert run_cli("impute", "--config", toy_project) == 2
+        assert "error: industrial_area: imputation gave a non-finite value" in (
+            capsys.readouterr().out
+        )
+        assert list((output_dir(toy_project) / "imputed").glob("*")) == []
+
+
 class TestDisaggregate:
     def test_requires_imputation_first(self, toy_project, capsys):
         assert run_cli("disaggregate", "--config", toy_project) == 2
@@ -983,6 +1001,43 @@ class TestRun:
         assert {
             name: data.replace(b'"AA_00\r01"', b"AA_0001") for name, data in written.items()
         } == output_files(plain / "config.json")
+
+    @pytest.mark.parametrize("variable, factor, exponent", [
+        ("industrial_area", 2.0**600, 600),
+        ("industrial_area", 2.0**-600, -600),
+        ("population", 2.0**600, 0),
+        ("industrial_area", 1e307, None),
+    ], ids=["target-2^600", "target-2^-600", "predictor-2^600", "target-1e307"])
+    def test_imputation_in_other_units(self, toy_project, variable, factor, exponent):
+        """Scaling a series by a power of two imputes industrial_area as in
+        the plain toy, its value scaled the same way; at 1e307 no squared
+        error or mean leaves the float range, so nothing becomes inf."""
+        plain = toy_project.parent.with_name("plain")
+        shutil.copytree(toy_project.parent, plain)
+        assert run_cli("run", "--config", plain / "config.json") == 0
+        path = toy_project.parent / "series" / f"{variable}.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("".join([f"{header}\n", *(
+            f"{code},{float(value) * factor!r}\n" if value else f"{code},\n"
+            for code, value in (row.split(",") for row in rows)
+        )]))
+        assert run_cli("run", "--config", toy_project) == 0
+        written, expected = output_files(toy_project), output_files(plain / "config.json")
+        assert not any(b"inf" in data for data in written.values())
+        report, plain_report = (
+            json.loads(files["imputed/industrial_area_report.json"]) for files in (written, expected)
+        )
+        assert plain_report["method"] == "ENSEMBLE"
+        if exponent is None:
+            assert report["method"] == plain_report["method"]
+            return
+        keys = ("method", "selected_predictors", "best_hyperparams", "r2_val")
+        assert {k: report[k] for k in keys} == {k: plain_report[k] for k in keys}
+        imputed, plain_imputed = (
+            float(re.search(rb"\nAA_0004,([^,]+),", files["imputed/industrial_area.csv"])[1])
+            for files in (written, expected)
+        )
+        assert imputed.hex() == math.ldexp(plain_imputed, exponent).hex()
 
     def test_same_outputs_as_separate_commands(self, toy_project):
         assert run_cli("run", "--config", toy_project) == 0

@@ -19,12 +19,11 @@ from regio.errors import (
     NoPredictors,
     UndefinedR2,
 )
-from regio.gbrt import HyperParams, fit_gbrt
+from regio.gbrt import LOCKSTEP_MAX_ROWS, HyperParams, fit_gbrt
 from regio.hierarchy import SpatialLevel
 from regio import imputation
 from regio.imputation import (
     ENSEMBLE,
-    LOCKSTEP_MAX_ROWS,
     MEAN_FALLBACK,
     GridSpec,
     ImputationConfig,
@@ -264,7 +263,7 @@ class TestStagedGridSearchMatchesReference:
         def refuse(*args):
             raise AssertionError("a fit above the cutoff reached the lockstep kernel")
 
-        monkeypatch.setattr("regio.imputation.staged_holdout_rmse", refuse)
+        monkeypatch.setattr("regio.gbrt._grow_lockstep", refuse)
         n = LOCKSTEP_MAX_ROWS * 5 // 4 + 10
         assert n - n // 5 > LOCKSTEP_MAX_ROWS
         rng = np.random.default_rng(8)

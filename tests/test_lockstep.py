@@ -1,31 +1,36 @@
-"""The lockstep CV kernel against the per-unit path, and the numpy loops
-the split kernels rely on, pinned by bit pattern.
+"""The CV scorer's two growers against a per-unit oracle, and the numpy
+loops the split kernels rely on, pinned by bit pattern.
 
-``_staged_task`` with ``lockstep`` grows the fits of a batch of CV units
-together (``gbrt.staged_holdout_rmse``); every staged RMSE must equal, by
-``float.hex``, the one ``_staged_fold_rmse`` takes from ``fit_gbrt`` and
-``TrainedEnsemble._stages`` for that unit alone. The kernel's node sums
-(``gbrt._segment_sums``) must equal ``.sum()`` of each node's rows by bit
-pattern, and one complex ``cumsum`` of ``gbrt._paired(r)`` must give
-``r.cumsum()`` and ``(r * r).cumsum()`` bit for bit.
+``gbrt.staged_holdout_rmse`` scores a batch of CV units, growing their
+trees in lockstep (``_grow_lockstep``) or one by one (``_grow_each``).
+Whichever grower runs, every staged RMSE must equal, by ``float.hex``, the
+one the public API gives for that unit alone: ``fit_gbrt``, then each
+tree's ``RegressionTree.predict`` added in turn, scored by ``rmse``. The
+lockstep kernel's node sums (``gbrt._segment_sums``) must equal ``.sum()``
+of each node's rows by bit pattern, and one complex ``cumsum`` of
+``gbrt._paired(r)`` must give ``r.cumsum()`` and ``(r * r).cumsum()`` bit
+for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-import regio.imputation
-from regio.gbrt import _paired, _segment_sums, _zero_led
-from regio.imputation import (
+from regio import gbrt
+from regio.gbrt import (
     LOCKSTEP_MAX_ROWS,
     LOCKSTEP_MIN_FITS,
-    GridSpec,
-    _staged_fold_rmse,
-    _staged_task,
-    grid_search_cv,
+    HyperParams,
+    _paired,
+    _segment_sums,
+    _zero_led,
+    fit_gbrt,
 )
+from regio.imputation import GridSpec, _staged_task, grid_search_cv, rmse
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -125,13 +130,51 @@ def cv_cases(draw):
     return X, y, folds, units
 
 
+def oracle_scores(X, y, folds, unit):
+    """The held fold's RMSE after each tree of one CV unit, ``(fold index,
+    max_depth, learning_rate, n_estimators)``, through the public API."""
+    fold_index, depth, lr, n_trees = unit
+    held = folds[fold_index]
+    train = np.setdiff1d(np.arange(y.shape[0]), held)
+    model = fit_gbrt(X[train], y[train], HyperParams(n_trees, lr, depth))
+    out = np.full(held.shape[0], model.base_prediction)
+    scores = [rmse(out, y[held])]
+    for tree in model.trees:
+        out += model.learning_rate * tree.predict(X[held])
+        scores.append(rmse(out, y[held]))
+    return scores
+
+
+def scores_with(grower, X, y, folds, units):
+    """``_staged_task``'s scores with ``grower`` forced on the batch:
+    "lockstep", "each", or None for the one ``gbrt._lockstep`` picks."""
+    if grower is None:
+        return _staged_task((X, y, folds, units))
+    with mock.patch.object(gbrt, "_lockstep", lambda n_train, n_fits: grower == "lockstep"):
+        return _staged_task((X, y, folds, units))
+
+
+def above_the_cutoff(n, n_fits, depth):
+    """A case of ``n_fits`` units that train on more than LOCKSTEP_MAX_ROWS
+    rows, so ``gbrt._lockstep`` picks ``_grow_each`` for the batch."""
+    rng = np.random.default_rng(n)
+    X = np.round(rng.normal(size=(n, 2)), 2)
+    y = X[:, 0] - np.abs(X[:, 1]) + rng.normal(scale=0.3, size=n)
+    folds = np.array_split(rng.permutation(n), 5)
+    assert n - len(folds[-1]) > LOCKSTEP_MAX_ROWS
+    return X, y, folds, [(i % 5, depth, 0.3, 4) for i in range(n_fits)]
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=cv_cases())
+@example(case=above_the_cutoff(700, LOCKSTEP_MIN_FITS, 6))
+@example(case=above_the_cutoff(1_500, 6, 3))
+@example(case=above_the_cutoff(7_000, LOCKSTEP_MIN_FITS, 6))
 def test_lockstep_matches_per_unit(case):
     X, y, folds, units = case
-    assert hexes(_staged_task((X, y, folds, True, units))) == hexes(
-        [_staged_fold_rmse(X, y, folds, unit) for unit in units]
-    )
+    expected = hexes([oracle_scores(X, y, folds, unit) for unit in units])
+    for grower in ("lockstep", "each", None):
+        assert hexes(scores_with(grower, X, y, folds, units)) == expected, grower
 
 
 @pytest.mark.parametrize(
@@ -151,10 +194,11 @@ def test_grid_search_picks_the_grower(monkeypatch, n_train, n_fits, lockstep):
     rng = np.random.default_rng(5)
     X = np.round(rng.uniform(size=(n, 2)), 2)
     y = X[:, 0] + rng.normal(scale=0.1, size=n)
-    calls = []
-    kernel = regio.imputation.staged_holdout_rmse
+    batches = []  # the fits of each call, one call per tree
+    kernel = gbrt._grow_lockstep
     monkeypatch.setattr(
-        regio.imputation, "staged_holdout_rmse", lambda *args: calls.append(1) or kernel(*args)
+        gbrt, "_grow_lockstep", lambda *args: batches.append(len(args[4])) or kernel(*args)
     )
     grid_search_cv(X, y, GridSpec((2,), (0.3,), (2,)).expand(), n_fits, 1)
-    assert calls == ([1] if lockstep else [])
+    # with enough fits, both trees of the one batch grow in lockstep
+    assert batches == ([n_fits, n_fits] if lockstep else [])

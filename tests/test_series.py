@@ -266,6 +266,21 @@ class TestPearson:
             assert pearson(a * x + b, y) == pytest.approx(r, abs=1e-9)
             assert pearson(-a * x + b, y) == pytest.approx(-r, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**600, 2.0**-600, 2.0**1021],
+                             ids=["1e200", "1e-200", "2^600", "2^-600", "2^1021"])
+    def test_any_units(self, scale):
+        # the sums of squared deviations would overflow or underflow, and at
+        # 2^1021 so would the sum that takes the mean
+        x, y = [1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0]
+        r = pearson(x, y)
+        assert r == pytest.approx(0.8315218406202999, abs=1e-15)
+        scaled = [v * scale for v in y]
+        assert pearson(x, scaled) == pytest.approx(r, abs=1e-15)
+        assert pearson(scaled, x) == pytest.approx(r, abs=1e-15)
+        if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
+            assert pearson(x, scaled) == r
+            assert pearson([v * scale for v in x], scaled) == r
+
     def test_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
