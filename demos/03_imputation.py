@@ -14,7 +14,7 @@ from regio import (
     ImputationConfig,
     SpatialLevel,
     VariableSeries,
-    impute_series,
+    impute_all,
 )
 
 rng = np.random.default_rng(7)
@@ -38,7 +38,7 @@ candidates = [
 ]
 
 config = ImputationConfig(grid=GridSpec((50, 100), (0.1, 0.3), (2, 4)), seed=7)
-completed, report = impute_series(target, candidates, config)
+[(completed, report)] = impute_all([(target, candidates)], config)
 
 print("\nmethod:          ", report.method)
 print("threshold used:  ", report.threshold_used)
@@ -60,5 +60,5 @@ noise = dict(zip(REGIONS, map(float, rng.normal(size=N))))
 for i in range(0, N, 10):
     noise[REGIONS[i]] = None
 noise_target = VariableSeries.from_values("noise_var", SpatialLevel.LAU, noise)
-_, noise_report = impute_series(noise_target, candidates, config)
+[(_, noise_report)] = impute_all([(noise_target, candidates)], config)
 print(f"\nnoise target -> {noise_report.method} at {noise_report.confidence.name}")

@@ -56,9 +56,7 @@ from .imputation import (
     ImputationConfig,
     ImputationReport,
     cross_country_predict,
-    grid_search_cv,
     impute_all,
-    impute_series,
     r2,
     rate_confidence,
     rmse,

@@ -2,11 +2,15 @@
 
 An ensemble is a constant base prediction (the training-target mean) plus
 ``n_estimators`` shallow trees fit sequentially to residuals, each scaled by
-the learning rate. Split search is exact: candidate thresholds are the
-midpoints between consecutive distinct sorted feature values, and the best
-split minimizes the summed squared error of the two children (ties broken by
-lowest feature index, then lowest threshold). Minimum one sample per leaf;
-no regularization beyond the depth cap.
+the learning rate. Split search is exact: candidate splits fall between
+consecutive distinct sorted feature values, and the best split minimizes the
+summed squared error of the two children (ties broken by lowest feature
+index, then lowest threshold). Its threshold is the midpoint of the two
+values ``lo < hi``, taken as ``lo / 2 + hi / 2`` where ``lo + hi``
+overflows, and ``lo`` where the midpoint rounds onto ``hi`` (two values one
+ulp apart), so rows at ``lo`` go left and rows at ``hi`` right
+(``_thresholds``). Minimum one sample per leaf; no regularization beyond the
+depth cap.
 
 ``fit_gbrt`` stable-argsorts each feature column once per fit (the
 presorted-column exact greedy search of Chen & Guestrin, KDD 2016, Alg. 1).
@@ -51,6 +55,7 @@ dominate the element work and a level holds enough nodes to share them
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -165,12 +170,16 @@ def _scan_splits(
         sse += q_left
         k = int(sse.argmin())  # first minimum -> lowest threshold
         candidate = float(sse[k])
-        threshold = float((xs[boundaries[k]] + xs[boundaries[k] + 1]) / 2.0)
         if best is None or candidate < best[0]:
-            best = (candidate, j, threshold)
+            best = (candidate, j, float(xs[boundaries[k]]), float(xs[boundaries[k] + 1]))
     if best is None:
         return None
-    return best[1], best[2], best[0]
+    sse_best, j, lo, hi = best
+    # the rule of _thresholds, in Python floats: lo + hi may overflow to inf
+    threshold = (lo + hi) / 2.0
+    if not math.isfinite(threshold):
+        threshold = lo / 2.0 + hi / 2.0
+    return j, lo if threshold == hi else threshold, sse_best
 
 
 def best_split(X: np.ndarray, r: np.ndarray) -> tuple[int, float, float] | None:
@@ -298,7 +307,7 @@ def _scan_level(columns, r, orders, starts, sizes, totals, totals_sq):
     found = np.zeros(m, dtype=bool)
     best = np.full(m, np.inf)
     feature = np.zeros(m, dtype=np.intp)
-    threshold = np.zeros(m)
+    lo, hi = np.zeros(m), np.zeros(m)  # the values around each best split
     for j, order in enumerate(orders):
         xs = columns[j][order][pos]
         rs = r[order][pos[:, :-1]]
@@ -316,9 +325,21 @@ def _scan_level(columns, r, orders, starts, sizes, totals, totals_sq):
         better = has & (~found | (candidate < best))  # the first feature wins ties
         best[better] = candidate[better]
         feature[better] = j
-        threshold[better] = ((xs[nodes, k] + xs[nodes, k + 1]) / 2.0)[better]
+        lo[better] = xs[nodes, k][better]
+        hi[better] = xs[nodes, k + 1][better]
         found |= has
-    return found, best, feature, threshold
+    return found, best, feature, _thresholds(lo, hi)
+
+
+def _thresholds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The split thresholds between feature values ``lo < hi``: each
+    midpoint, or ``lo / 2 + hi / 2`` where ``lo + hi`` overflows, and ``lo``
+    where the midpoint rounds onto ``hi``, so a row at ``hi`` goes right
+    (the guard of scikit-learn's splitter). Every other midpoint is kept."""
+    with np.errstate(over="ignore"):
+        threshold = (lo + hi) / 2.0
+    threshold = np.where(np.isfinite(threshold), threshold, lo / 2.0 + hi / 2.0)
+    return np.where(threshold == hi, lo, threshold)
 
 
 def _zero_led(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """Missing-value imputation with the boosted-tree learner.
 
-Pipeline per variable: prune candidate predictors (constants out, one of
-each near-duplicate pair out, then a correlation threshold against the
-target), hold out 10% of the complete rows for validation, grid-search the
+Pipeline per variable: prune candidate predictors (constants and
+candidates holding a non-finite value out, one of each near-duplicate pair
+out, then a correlation threshold against the target), hold out 10% of the complete rows for validation, grid-search the
 tree hyperparameters by 5-fold cross-validated RMSE on the rest, and grade
 the winning model's validation R² into a confidence level. Two threshold
 setups (0.1 and 0.5) run side by side and the one with the higher validation
@@ -10,17 +10,17 @@ R² wins. A model that cannot beat the mean (validation R² <= 0), or a
 variable with no usable predictors or too few rows, falls back to mean
 imputation graded LOW.
 
-``impute_all`` plans a whole run of variables at once. In this process it
-plans every (variable, threshold) grid search: holdout split, predictor
-selection (a variable's candidates are ranked once, then cut at each
-threshold), folds and cross-validation units. One map then runs the CV
-fits of every search, and a second one the final fit of every search's
-winning grid point; each final fit returns its predictions for the
-training, validation and missing rows, so no model crosses a process
-boundary. ``impute_series`` is ``impute_all`` of one variable. A target is
-planned times the power of two that puts its largest observed |value| in
-[1, 2); its RMSEs and predictions are scaled back, so its units change no
-tree and no squared error leaves the float range.
+``impute_all`` is the one way in, and it plans a whole run of variables at
+once. In this process it plans every (variable, threshold) grid search:
+holdout split, predictor selection (a variable's candidates are ranked
+once, then cut at each threshold), folds and cross-validation units. One
+map then runs the CV fits of every search, and a second one the final fit
+of every search's winning grid point; each final fit returns its
+predictions for the training, validation and missing rows, so no model
+crosses a process boundary. A target is planned times the power of two
+that puts its largest observed |value| in [1, 2); its RMSEs and
+predictions are scaled back, so its units change no tree and no squared
+error leaves the float range.
 
 ``gbrt.staged_holdout_rmse`` scores every CV fit; ``gbrt`` picks the
 grower of each batch (``gbrt._lockstep``). Each search's fits are dealt
@@ -32,7 +32,7 @@ bit for bit.
 forks them once, up to ``jobs`` and no more than the CPUs or the run's CV
 fits, runs both maps in them and shuts them down before it returns. Each
 task carries its own data, so the searches of many variables run side by
-side. ``grid_search_cv`` forks workers for its one map the same way.
+side.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def select_predictors(
 ) -> list[str]:
     """Prune candidates, then keep those correlating with the target.
 
-    1. Drop candidates constant across the target's regions.
+    1. Drop candidates constant across the target's regions, or holding a
+       non-finite value there (a sum that overflowed, say).
     2. For candidate pairs with |r| >= 0.9 keep only the one earlier in id
        order (near-duplicates would over-represent one signal).
     3. Keep candidates with |corr(candidate, target)| >= threshold on the
@@ -137,8 +138,8 @@ def _ranked_candidates(
     arrays: dict[str, np.ndarray] = {}
     for cand in sorted(candidates, key=lambda s: s.variable_id):
         values = cand.values(target.codes)
-        if values.max() == values.min():
-            continue  # non-informative
+        if values.max() == values.min() or not np.isfinite(values).all():
+            continue  # non-informative, or no correlation to take
         arrays[cand.variable_id] = values
 
     kept: list[str] = []
@@ -269,14 +270,22 @@ class _Search:
     fits: list[tuple[list[int], tuple[int, int, float, int]]]
 
 
-def _plan_search(X, y, grid: Sequence[HyperParams], k: int, seed: int) -> _Search:
+CV_FOLDS = 5
+
+
+def _plan_search(X, y, grid: Sequence[HyperParams], seed: int) -> _Search:
+    """The grid search of ``grid`` on ``(X, y)`` by ``CV_FOLDS``-fold CV,
+    planned. Boosting is sequential, so the first ``n`` trees of a larger
+    ensemble are the ensemble of ``n`` trees: each (fold, max_depth,
+    learning_rate) is one fit with its largest n_estimators, scored after
+    every requested number of trees (``_pick``)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    if n < k:
-        raise InsufficientData(f"{k}-fold CV needs >= {k} rows, got {n}")
+    if n < CV_FOLDS:
+        raise InsufficientData(f"{CV_FOLDS}-fold CV needs >= {CV_FOLDS} rows, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(perm, k)
+    folds = np.array_split(perm, CV_FOLDS)
     ranked = sorted(grid, key=lambda h: (h.n_estimators, h.max_depth, h.learning_rate))
     # Positions in ``ranked`` that share a (max_depth, learning_rate) fit.
     groups: dict[tuple[int, float], list[int]] = {}
@@ -284,7 +293,7 @@ def _plan_search(X, y, grid: Sequence[HyperParams], k: int, seed: int) -> _Searc
         groups.setdefault((hp.max_depth, hp.learning_rate), []).append(i)
     fits = [
         (positions, (fold_index, depth, lr, max(ranked[i].n_estimators for i in positions)))
-        for fold_index in range(k)
+        for fold_index in range(CV_FOLDS)
         for (depth, lr), positions in groups.items()
     ]
     return _Search(X, y, folds, ranked, fits)
@@ -337,32 +346,6 @@ def _pick(search: _Search, staged_scores: list[list[float]]) -> tuple[HyperParam
     if best_hp is None:
         raise InsufficientData("no grid point has a finite mean held-fold RMSE")
     return best_hp, best_rmse
-
-
-def grid_search_cv(
-    X: np.ndarray,
-    y: np.ndarray,
-    grid: Sequence[HyperParams],
-    k: int = 5,
-    seed: int = 0,
-    jobs: int = 1,
-) -> tuple[HyperParams, float]:
-    """Pick the grid point with the lowest mean held-fold RMSE.
-
-    Exact ties break to smaller n_estimators, then max_depth, then
-    learning_rate. Raises InsufficientData when no grid point has a finite
-    mean RMSE. Boosting is sequential, so the first ``n`` trees of a
-    larger ensemble are the ensemble of ``n`` trees: each (max_depth,
-    learning_rate, fold) is fit once with its largest n_estimators, and the
-    held-fold prediction is scored after every requested number of trees.
-    Those fits are independent; ``jobs > 1`` runs them in up to ``jobs``
-    processes forked for this call, with the same result.
-    """
-    search = _plan_search(X, y, grid, k, seed)
-    workers = _cv_workers(jobs, len(search.fits))
-    with _worker_map(workers) as worker_map:
-        (staged,) = _run_searches([search], workers, worker_map)
-    return _pick(search, staged)
 
 
 @dataclass(frozen=True)
@@ -477,8 +460,8 @@ def _plan(target: VariableSeries, candidates: Sequence[VariableSeries], config: 
             continue
         X = np.column_stack([by_id[p].values(present) for p in predictors])
         try:
-            search = _plan_search(X[train], y[train], config.grid.expand(), k=5,
-                                  seed=derive_seed(seed, "cv", repr(threshold)))
+            search = _plan_search(X[train], y[train], config.grid.expand(),
+                                  derive_seed(seed, "cv", repr(threshold)))
         except InsufficientData:
             continue
         X_missing = np.column_stack([by_id[p].values(missing) for p in predictors])
@@ -522,7 +505,12 @@ def impute_all(
     jobs: int = 1,
 ) -> list[tuple[VariableSeries, ImputationReport]]:
     """``(completed series, report)`` of every ``(target, candidates)`` in
-    ``items``, in order; see ``impute_series``.
+    ``items``, in order: the target with its missing values filled.
+
+    Candidates must be complete over the target's regions. Observed values
+    stay as they are, at VERY_HIGH; imputed values carry the grade of the
+    winning setup's validation R² (``rate_confidence``), or LOW on the mean
+    fallback.
 
     The run is planned once: every (variable, threshold) grid search is
     planned in this process. Then up to ``jobs`` worker processes, no more
@@ -562,23 +550,6 @@ def impute_all(
         result if result is not None else _result(target, planned)
         for (target, _), (result, planned) in zip(items, plans)
     ]
-
-
-def impute_series(
-    target: VariableSeries,
-    candidates: Sequence[VariableSeries],
-    config: ImputationConfig = ImputationConfig(),
-    jobs: int = 1,
-) -> tuple[VariableSeries, ImputationReport]:
-    """Fill the target's missing values; returns (completed series, report).
-
-    Candidates must be complete over the target's regions. Observed values
-    are untouched at VERY_HIGH; imputed values carry the confidence grade of
-    the winning setup's validation R² (or LOW on the mean-fallback path). A
-    target with no observed value raises InsufficientData. The fits run in
-    up to ``jobs`` processes that ``impute_all`` forks for this call.
-    """
-    return impute_all([(target, candidates)], config, jobs)[0]
 
 
 def cross_country_predict(

@@ -457,8 +457,10 @@ def aggregate(
     targets = np.flatnonzero(counts)
     lengths = counts[targets]
     codes = map(hierarchy.regions_at(target).__getitem__, targets.tolist())
+    with np.errstate(over="ignore"):  # a sum past the float max is inf, as validate shows
+        data = _run_sums(series.data[present][order], lengths)
     return replace(
-        series, level=target, codes=codes, data=_run_sums(series.data[present][order], lengths),
+        series, level=target, codes=codes, data=data,
         grades=np.minimum.reduceat(series.grades[present][order], _run_starts(lengths)),
     )
 
@@ -494,7 +496,8 @@ def pearson(x: Iterable[float], y: Iterable[float]) -> float | None:
     The None sentinel marks an undefined correlation (no linear information);
     callers treat it as 0. Each vector, then its deviations, are scaled by a
     power of two before any product, so sums of squares neither overflow
-    nor underflow and the result does not depend on the vectors' units.
+    nor underflow and the result does not depend on the vectors' units. A
+    NaN or inf raises NonFiniteValue: it has no correlation to give.
     """
     xa = np.asarray(list(x), dtype=float)
     ya = np.asarray(list(y), dtype=float)
@@ -502,6 +505,8 @@ def pearson(x: Iterable[float], y: Iterable[float]) -> float | None:
         raise LengthMismatch(f"length mismatch: {xa.size} vs {ya.size}")
     if xa.size < 2:
         raise InsufficientData("pearson requires at least 2 points")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise NonFiniteValue("pearson requires finite values")
     xa, ya = _unit_scaled(xa), _unit_scaled(ya)
     dx = _unit_scaled(xa - xa.mean())
     dy = _unit_scaled(ya - ya.mean())

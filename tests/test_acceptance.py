@@ -28,7 +28,7 @@ from regio.imputation import (
     GridSpec,
     ImputationConfig,
     derive_seed,
-    impute_series,
+    impute_all,
     split_holdout,
 )
 from regio.series import (
@@ -250,7 +250,7 @@ def test_criterion_09_imputation_quality():
         return VariableSeries.from_values("y", SpatialLevel.LAU, values)
 
     target = blank({r: float(v) for i, (r, v) in enumerate(zip(regions, y)) if i not in blanked})
-    completed, rep = impute_series(target, candidates, config)
+    [(completed, rep)] = impute_all([(target, candidates)], config)
     assert rep.method == ENSEMBLE
     assert rep.r2_val >= 0.8
     assert rep.confidence == ConfidenceLevel.HIGH
@@ -280,7 +280,7 @@ def test_criterion_09_imputation_quality():
     noise_target = blank(
         {r: float(v) for i, (r, v) in enumerate(zip(regions, rng.normal(size=n))) if i not in blanked}
     )
-    _, noise_rep = impute_series(noise_target, candidates, config)
+    [(_, noise_rep)] = impute_all([(noise_target, candidates)], config)
     assert noise_rep.method == MEAN_FALLBACK
     assert noise_rep.confidence == ConfidenceLevel.LOW
     report(

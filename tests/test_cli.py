@@ -1007,11 +1007,15 @@ class TestRun:
         ("industrial_area", 2.0**-600, -600),
         ("population", 2.0**600, 0),
         ("industrial_area", 1e307, None),
-    ], ids=["target-2^600", "target-2^-600", "predictor-2^600", "target-1e307"])
+        ("population", 2.0**1014, 0),
+    ], ids=["target-2^600", "target-2^-600", "predictor-2^600", "target-1e307",
+            "predictor-2^1014"])
     def test_imputation_in_other_units(self, toy_project, variable, factor, exponent):
         """Scaling a series by a power of two imputes industrial_area as in
-        the plain toy, its value scaled the same way; at 1e307 no squared
-        error or mean leaves the float range, so nothing becomes inf."""
+        the plain toy, its value scaled the same way, and a scaled predictor
+        changes no output byte; at 1e307 no squared error or mean leaves the
+        float range, so nothing becomes inf. At 2^1014 the sum of two
+        predictor values overflows."""
         plain = toy_project.parent.with_name("plain")
         shutil.copytree(toy_project.parent, plain)
         assert run_cli("run", "--config", plain / "config.json") == 0
@@ -1038,6 +1042,8 @@ class TestRun:
             for files in (written, expected)
         )
         assert imputed.hex() == math.ldexp(plain_imputed, exponent).hex()
+        if exponent == 0:
+            assert written == expected
 
     def test_same_outputs_as_separate_commands(self, toy_project):
         assert run_cli("run", "--config", toy_project) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,34 @@ class TestStumpOracle:
         X = np.ones((4, 2))
         y = np.array([1.0, 2.0, 3.0, 4.0])
         assert best_split(X, y - y.mean()) is None
+
+
+class TestThresholdBetweenNeighbours:
+    """A threshold lies in [lo, hi) for the two feature values around it,
+    so rows at lo go left and rows at hi go right."""
+
+    def test_one_ulp_pair_splits_at_lo(self):
+        lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        assert (lo + hi) / 2.0 == hi  # the midpoint rounds onto hi
+        X = np.array([[lo], [hi]])
+        model = fit_gbrt(X, np.array([0.0, 1.0]), HyperParams(1, 1.0, 1))
+        assert model.trees[0].root.threshold == lo
+        assert model.predict(X).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1e308, 1.5e308),
+        (-1.5e308, -1e308),
+        (np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max),
+    ], ids=["positive", "negative", "max-neighbours"])
+    def test_near_max_pair_gives_a_finite_threshold(self, lo, hi):
+        # lo + hi overflows to inf
+        X = np.array([[lo], [hi]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, threshold, _ = best_split(X, np.array([-0.5, 0.5]))
+            model = fit_gbrt(X, np.array([0.0, 1.0]), HyperParams(1, 1.0, 1))
+        assert lo <= threshold < hi
+        assert model.predict(X).tolist() == [0.0, 1.0]
 
 
 def two_cumsum_best_split(X, r):

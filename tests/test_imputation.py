@@ -28,13 +28,13 @@ from regio.imputation import (
     GridSpec,
     ImputationConfig,
     _cv_workers,
+    _pick,
     _plan_search,
     _run_searches,
+    _worker_map,
     cross_country_predict,
     derive_seed,
-    grid_search_cv,
     impute_all,
-    impute_series,
     r2,
     rate_confidence,
     rmse,
@@ -111,6 +111,15 @@ class TestSelectPredictors:
         b = series({k: 2.0 * v for k, v in values.items()}, vid="b")  # r(a,b)=1
         assert select_predictors(target, [b, a], threshold=0.1) == ["a"]
 
+    def test_non_finite_candidate_dropped(self):
+        # with one inf, a_inf's correlations are NaN, which must not make it
+        # a near-duplicate of b_good and a perfect predictor
+        values = {f"R{i}": float(i) for i in range(10)}
+        target = series(values, vid="y")
+        b_good = series(values, vid="b_good")
+        a_inf = series({**values, "R9": math.inf}, vid="a_inf")
+        assert select_predictors(target, [b_good, a_inf], threshold=0.5) == ["b_good"]
+
     def test_threshold_filter(self):
         rng = np.random.default_rng(2)
         regions = [f"R{i:03d}" for i in range(40)]
@@ -160,12 +169,16 @@ class TestSplitHoldout:
 
 
 class TestGridSearch:
+    """One grid search, planned by ``_plan_search``, run by ``_run_searches``
+    and picked by ``_pick``, as ``impute_all`` runs each of its searches."""
+
     def test_single_point(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(20, 1))
         y = rng.normal(size=20)
         hp = HyperParams(5, 0.1, 2)
-        best, _ = grid_search_cv(X, y, [hp], k=5, seed=0)
+        search = _plan_search(X, y, [hp], 0)
+        best, _ = _pick(search, _run_searches([search], 1, map)[0])
         assert best == hp
 
     def test_noise_prefers_low_capacity(self):
@@ -174,29 +187,37 @@ class TestGridSearch:
         y = rng.normal(size=40)  # pure noise: overfitting raises held-fold RMSE
         low = HyperParams(1, 0.1, 1)
         high = HyperParams(200, 0.5, 6)
-        best, best_rmse = grid_search_cv(X, y, [low, high], k=5, seed=5)
+        both, high_only = _plan_search(X, y, [low, high], 5), _plan_search(X, y, [high], 5)
+        staged = _run_searches([both, high_only], 1, map)
+        best, best_rmse = _pick(both, staged[0])
         assert best == low
-        _, high_only = grid_search_cv(X, y, [high], k=5, seed=5)
-        assert best_rmse < high_only
+        assert best_rmse < _pick(high_only, staged[1])[1]
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(25, 2))
         y = rng.normal(size=25)
         grid = GridSpec((10, 20), (0.1,), (1, 2)).expand()
-        assert grid_search_cv(X, y, grid, 5, 7) == grid_search_cv(X, y, grid, 5, 7)
+        first, second = _plan_search(X, y, grid, 7), _plan_search(X, y, grid, 7)
+        assert _pick(first, _run_searches([first], 1, map)[0]) == _pick(
+            second, _run_searches([second], 1, map)[0])
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientData):
-            grid_search_cv(np.zeros((3, 1)), np.zeros(3), [HyperParams(1, 0.1, 1)], k=5)
+            _plan_search(np.zeros((3, 1)), np.zeros(3), [HyperParams(1, 0.1, 1)], 0)
 
     def test_no_finite_score(self):
         # squared errors of ~1e200 overflow, so every mean RMSE is inf
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 1))
         y = rng.normal(size=20) * 1e200
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InsufficientData):
-            grid_search_cv(X, y, [HyperParams(5, 0.1, 2)], k=5, seed=0)
+        grid = [HyperParams(5, 0.1, 2)]
+        search = _plan_search(X, y, grid, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert reference_grid_search(X, y, grid, 0) == (None, math.inf)
+            (staged,) = _run_searches([search], 1, map)
+        with pytest.raises(InsufficientData):
+            _pick(search, staged)
 
     def test_tie_break_order(self):
         # constant target: every grid point scores identically; the smallest
@@ -204,14 +225,16 @@ class TestGridSearch:
         X = np.arange(20, dtype=float).reshape(-1, 1)
         y = np.full(20, 3.0)
         grid = GridSpec((10, 50), (0.1, 0.3), (2, 4)).expand()
-        best, _ = grid_search_cv(X, y, grid, k=5, seed=1)
-        assert best == HyperParams(10, 0.1, 2)
+        search = _plan_search(X, y, grid, 1)
+        picked = _pick(search, _run_searches([search], 1, map)[0])
+        assert picked == reference_grid_search(X, y, grid, 1)
+        assert picked[0] == HyperParams(10, 0.1, 2)
 
 
-def reference_grid_search(X, y, grid, k, seed):
-    """Fit and score every grid point on every fold on its own."""
+def reference_grid_search(X, y, grid, seed):
+    """Fit and score every grid point on every one of 5 folds on its own."""
     n = y.shape[0]
-    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), 5)
     best_hp, best_rmse = None, math.inf
     for hp in sorted(grid, key=lambda h: (h.n_estimators, h.max_depth, h.learning_rate)):
         scores = []
@@ -228,7 +251,9 @@ def reference_grid_search(X, y, grid, k, seed):
 
 class TestStagedGridSearchMatchesReference:
     """Scoring n_estimators prefixes of one fit must pick the same grid point
-    with the same RMSE (==) as fitting every grid point."""
+    with the same RMSE (==) as fitting every grid point. Each search runs
+    alone in a map of ``jobs`` workers, so its fits are dealt one batch per
+    worker."""
 
     jobs = 1
 
@@ -243,18 +268,24 @@ class TestStagedGridSearchMatchesReference:
     )
     def test_same_winner_and_rmse(self, grid):
         rng = np.random.default_rng(31)
+        searches, expected = [], []
         for seed in range(4):
             X = np.round(rng.uniform(size=(37, 3)), 1)  # rounding makes ties
             y = X[:, 0] - 2.0 * X[:, 2] + rng.normal(scale=0.3, size=37)
-            expected = reference_grid_search(X, y, grid, 5, seed)
-            assert grid_search_cv(X, y, grid, 5, seed, self.jobs) == expected
+            searches.append(_plan_search(X, y, grid, seed))
+            expected.append(reference_grid_search(X, y, grid, seed))
+        with _worker_map(self.jobs) as worker_map:
+            staged = [_run_searches([search], self.jobs, worker_map)[0] for search in searches]
+        assert list(map(_pick, searches, staged)) == expected
 
     def test_constant_target_ties(self):
         X = np.arange(20, dtype=float).reshape(-1, 1)
         y = np.full(20, 3.0)
         grid = GridSpec((0, 10, 10), (0.1, 0.3), (2, 4)).expand()
-        expected = reference_grid_search(X, y, grid, 5, 1)
-        assert grid_search_cv(X, y, grid, 5, 1, self.jobs) == expected
+        search = _plan_search(X, y, grid, 1)
+        with _worker_map(self.jobs) as worker_map:
+            (staged,) = _run_searches([search], self.jobs, worker_map)
+        assert _pick(search, staged) == reference_grid_search(X, y, grid, 1)
 
     def test_fits_above_the_lockstep_cutoff(self, monkeypatch):
         # the cases above train on 16-30 rows, so their batches of at least
@@ -270,8 +301,10 @@ class TestStagedGridSearchMatchesReference:
         X = np.round(rng.uniform(size=(n, 2)), 2)
         y = X[:, 0] - X[:, 1] + rng.normal(scale=0.2, size=n)
         grid = GridSpec((1, 3), (0.3,), (1, 2)).expand()
-        expected = reference_grid_search(X, y, grid, 5, 2)
-        assert grid_search_cv(X, y, grid, 5, 2, self.jobs) == expected
+        search = _plan_search(X, y, grid, 2)
+        with _worker_map(self.jobs) as worker_map:
+            (staged,) = _run_searches([search], self.jobs, worker_map)
+        assert _pick(search, staged) == reference_grid_search(X, y, grid, 2)
 
 
 class TestPooledGridSearchMatchesReference(TestStagedGridSearchMatchesReference):
@@ -302,20 +335,28 @@ class TestCrossValidationPool:
     @needs_fork
     def test_pool_forks_while_single_threaded(self, forks):
         X, y = self.data()
+        search = _plan_search(X, y, self.GRID, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # fork with threads warns
-            pooled = grid_search_cv(X, y, self.GRID, 5, 3, jobs=2)
+            with _worker_map(2) as worker_map:
+                (staged,) = _run_searches([search], 2, worker_map)
         assert forks == [1, 1]
         assert threading.active_count() == 1  # the pool's threads were joined
         assert multiprocessing.active_children() == []
-        assert pooled == grid_search_cv(X, y, self.GRID, 5, 3)
+        assert _pick(search, staged) == reference_grid_search(X, y, self.GRID, 3)
 
     def test_fits_stay_in_process_while_threads_run(self, forks):
         X, y = self.data()
+        search = _plan_search(X, y, self.GRID, 3)
+
+        def run_in_two_workers():
+            with _worker_map(2) as worker_map:
+                return _run_searches([search], 2, worker_map)
+
         with ThreadPoolExecutor(1) as pool:
-            threaded = pool.submit(grid_search_cv, X, y, self.GRID, 5, 3, 2).result(timeout=60)
+            (staged,) = pool.submit(run_in_two_workers).result(timeout=60)
         assert forks == []
-        assert threaded == grid_search_cv(X, y, self.GRID, 5, 3)
+        assert _pick(search, staged) == reference_grid_search(X, y, self.GRID, 3)
 
     @needs_fork
     def test_mean_fallbacks_fork_nothing(self, forks):
@@ -334,7 +375,7 @@ class TestCrossValidationPool:
         pooled = impute_all([(linear, cands)], one_search, jobs=8)
         assert forks == [1] * 5
         assert multiprocessing.active_children() == []
-        assert outcome(pooled[0]) == outcome(impute_series(linear, cands, one_search))
+        assert outcome(pooled[0]) == outcome(impute_all([(linear, cands)], one_search)[0])
 
 
 class TestSearchBatches:
@@ -346,7 +387,7 @@ class TestSearchBatches:
         rng = np.random.default_rng(9)
         X = rng.uniform(size=(40, 2))
         y = X[:, 0] + rng.normal(scale=0.1, size=40)
-        return [_plan_search(X, y.copy(), self.GRID, 5, seed) for seed in range(n)]
+        return [_plan_search(X, y.copy(), self.GRID, seed) for seed in range(n)]
 
     @pytest.mark.parametrize("jobs, n_searches, batches", [
         (2, 1, 2),  # a search alone: one batch per worker
@@ -389,7 +430,7 @@ FAST = ImputationConfig(grid=GridSpec((25,), (0.3,), (2,)), seed=123)
 class TestImputeSeries:
     def test_no_missing_is_noop(self):
         target = series({f"R{i}": float(i) for i in range(12)}, vid="y")
-        completed, report = impute_series(target, [], FAST)
+        [(completed, report)] = impute_all([(target, [])], FAST)
         assert completed is target
         assert report.method == ENSEMBLE
         assert report.confidence == ConfidenceLevel.VERY_HIGH
@@ -402,7 +443,7 @@ class TestImputeSeries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InsufficientData, match="^y: no observed value"):
-                impute_series(target, [cand], FAST)
+                impute_all([(target, [cand])], FAST)
 
     def test_linear_signal_imputed_high(self):
         rng = np.random.default_rng(42)
@@ -417,7 +458,7 @@ class TestImputeSeries:
             series(dict(zip(regions, map(float, a))), vid="a"),
             series(dict(zip(regions, map(float, b))), vid="b"),
         ]
-        completed, report = impute_series(target, cands, FAST)
+        [(completed, report)] = impute_all([(target, cands)], FAST)
         assert report.method == ENSEMBLE
         assert report.r2_val is not None and report.r2_val > 0.8
         assert report.confidence == ConfidenceLevel.HIGH
@@ -439,7 +480,7 @@ class TestImputeSeries:
             series({r: float(v) for r, v in zip(regions, rng.normal(size=100))}, vid=c)
             for c in ("c1", "c2")
         ]
-        completed, report = impute_series(target, cands, FAST)
+        [(completed, report)] = impute_all([(target, cands)], FAST)
         assert report.method == MEAN_FALLBACK
         assert report.confidence == ConfidenceLevel.LOW
         mean_value = float(np.mean(list(present.values())))
@@ -460,7 +501,7 @@ class TestImputeSeries:
         present = {r: float(v) for r, v in zip(regions, y)}
         target = series_with_missing(present, ["M1"], vid="y")
         cand = series({**dict(zip(regions, map(float, x))), "M1": 0.5}, vid="x")
-        completed, report = impute_series(target, [cand], cfg)
+        [(completed, report)] = impute_all([(target, [cand])], cfg)
         assert report.method == MEAN_FALLBACK
         assert report.r2_val is not None and report.r2_val <= 0
         assert report.confidence == ConfidenceLevel.LOW
@@ -468,7 +509,7 @@ class TestImputeSeries:
     def test_too_few_present_rows_fall_back(self):
         present = {f"R{i}": float(i) for i in range(5)}
         target = series_with_missing(present, ["M1"], vid="y")
-        completed, report = impute_series(target, [], FAST)
+        [(completed, report)] = impute_all([(target, [])], FAST)
         assert report.method == MEAN_FALLBACK
         assert completed.value("M1") == pytest.approx(2.0)
 
@@ -481,15 +522,15 @@ class TestImputeSeries:
         missing = [r for r in regions if r.endswith("5")]
         target = series_with_missing(present, missing, vid="y")
         cands = [series(dict(zip(regions, map(float, a))), vid="a")]
-        first = impute_series(target, cands, FAST)
-        second = impute_series(target, cands, FAST)
+        [first] = impute_all([(target, cands)], FAST)
+        [second] = impute_all([(target, cands)], FAST)
         assert first[1].to_dict() == second[1].to_dict()
         for region in missing:
             assert first[0].value(region) == second[0].value(region)
 
     def test_report_json_fields(self):
         target = series({f"R{i}": float(i) for i in range(12)}, vid="y")
-        _, report = impute_series(target, [], FAST)
+        [(_, report)] = impute_all([(target, [])], FAST)
         assert set(report.to_dict()) == {
             "variable_id",
             "threshold_used",
@@ -505,7 +546,7 @@ class TestImputeSeries:
 
 
 def imputation_cases():
-    """``(target, candidates)`` that take every path of ``impute_series``."""
+    """``(target, candidates)`` that take every path of ``impute_all``."""
     rng = np.random.default_rng(21)
     regions = [f"R{i:04d}" for i in range(100)]
     a, b = rng.uniform(0, 10, 100), rng.uniform(0, 10, 100)
@@ -539,7 +580,7 @@ def outcome(result):
 
 class TestImputeAll:
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-    def test_equals_impute_series_on_each(self, jobs):
+    def test_equals_impute_all_of_each_alone(self, jobs):
         items = imputation_cases()
         results = impute_all(items, FAST, jobs)
         methods = [report.method for _, report in results]
@@ -548,8 +589,24 @@ class TestImputeAll:
         assert results[0][1].threshold_used is not None
         assert results[4][1].r2_val <= 0.0
         assert [outcome(result) for result in results] == [
-            outcome(impute_series(target, cands, FAST)) for target, cands in items
+            outcome(impute_all([item], FAST)[0]) for item in items
         ]
+
+    def test_non_finite_candidate_is_not_selected(self):
+        rng = np.random.default_rng(4)
+        regions = [f"R{i:04d}" for i in range(60)]
+        good = dict(zip(regions, map(float, rng.uniform(0, 10, 60))))
+        candidates = [series(good, vid="b_good"),
+                      series({**good, regions[-1]: math.inf}, vid="a_inf")]
+        target = series_with_missing(
+            {r: 2.0 * good[r] + float(rng.normal(0, 0.1)) for r in regions[6:]},
+            regions[:6], vid="y")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(completed, report)] = impute_all([(target, candidates)], FAST)
+        assert report.method == ENSEMBLE
+        assert report.selected_predictors == ["b_good"]
+        assert np.isfinite(completed.data).all()
 
     def test_no_observed_value_fails_before_any_fit(self, monkeypatch):
         def refuse(task):
@@ -593,12 +650,12 @@ class TestPlanRanksOnce:
             planned += len(setups)
         assert planned == 5
 
-        reports = [json.dumps(impute_series(t, c, two)[1].to_dict()) for t, c in items]
+        reports = [json.dumps(impute_all([item], two)[0][1].to_dict()) for item in items]
         real_above, real_ranked = imputation._above, imputation._ranked_candidates
         for (target, cands), report in zip(items, reports):
             monkeypatch.setattr(imputation, "_above", lambda t, ranked, threshold: real_above(
                 t, real_ranked(t, cands), threshold))
-            assert json.dumps(impute_series(target, cands, two)[1].to_dict()) == report
+            assert json.dumps(impute_all([(target, cands)], two)[0][1].to_dict()) == report
 
 
 class TestCrossCountryPredict:

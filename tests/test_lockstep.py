@@ -27,7 +27,7 @@ from regio.gbrt import (
     _zero_led,
     fit_gbrt,
 )
-from regio.imputation import GridSpec, _staged_task, grid_search_cv, rmse
+from regio.imputation import _staged_task, rmse
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -165,8 +165,26 @@ def above_the_cutoff(n, n_fits, depth):
     return X, y, folds, [(i % 5, depth, 0.3, 4) for i in range(n_fits)]
 
 
+def at_the_edges(values):
+    """A case of 40 rows whose two features take only ``values``: neighbours
+    whose midpoint rounds onto the upper one, or whose sum overflows."""
+    rng = np.random.default_rng(len(values))
+    X = rng.choice(values, size=(40, 2))
+    y = np.searchsorted(values, X[:, 0]) - 0.5 * np.searchsorted(values, X[:, 1])
+    y = y + rng.normal(scale=0.1, size=40)
+    folds = np.array_split(rng.permutation(40), 5)
+    return X, y, folds, [(i % 5, 1 + i % 3, 0.3, 3) for i in range(6)]
+
+
+ONE_ULP = [1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0 + 3 * 2.0**-52]
+NEAR_MAX = [-np.finfo(float).max, -1.5e308, -1e308, 1e308, 1.5e308,
+            np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max]
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=cv_cases())
+@example(case=at_the_edges(ONE_ULP))
+@example(case=at_the_edges(NEAR_MAX))
 @example(case=above_the_cutoff(700, LOCKSTEP_MIN_FITS, 6))
 @example(case=above_the_cutoff(1_500, 6, 3))
 @example(case=above_the_cutoff(7_000, LOCKSTEP_MIN_FITS, 6))
@@ -186,11 +204,12 @@ def test_lockstep_matches_per_unit(case):
     ids=["enough-fits", "too-few-fits"],
 )
 def test_grid_search_picks_the_grower(monkeypatch, n_train, n_fits, lockstep):
-    # one grid point and n_fits folds make one batch of n_fits fits, each
-    # training on n_train rows; fits on more rows are in
+    # one batch of n_fits fits, one per fold of n_fits folds, each training
+    # on n_train rows; fits on more rows are in
     # test_imputation.py::test_fits_above_the_lockstep_cutoff
     n = n_train + n_train // (n_fits - 1)
-    assert n - len(np.array_split(np.arange(n), n_fits)[-1]) == n_train
+    folds = np.array_split(np.random.default_rng(1).permutation(n), n_fits)
+    assert n - len(folds[-1]) == n_train
     rng = np.random.default_rng(5)
     X = np.round(rng.uniform(size=(n, 2)), 2)
     y = X[:, 0] + rng.normal(scale=0.1, size=n)
@@ -199,6 +218,6 @@ def test_grid_search_picks_the_grower(monkeypatch, n_train, n_fits, lockstep):
     monkeypatch.setattr(
         gbrt, "_grow_lockstep", lambda *args: batches.append(len(args[4])) or kernel(*args)
     )
-    grid_search_cv(X, y, GridSpec((2,), (0.3,), (2,)).expand(), n_fits, 1)
+    _staged_task((X, y, folds, [(i, 2, 0.3, 2) for i in range(n_fits)]))
     # with enough fits, both trees of the one batch grow in lockstep
     assert batches == ([n_fits, n_fits] if lockstep else [])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,14 @@ class TestAggregate:
         assert via_nuts3.value("AA0") == pytest.approx(direct.value("AA0"), rel=1e-12)
 
 
+    def test_overflowing_sum_is_inf_without_warning(self, mini_hierarchy):
+        s = make_lau({"AA_000_0000": 1.5e308, "AA_000_0001": 1.5e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = aggregate(s, mini_hierarchy, SpatialLevel.NUTS3)
+        assert agg.value("AA000") == math.inf
+
+
 class TestPearson:
     def test_perfect_positive(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == 1.0
@@ -280,6 +289,14 @@ class TestPearson:
         if math.frexp(scale)[0] == 0.5:  # a power of two scales exactly
             assert pearson(x, scaled) == r
             assert pearson([v * scale for v in x], scaled) == r
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN correlation would clamp to 1.0
+        with pytest.raises(NonFiniteValue):
+            pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteValue):
+            pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
     def test_bounded(self):
         rng = np.random.default_rng(11)
