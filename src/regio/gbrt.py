@@ -467,28 +467,23 @@ def staged_holdout_rmse(
     y: np.ndarray,
     fits: Sequence[tuple[np.ndarray, np.ndarray, HyperParams]],
 ) -> list[list[float]]:
-    """Held-out RMSE of each fit after each of its trees.
+    """Held-out RMSE of each fit after each tree, every fit grown to the
+    batch's largest ``n_estimators``.
 
     A fit is ``(train, held, hp)``: ``fit_gbrt(X[train], y[train], hp)``
-    with ``train`` ascending, scored on ``X[held]`` against ``y[held]``.
-    Element ``i`` of a fit's result is the RMSE of its first ``i`` trees,
-    equal to the staged predictions of that model scored by
-    ``imputation.rmse``. Tree ``t`` of every fit grows in one pass: in
-    lockstep, a level per step with no ``TreeNode`` built, if ``_lockstep``
-    holds for the batch, else fit by fit (``_grow_each``).
+    with ``train`` ascending, scored on ``X[held]`` against ``y[held]``;
+    ``X`` and ``y`` are float arrays and ``fits`` is not empty. Element
+    ``i`` of a fit's result is the RMSE of its first ``i`` trees, equal to
+    the staged predictions of that model scored by ``imputation.rmse``.
+    Boosting is sequential, so a fit's first ``i`` trees do not depend on
+    the trees grown after them, and a fit that asks for fewer trees than
+    the batch reads its own prefix. Tree ``t`` of every fit grows in one
+    pass: in lockstep, a level per step with no ``TreeNode`` built, if
+    ``_lockstep`` holds for the batch, else fit by fit (``_grow_each``).
     """
-    if not fits:
-        return []
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # Most trees first, so the fits still growing at tree t are a prefix.
-    rank = sorted(range(len(fits)), key=lambda i: -fits[i][2].n_estimators)
-    train = [np.asarray(fits[i][0]) for i in rank]
-    held = [np.asarray(fits[i][1]) for i in rank]
-    hps = [fits[i][2] for i in rank]
+    train, held, hps = zip(*fits)
     sizes = np.array([t.shape[0] for t in train])
     held_sizes = np.array([h.shape[0] for h in held])
-    ends, held_ends = sizes.cumsum(), held_sizes.cumsum()
     pool, held_pool = np.concatenate(train), np.concatenate(held)
     columns = np.ascontiguousarray(X[pool].T)
     held_columns = np.ascontiguousarray(X[held_pool].T)
@@ -503,26 +498,18 @@ def staged_holdout_rmse(
     rates = np.array([hp.learning_rate for hp in hps])
     rate, held_rate = np.repeat(rates, sizes), np.repeat(rates, held_sizes)
     depths = np.array([hp.max_depth for hp in hps])
-    n_trees = [hp.n_estimators for hp in hps]
     grow = _grow_lockstep if _lockstep(int(sizes.max()), len(fits)) else _grow_each
     # squared held errors per stage, each fit's after a 0.0 for _segment_sums
     held_slots, held_leads = _zero_led(held_sizes)
-    errors = np.zeros((max(n_trees, default=0) + 1, held_pool.shape[0] + len(fits)))
+    errors = np.zeros((max(hp.n_estimators for hp in hps) + 1, held_pool.shape[0] + len(fits)))
     errors[0, held_slots] = (held_predictions - y_held) ** 2
-    for t in range(errors.shape[0] - 1):
-        k = sum(n > t for n in n_trees)
-        n, h = int(ends[k - 1]), int(held_ends[k - 1])
+    for stage in errors[1:]:
         fitted, predicted = grow(
-            columns[:, :n], held_columns[:, :h], y_train[:n] - predictions[:n],
-            [order[:n] for order in orders], sizes[:k], held_sizes[:k], depths[:k],
+            columns, held_columns, y_train - predictions, orders, sizes, held_sizes, depths
         )
-        predictions[:n] += rate[:n] * fitted
-        held_predictions[:h] += held_rate[:h] * predicted
-        errors[t + 1, held_slots[:h]] = (held_predictions[:h] - y_held[:h]) ** 2
+        predictions += rate * fitted
+        held_predictions += held_rate * predicted
+        stage[held_slots] = (held_predictions - y_held) ** 2
     # every fit's 1-D mean per stage, as imputation.rmse takes it
     means = np.array([np.add.reduceat(stage, held_leads) for stage in errors]) / held_sizes
-    staged = np.sqrt(means).T.tolist()
-    out: list[list[float]] = [[]] * len(fits)
-    for j, (i, trees) in enumerate(zip(rank, n_trees)):
-        out[i] = staged[j][: trees + 1]
-    return out
+    return np.sqrt(means).T.tolist()

@@ -20,7 +20,8 @@ predictions for the training, validation and missing rows, so no model
 crosses a process boundary. A target is planned times the power of two
 that puts its largest observed |value| in [1, 2); its RMSEs and
 predictions are scaled back, so its units change no tree and no squared
-error leaves the float range.
+error leaves the float range. An RMSE that passes the float range once
+scaled back is reported as None.
 
 ``gbrt.staged_holdout_rmse`` scores every CV fit; ``gbrt`` picks the
 grower of each batch (``gbrt._lockstep``). Each search's fits are dealt
@@ -277,8 +278,9 @@ def _plan_search(X, y, grid: Sequence[HyperParams], seed: int) -> _Search:
     """The grid search of ``grid`` on ``(X, y)`` by ``CV_FOLDS``-fold CV,
     planned. Boosting is sequential, so the first ``n`` trees of a larger
     ensemble are the ensemble of ``n`` trees: each (fold, max_depth,
-    learning_rate) is one fit with its largest n_estimators, scored after
-    every requested number of trees (``_pick``)."""
+    learning_rate) is one fit grown to the grid's largest n_estimators,
+    and each of its grid points reads the score after its own number of
+    trees (``_pick``)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -292,7 +294,7 @@ def _plan_search(X, y, grid: Sequence[HyperParams], seed: int) -> _Search:
     for i, hp in enumerate(ranked):
         groups.setdefault((hp.max_depth, hp.learning_rate), []).append(i)
     fits = [
-        (positions, (fold_index, depth, lr, max(ranked[i].n_estimators for i in positions)))
+        (positions, (fold_index, depth, lr, ranked[-1].n_estimators))
         for fold_index in range(CV_FOLDS)
         for (depth, lr), positions in groups.items()
     ]
@@ -406,9 +408,12 @@ def _report(
         return ImputationReport(
             target.variable_id, None, [], None, None, None, None, None, method, confidence
         )
+    rmse_train, rmse_val = (
+        value if math.isfinite(value) else None for value in (setup.rmse_train, setup.rmse_val)
+    )
     return ImputationReport(
-        target.variable_id, setup.threshold, setup.predictors, setup.hp, setup.rmse_train,
-        setup.r2_train, setup.rmse_val, setup.r2_val, method, confidence,
+        target.variable_id, setup.threshold, setup.predictors, setup.hp, rmse_train,
+        setup.r2_train, rmse_val, setup.r2_val, method, confidence,
     )
 
 
@@ -472,8 +477,8 @@ def _plan(target: VariableSeries, candidates: Sequence[VariableSeries], config: 
 def _final_fit(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the setup's model, fit on its training rows with its picked
     grid point, predicts for its training, held-out and missing rows."""
-    X_train, y_train, hp, predictors, X_val, X_missing = task
-    model = fit_gbrt(X_train, y_train, hp, predictors)
+    X_train, y_train, hp, X_val, X_missing = task
+    model = fit_gbrt(X_train, y_train, hp)
     return model.predict(X_train), model.predict(X_val), model.predict(X_missing)
 
 
@@ -534,7 +539,7 @@ def impute_all(
                 continue
             picked.append(setup)
         fits = worker_map(_final_fit, [
-            (s.X[s.train], s.y[s.train], s.hp, s.predictors, s.X[s.val], s.X_missing)
+            (s.X[s.train], s.y[s.train], s.hp, s.X[s.val], s.X_missing)
             for s in picked
         ])
     for setup, (pred_train, pred_val, predicted) in zip(picked, fits):
@@ -543,9 +548,12 @@ def impute_all(
             setup.r2_train, setup.r2_val = r2(pred_train, y_train), r2(pred_val, y_val)
         except UndefinedR2:
             continue
-        setup.rmse_train = float(np.ldexp(rmse(pred_train, y_train), setup.scale))
-        setup.rmse_val = float(np.ldexp(rmse(pred_val, y_val), setup.scale))
-        setup.predicted = np.ldexp(predicted, setup.scale)
+        # scaled back, a value may pass the float range: an RMSE is then
+        # inf (None in the report), and an inf prediction stops cmd_impute
+        with np.errstate(over="ignore"):
+            setup.rmse_train = float(np.ldexp(rmse(pred_train, y_train), setup.scale))
+            setup.rmse_val = float(np.ldexp(rmse(pred_val, y_val), setup.scale))
+            setup.predicted = np.ldexp(predicted, setup.scale)
     return [
         result if result is not None else _result(target, planned)
         for (target, _), (result, planned) in zip(items, plans)

@@ -5,6 +5,7 @@ import multiprocessing
 import re
 import shutil
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -751,12 +752,8 @@ class TestImpute:
     @needs_fork
     def test_pool_is_joined_when_a_variable_fails(self, toy_project, forks, monkeypatch,
                                                    capsys):
-        real_fit = imputation.fit_gbrt
-
-        def failing_fit(X, y, hp, feature_ids=None):
-            if feature_ids:  # a final fit; the CV fits name no features
-                raise InsufficientData("final fit refused")
-            return real_fit(X, y, hp, feature_ids)
+        def failing_fit(X, y, hp):  # only a final fit calls fit_gbrt
+            raise InsufficientData("final fit refused")
 
         # the workers are forked after this, so they fit with it too
         monkeypatch.setattr(imputation, "fit_gbrt", failing_fit)
@@ -792,6 +789,42 @@ class TestImpute:
             capsys.readouterr().out
         )
         assert list((output_dir(toy_project) / "imputed").glob("*")) == []
+
+    def test_rmse_past_the_float_range_is_null(self, toy_project):
+        """swing, a registered LAU series that no formula reads, holds 11
+        values of +-1.5-1.7e308 and misses one. Its best setup cannot beat
+        the mean, and that setup's validation RMSE, scaled back, passes the
+        float range: the run exits 0 with no RuntimeWarning, and the report
+        gives that RMSE as null."""
+        root = toy_project.parent
+        registry = json.loads((root / "variables.json").read_text())
+        registry["variables"].append({
+            "id": "swing", "description": "Near the float max", "unit": "number",
+            "level": "LAU", "country_scope": "ALL",
+        })
+        (root / "variables.json").write_text(json.dumps(registry))
+        codes = [line.split(",")[0] for line in
+                 (root / "series" / "population.csv").read_text().splitlines()[1:]]
+        rng = np.random.default_rng(0)
+        values = rng.choice([-1.0, 1.0], len(codes)) * rng.uniform(1.5e308, 1.7e308, len(codes))
+        blank = rng.integers(len(codes))
+        (root / "series" / "swing.csv").write_text("region,value\n" + "".join(
+            f"{code},\n" if i == blank else f"{code},{float(value)!r}\n"
+            for i, (code, value) in enumerate(zip(codes, values))
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("run", "--config", toy_project, "--seed", 1) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in a JSON output")
+
+        out = output_dir(toy_project) / "imputed"
+        report = json.loads((out / "swing_report.json").read_text(), parse_constant=refuse)
+        json.loads((out / "imputation_summary.json").read_text(), parse_constant=refuse)
+        assert report["method"] == "MEAN_FALLBACK"
+        assert report["rmse_val"] is None
+        assert 0.0 < report["rmse_train"] < math.inf
 
 
 class TestDisaggregate:

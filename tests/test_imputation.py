@@ -11,6 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 from conftest import needs_fork
 from regio.errors import (
     InsufficientData,
@@ -247,6 +251,36 @@ def reference_grid_search(X, y, grid, seed):
         if mean_rmse < best_rmse:
             best_hp, best_rmse = hp, mean_rmse
     return best_hp, best_rmse
+
+
+@st.composite
+def grid_cases(draw):
+    """(X, y, grid, seed) on 5-40 rows. Rounded features make ties. The
+    grid is a full product of drawn values or a list of 1-6 drawn points,
+    so its (max_depth, learning_rate) groups may ask for different tree
+    counts; points may repeat."""
+    n = draw(st.integers(5, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.uniform(size=(n, draw(st.integers(1, 3)))), draw(st.integers(0, 2)))
+    y = X[:, 0] + rng.normal(scale=draw(st.sampled_from([0.01, 0.3, 1.0])), size=n)
+    counts, rates, depths = st.integers(0, 12), st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 4)
+    if draw(st.booleans()):
+        grid = GridSpec(*(tuple(draw(st.lists(values, min_size=1, max_size=3)))
+                          for values in (counts, rates, depths))).expand()
+    else:
+        grid = draw(st.lists(st.builds(HyperParams, counts, rates, depths),
+                             min_size=1, max_size=6))
+    return X, y, grid, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=grid_cases())
+def test_any_grid_picks_what_the_reference_picks(case):
+    X, y, grid, seed = case
+    search = _plan_search(X, y, grid, seed)
+    best_hp, best_rmse = _pick(search, _run_searches([search], 1, map)[0])
+    expected_hp, expected_rmse = reference_grid_search(X, y, grid, seed)
+    assert (best_hp, best_rmse.hex()) == (expected_hp, expected_rmse.hex())
 
 
 class TestStagedGridSearchMatchesReference:

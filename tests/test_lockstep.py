@@ -2,10 +2,11 @@
 loops the split kernels rely on, pinned by bit pattern.
 
 ``gbrt.staged_holdout_rmse`` scores a batch of CV units, growing their
-trees in lockstep (``_grow_lockstep``) or one by one (``_grow_each``).
-Whichever grower runs, every staged RMSE must equal, by ``float.hex``, the
-one the public API gives for that unit alone: ``fit_gbrt``, then each
-tree's ``RegressionTree.predict`` added in turn, scored by ``rmse``. The
+trees in lockstep (``_grow_lockstep``) or one by one (``_grow_each``), each
+to the batch's largest tree count. Whichever grower runs, every staged RMSE
+must equal, by ``float.hex``, the one the public API gives for that unit
+alone grown to that count: ``fit_gbrt``, then each tree's
+``RegressionTree.predict`` added in turn, scored by ``rmse``. The
 lockstep kernel's node sums (``gbrt._segment_sums``) must equal ``.sum()``
 of each node's rows by bit pattern, and one complex ``cumsum`` of
 ``gbrt._paired(r)`` must give ``r.cumsum()`` and ``(r * r).cumsum()`` bit
@@ -189,8 +190,11 @@ NEAR_MAX = [-np.finfo(float).max, -1.5e308, -1e308, 1e308, 1.5e308,
 @example(case=above_the_cutoff(1_500, 6, 3))
 @example(case=above_the_cutoff(7_000, LOCKSTEP_MIN_FITS, 6))
 def test_lockstep_matches_per_unit(case):
+    # every unit grows the batch's largest tree count, so a unit that asks
+    # for fewer trees gets those scores first and the rest after them
     X, y, folds, units = case
-    expected = hexes([oracle_scores(X, y, folds, unit) for unit in units])
+    n_max = max(unit[3] for unit in units)
+    expected = hexes([oracle_scores(X, y, folds, (*unit[:3], n_max)) for unit in units])
     for grower in ("lockstep", "each", None):
         assert hexes(scores_with(grower, X, y, folds, units)) == expected, grower
 
